@@ -4,7 +4,7 @@ Local deep Galerkin and local deep Ritz methods with their strong-form
 baselines, built on a self-contained tape/jet autodiff engine.
 """
 
-from .autodiff import Jet, Tape, Var, apply_activation, backward, jet_lift
+from .autodiff import Jet, Tape, Var, backward
 from .loss import LossBreakdown, dgm_loss, ldgm_loss
 from .metrics import derivative_scale_diagnostic, evaluation_grid, relative_l2
 from .network import (AnalyticNetwork, DecoupledSpec, Network, NetworkConfig,

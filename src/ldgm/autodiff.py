@@ -1,13 +1,14 @@
-"""Tape-based reverse-mode differentiation plus forward-mode Taylor jets.
+"""Tape-based reverse-mode differentiation plus the Taylor-jet container.
 
 The tape records every elementary operation on float64 arrays.  A tracked
 value is a handle into the tape; a 0-d array is the plain scalar case, and
 batched evaluation stores one array per node (same recorded computation,
 evaluated at many sample points at once).  Reverse mode gives exact
-gradients with respect to nodes flagged as parameters.  Jets carry
-truncated Taylor coefficients along one input direction; because each
-coefficient is itself a tape node, any derivative a jet produces remains
-differentiable with respect to the parameters (one reverse pass suffices).
+gradients with respect to nodes flagged as parameters.  A jet holds the
+truncated Taylor coefficients of a value along one input direction; the
+network computes them (see `network`), and because each coefficient is
+itself a tape node, any derivative a jet produces remains differentiable
+with respect to the parameters (one reverse pass suffices).
 """
 
 from __future__ import annotations
@@ -16,14 +17,11 @@ import math
 
 import numpy as np
 
-from .errors import InvalidNodeError, SmoothnessError
+from .errors import InvalidNodeError
 
 JET_ORDER_CAP = 6
 
 ACTIVATION_KINDS = ("tanh", "sigmoid", "elu", "identity", "relu")
-
-# kink margin below which elu/relu points count as sitting on the corner
-_KINK_MARGIN = 1e-8
 
 
 class Node:
@@ -353,82 +351,13 @@ def backward(tape: Tape, output: Var, wrt=None) -> dict[int, np.ndarray]:
     return out
 
 
-def replay(tape: Tape) -> bool:
-    """Recompute every node from the record; True iff all values match bit-for-bit."""
-    vals: list[np.ndarray] = []
-    for node in tape.nodes:
-        op, ins, aux = node.op, node.inputs, node.aux
-        if op in ("const", "input", "param"):
-            v = node.value
-        elif op == "add":
-            v = np.add(vals[ins[0]], vals[ins[1]])
-        elif op == "sub":
-            v = np.subtract(vals[ins[0]], vals[ins[1]])
-        elif op == "mul":
-            v = np.multiply(vals[ins[0]], vals[ins[1]])
-        elif op == "div":
-            v = np.divide(vals[ins[0]], vals[ins[1]])
-        elif op == "addc":
-            v = np.add(vals[ins[0]], aux)
-        elif op == "rsubc":
-            v = aux - vals[ins[0]]
-        elif op == "mulc":
-            v = np.multiply(vals[ins[0]], aux)
-        elif op == "rdivc":
-            v = aux / vals[ins[0]]
-        elif op == "neg":
-            v = -vals[ins[0]]
-        elif op == "powc":
-            v = vals[ins[0]] ** aux
-        elif op == "exp":
-            v = np.exp(vals[ins[0]])
-        elif op == "log":
-            v = np.log(vals[ins[0]])
-        elif op == "sqrt":
-            v = np.sqrt(vals[ins[0]])
-        elif op == "tanh":
-            v = np.tanh(vals[ins[0]])
-        elif op == "sigmoid":
-            v = 0.5 * (np.tanh(0.5 * vals[ins[0]]) + 1.0)
-        elif op == "sin":
-            v = np.sin(vals[ins[0]])
-        elif op == "cos":
-            v = np.cos(vals[ins[0]])
-        elif op == "elu":
-            xv = vals[ins[0]]
-            v = np.where(xv > 0, xv, aux * np.expm1(xv))
-        elif op == "relu":
-            v = np.maximum(vals[ins[0]], 0.0)
-        elif op == "where":
-            v = np.where(aux, vals[ins[0]], vals[ins[1]])
-        elif op == "matmul":
-            v = vals[ins[0]] @ vals[ins[1]]
-        elif op == "affine":
-            v = vals[ins[0]] @ vals[ins[1]] + vals[ins[2]]
-        elif op == "col":
-            v = vals[ins[0]][:, aux]
-        elif op == "sum":
-            v = np.asarray(np.sum(vals[ins[0]]))
-        elif op == "mean":
-            v = np.asarray(np.mean(vals[ins[0]]))
-        else:  # pragma: no cover
-            raise NotImplementedError(op)
-        vals.append(v)
-        a, b = np.asarray(v), node.value
-        if a.shape != b.shape or a.tobytes() != b.tobytes():
-            return False
-    return True
-
-
-# -- forward-mode jets ----------------------------------------------------
+# -- Taylor jets ---------------------------------------------------------
 
 
 class Jet:
     """Truncated Taylor coefficients of a value along one input direction.
 
-    coeffs[j] = (1/j!) * d^j f / ds^j, each coefficient a tape node.  An
-    order-0 jet behaves exactly like its primal value; products follow the
-    Cauchy convolution of the truncated algebra.
+    coeffs[j] = (1/j!) * d^j f / ds^j, each coefficient a tape node.
     """
 
     __slots__ = ("coeffs",)
@@ -440,172 +369,6 @@ class Jet:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    @property
-    def primal(self) -> Var:
-        return self.coeffs[0]
-
     def derivative(self, j: int) -> Var:
         """d^j f/ds^j as a tape node (coefficient times j!)."""
         return self.coeffs[j] * float(math.factorial(j)) if j > 1 else self.coeffs[j]
-
-    def _coerce(self, other) -> "Jet":
-        if isinstance(other, Jet):
-            if other.order != self.order:
-                raise ValueError("jet orders differ")
-            return other
-        tape = self.coeffs[0].tape
-        v = other if isinstance(other, Var) else tape.const(other)
-        zeros = [tape.const(np.zeros_like(v.value)) for _ in range(self.order)]
-        return Jet([v] + zeros)
-
-    def __add__(self, other):
-        if isinstance(other, Jet):
-            return Jet([a + b for a, b in zip(self.coeffs, other.coeffs)])
-        return Jet([self.coeffs[0] + other] + self.coeffs[1:])
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, Jet):
-            return Jet([a - b for a, b in zip(self.coeffs, other.coeffs)])
-        return Jet([self.coeffs[0] - other] + self.coeffs[1:])
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
-
-    def __neg__(self):
-        return Jet([-c for c in self.coeffs])
-
-    def __mul__(self, other):
-        if not isinstance(other, Jet):
-            return Jet([c * other for c in self.coeffs])
-        if other.order != self.order:
-            raise ValueError("jet orders differ")
-        a, b = self.coeffs, other.coeffs
-        out = []
-        for j in range(len(a)):
-            s = a[0] * b[j]
-            for i in range(1, j + 1):
-                s = s + a[i] * b[j - i]
-            out.append(s)
-        return Jet(out)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if not isinstance(other, Jet):
-            return Jet([c * (1.0 / np.asarray(other, dtype=np.float64)) for c in self.coeffs])
-        if other.order != self.order:
-            raise ValueError("jet orders differ")
-        a, b = self.coeffs, other.coeffs
-        out = [a[0] / b[0]]
-        for j in range(1, len(a)):
-            s = a[j]
-            for i in range(1, j + 1):
-                s = s - b[i] * out[j - i]
-            out.append(s / b[0])
-        return Jet(out)
-
-
-def jet_lift(x: Var, direction_seed: float, order: int) -> Jet:
-    """Seed a jet: coeffs (x, seed, 0, ..., 0)."""
-    if order < 0:
-        raise ValueError("jet order must be >= 0")
-    if order == 0:
-        return Jet([x])
-    tape = x.tape
-    shape = x.value.shape
-    seed = tape.const(np.full(shape, float(direction_seed)))
-    zeros = [tape.const(np.zeros(shape)) for _ in range(order - 1)]
-    return Jet([x, seed] + zeros)
-
-
-def _compose(x: Jet, y0: Var, gcoeff) -> Jet:
-    """Univariate composition y = f(x) given y0 and the coefficients of f'(x(s)).
-
-    gcoeff(m, ys) returns coefficient m of the derivative series, built from
-    the output coefficients computed so far; the standard recurrence is
-        j * y_j = sum_{i=1..j} i * x_i * g_{j-i}.
-    """
-    k = x.order
-    xs = x.coeffs
-    ys = [y0]
-    gs: list[Var] = []
-    for j in range(1, k + 1):
-        gs.append(gcoeff(j - 1, ys))
-        s = xs[1] * gs[j - 1]
-        for i in range(2, j + 1):
-            s = s + float(i) * xs[i] * gs[j - i]
-        ys.append(s if j == 1 else s * (1.0 / j))
-    return Jet(ys)
-
-
-def _conv(a, b, m):
-    s = a[0] * b[m]
-    for i in range(1, m + 1):
-        s = s + a[i] * b[m - i]
-    return s
-
-
-def apply_activation(x: Jet, kind: str, alpha: float = 1.0) -> Jet:
-    """Compose an activation with a jet via the truncated-Taylor recurrences."""
-    k = x.order
-    if kind == "identity":
-        return x
-    if kind == "tanh":
-        # y' = 1 - y^2 builds each coefficient from the lower ones
-        y0 = tanh(x.coeffs[0])
-        return _compose(x, y0, lambda m, ys: (1.0 - _conv(ys, ys, m)) if m == 0 else -_conv(ys, ys, m))
-    if kind == "sigmoid":
-        y0 = sigmoid(x.coeffs[0])
-        return _compose(x, y0, lambda m, ys: ys[m] - _conv(ys, ys, m))
-    if kind == "elu":
-        x0 = x.coeffs[0].value
-        if k >= 2 or (k >= 1 and alpha != 1.0):
-            if np.any(np.abs(x0) < _KINK_MARGIN):
-                raise SmoothnessError(
-                    f"elu jet of order {k} evaluated at the kink (|x| < {_KINK_MARGIN:g})")
-        mask = x0 > 0
-        pos = x
-        e = apply_exp(x)
-        neg = Jet([e.coeffs[0] * alpha - alpha] + [c * alpha for c in e.coeffs[1:]])
-        return Jet([where(mask, p, n) for p, n in zip(pos.coeffs, neg.coeffs)])
-    if kind == "relu":
-        if k >= 2:
-            raise SmoothnessError("relu supports jet order <= 1")
-        y0 = relu(x.coeffs[0])
-        if k == 0:
-            return Jet([y0])
-        mask = (x.coeffs[0].value > 0).astype(np.float64)
-        return Jet([y0, x.coeffs[1] * mask])
-    raise ValueError(f"unknown activation kind {kind!r}")
-
-
-def apply_exp(x: Jet) -> Jet:
-    y0 = exp(x.coeffs[0])
-    return _compose(x, y0, lambda m, ys: ys[m])
-
-
-def apply_sin(x: Jet) -> Jet:
-    return _sin_cos(x)[0]
-
-
-def apply_cos(x: Jet) -> Jet:
-    return _sin_cos(x)[1]
-
-
-def _sin_cos(x: Jet):
-    # paired recurrence: s' = c x', c' = -s x'
-    k = x.order
-    xs = x.coeffs
-    ss = [sin(xs[0])]
-    cs = [cos(xs[0])]
-    for j in range(1, k + 1):
-        s = xs[1] * cs[j - 1]
-        c = xs[1] * ss[j - 1]
-        for i in range(2, j + 1):
-            s = s + float(i) * xs[i] * cs[j - i]
-            c = c + float(i) * xs[i] * ss[j - i]
-        ss.append(s if j == 1 else s * (1.0 / j))
-        cs.append(c * (-1.0 / j))
-    return Jet(ss), Jet(cs)

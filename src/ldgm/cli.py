@@ -14,7 +14,7 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .config import NUMERIC_KEYS, ExperimentConfig
-from .errors import ConfigError, LdgmError, NonFiniteLossError
+from .errors import ConfigError, LdgmError
 from .metrics import derivative_scale_diagnostic, write_table
 from .network import save_checkpoint
 from .reference import SpectralCHConfig, solve_ch_spectral
@@ -44,12 +44,12 @@ def run_single(cfg: ExperimentConfig, seed: int, out=None) -> tuple[Path, str]:
     run_dir.mkdir(parents=True, exist_ok=True)
     (run_dir / "config.resolved").write_text(cfg.resolved_text())
 
-    spec = cfg.problem()
-    net_cfg = cfg.network(spec)
     method = cfg.method
     status = "ok"
     t0 = time.perf_counter()
     try:
+        spec = cfg.problem()
+        net_cfg = cfg.network(spec)
         if method in ("ldgm", "dgm"):
             truth = None
             if spec.name == "cahn_hilliard":
@@ -67,8 +67,8 @@ def run_single(cfg: ExperimentConfig, seed: int, out=None) -> tuple[Path, str]:
                       report.rows[-1][1] if report.rows else math.nan,
                       report.rows[-1][0] if report.rows else 0,
                       time.perf_counter() - t0)])
-    except NonFiniteLossError as e:
-        status = f"abort: {e}"
+    except LdgmError as e:
+        status = f"abort: {type(e).__name__}: {e}"
     status_path.write_text(status + "\n")
     return run_dir, status
 
@@ -185,7 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--axis", required=True)
     s.add_argument("--values", required=True, help="comma-separated values")
     s.add_argument("--out", default=None)
-    s.add_argument("--jobs", type=int, default=1)
     s.set_defaults(fn=cmd_sweep)
 
     d = sub.add_parser("diagnose", help="derivative-scale experiment")

@@ -7,15 +7,17 @@ resolved config so results stay re-derivable.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 from dataclasses import dataclass
 
+from .autodiff import ACTIVATION_KINDS
 from .errors import ConfigError
 from .network import DecoupledSpec, NetworkConfig
 from .ritz import RitzConfig
 from .sampling import SamplerConfig
-from .system import ProblemSpec, get_problem, ldgm_system
-from .trainer import TrainConfig
+from .system import ProblemSpec, get_problem
+from .trainer import TrainConfig, default_network_config
 
 _DEFAULTS = {
     "problem.name": "beam",
@@ -75,6 +77,9 @@ def validate_keys(raw: dict[str, str]) -> None:
         raise ConfigError(bad)
     if "method" in raw and raw["method"] not in _METHODS:
         raise ConfigError(["method"], f"method must be one of {_METHODS}")
+    for key in ("network.activation", "network.output_activation"):
+        if key in raw and raw[key] not in ACTIVATION_KINDS:
+            raise ConfigError([key], f"{key} must be one of {ACTIVATION_KINDS}")
 
 
 @dataclass
@@ -124,28 +129,19 @@ class ExperimentConfig:
         return get_problem(name)
 
     def network(self, spec: ProblemSpec) -> NetworkConfig:
-        method = self.method
-        if method == "ldgm":
-            m = ldgm_system(spec).size
-        elif method == "ldrm":
-            m = spec.spatial_dim + 1
-        else:
-            m = 1
         decoupled = None
         if self.raw["network.groups"]:
             groups = tuple(tuple(int(i) for i in g.split("-"))
                            for g in self.raw["network.groups"].split("|"))
             decoupled = DecoupledSpec(int(self.raw["network.trunk_depth"]),
                                       int(self.raw["network.branch_depth"]), groups)
-        return NetworkConfig(
-            input_dim=spec.spatial_dim + (0 if spec.stationary else 1),
-            hidden_layers=int(self.raw["network.hidden_layers"]),
-            width=int(self.raw["network.width"]),
-            output_dim=m,
-            hidden_activation=self.raw["network.activation"],
-            output_activation=self.raw["network.output_activation"],
-            elu_alpha=float(self.raw["network.elu_alpha"]),
-            decoupled=decoupled)
+        net = default_network_config(spec, self.method,
+                                     hidden_layers=int(self.raw["network.hidden_layers"]),
+                                     width=int(self.raw["network.width"]),
+                                     activation=self.raw["network.activation"],
+                                     decoupled=decoupled)
+        return dataclasses.replace(net, output_activation=self.raw["network.output_activation"],
+                                   elu_alpha=float(self.raw["network.elu_alpha"]))
 
     def sampler(self) -> SamplerConfig:
         return SamplerConfig(

@@ -46,11 +46,11 @@ class InstabilityError(LdgmError):
 
 
 class NonFiniteLossError(LdgmError):
-    """Training aborted on a non-finite loss or gradient."""
+    """Training aborted on a non-finite loss or gradient at one Adam step."""
 
-    def __init__(self, stage: int, detail: str = ""):
-        self.stage = stage
-        super().__init__(f"non-finite value at stage {stage}" + (f": {detail}" if detail else ""))
+    def __init__(self, step: int, detail: str = ""):
+        self.step = step
+        super().__init__(f"non-finite value at Adam step {step}" + (f": {detail}" if detail else ""))
 
 
 class ConfigError(LdgmError):

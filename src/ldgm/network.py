@@ -4,6 +4,11 @@ A network maps (x, t) -> m outputs through an input affine layer, L-1
 hidden affine layers (L tanh/elu applications total) and a linear output
 head, optionally split into a shared trunk plus per-group branches so that
 groups of outputs stop sharing late-layer parameters.
+
+Evaluation is one walk over that topology: each layer carries a shared
+primal plus, per requested input direction, its truncated Taylor tail.  A
+plain forward pass is the walk with no directions, and then every
+activation is a single tape node.
 """
 
 from __future__ import annotations
@@ -15,10 +20,13 @@ import numpy as np
 import sympy as sp
 
 from . import autodiff as ad
-from .autodiff import Jet, Tape, Var
-from .errors import ShapeError, SmoothnessError, UnsupportedOrderError
+from .autodiff import ACTIVATION_KINDS, Jet, Tape, Var
+from .errors import ConfigError, ShapeError, SmoothnessError, UnsupportedOrderError
 
 TIME = "t"
+
+# kink margin below which elu points count as sitting on the corner
+_KINK_MARGIN = 1e-8
 
 
 def _tail(xs_tail, y0, g0, kind):
@@ -70,6 +78,12 @@ class NetworkConfig:
     decoupled: DecoupledSpec | None = None
 
     def __post_init__(self):
+        oa = self.output_activation
+        for name, kinds in (("hidden_activation", [self.hidden_activation]),
+                            ("output_activation", [oa] if isinstance(oa, str) else oa)):
+            bad = [k for k in kinds if k not in ACTIVATION_KINDS]
+            if bad:
+                raise ConfigError([name], f"{name} {bad[0]!r} is not one of {ACTIVATION_KINDS}")
         if self.hidden_layers < 1 or self.width < 1 or self.output_dim < 1:
             raise ShapeError("hidden_layers, width and output_dim must all be >= 1")
         if self.decoupled is not None:
@@ -85,22 +99,36 @@ class NetworkConfig:
         return oa if isinstance(oa, str) else oa[j]
 
 
+def _topology(cfg: NetworkConfig):
+    """The layer walk as (weight, bias) name pairs.
+
+    Returns the trunk pairs, then one (hidden pairs, head pair, output
+    indices) entry per output group; an undivided network is one group with
+    no branch layers.  Parameter names and their order come from here alone.
+    """
+    trunk = [("w_in", "b_in")]
+    dec = cfg.decoupled
+    if dec is None:
+        trunk += [(f"w_h{i}", f"b_h{i}") for i in range(1, cfg.hidden_layers)]
+        return trunk, [([], ("w_out", "b_out"), tuple(range(cfg.output_dim)))]
+    trunk += [(f"w_h{i}", f"b_h{i}") for i in range(1, dec.trunk_depth)]
+    branches = [([(f"g{gi}_w{i}", f"g{gi}_b{i}") for i in range(dec.branch_depth)],
+                 (f"g{gi}_w_out", f"g{gi}_b_out"), group)
+                for gi, group in enumerate(dec.groups)]
+    return trunk, branches
+
+
 def _layer_plan(cfg: NetworkConfig):
     """(name, shape) pairs in serialization order."""
     n = cfg.width
-    plan = [("w_in", (cfg.input_dim, n)), ("b_in", (n,))]
-    if cfg.decoupled is None:
-        for i in range(1, cfg.hidden_layers):
-            plan += [(f"w_h{i}", (n, n)), (f"b_h{i}", (n,))]
-        plan += [("w_out", (n, cfg.output_dim)), ("b_out", (cfg.output_dim,))]
-    else:
-        d = cfg.decoupled
-        for i in range(1, d.trunk_depth):
-            plan += [(f"w_h{i}", (n, n)), (f"b_h{i}", (n,))]
-        for gi, group in enumerate(d.groups):
-            for i in range(d.branch_depth):
-                plan += [(f"g{gi}_w{i}", (n, n)), (f"g{gi}_b{i}", (n,))]
-            plan += [(f"g{gi}_w_out", (n, len(group))), (f"g{gi}_b_out", (len(group),))]
+    trunk, branches = _topology(cfg)
+    plan = []
+    for i, (w, b) in enumerate(trunk):
+        plan += [(w, (cfg.input_dim if i == 0 else n, n)), (b, (n,))]
+    for hidden, (w, b), group in branches:
+        for hw, hb in hidden:
+            plan += [(hw, (n, n)), (hb, (n,))]
+        plan += [(w, (n, len(group))), (b, (len(group),))]
     return plan
 
 
@@ -196,44 +224,11 @@ class BoundNetwork:
             raise ShapeError("x and t batch sizes differ")
         return np.column_stack([x, t])
 
-    def _affine(self, h: Var, w: str, b: str) -> Var:
-        return ad.affine(h, self.vars[w], self.vars[b])
-
-    def _affine_jet(self, h: Jet, w: str, b: str) -> Jet:
-        wv, bv = self.vars[w], self.vars[b]
-        coeffs = [ad.affine(h.coeffs[0], wv, bv)]
-        coeffs += [ad.matmul(c, wv) for c in h.coeffs[1:]]
-        return Jet(coeffs)
-
     # -- evaluation ------------------------------------------------------
 
     def forward(self, x, t=None) -> NetworkOutput:
-        cfg = self.config
-        act = cfg.hidden_activation
-        X = self._stack_inputs(x, t)
-        xin = self.tape.input(X)
-        h = ad.var_activation(self._affine(xin, "w_in", "b_in"), act, cfg.elu_alpha)
-        values: list[Var | None] = [None] * cfg.output_dim
-        if cfg.decoupled is None:
-            for i in range(1, cfg.hidden_layers):
-                h = ad.var_activation(self._affine(h, f"w_h{i}", f"b_h{i}"), act, cfg.elu_alpha)
-            y = self._affine(h, "w_out", "b_out")
-            for j in range(cfg.output_dim):
-                values[j] = ad.var_activation(ad.column(y, j), cfg.out_activation(j), cfg.elu_alpha)
-        else:
-            dec = cfg.decoupled
-            for i in range(1, dec.trunk_depth):
-                h = ad.var_activation(self._affine(h, f"w_h{i}", f"b_h{i}"), act, cfg.elu_alpha)
-            for gi, group in enumerate(dec.groups):
-                hb = h
-                for i in range(dec.branch_depth):
-                    hb = ad.var_activation(self._affine(hb, f"g{gi}_w{i}", f"g{gi}_b{i}"),
-                                           act, cfg.elu_alpha)
-                y = self._affine(hb, f"g{gi}_w_out", f"g{gi}_b_out")
-                for jj, j in enumerate(group):
-                    values[j] = ad.var_activation(ad.column(y, jj), cfg.out_activation(j),
-                                                  cfg.elu_alpha)
-        return NetworkOutput(values=values, input_node=xin)
+        """Output values only: the jet walk with no directions."""
+        return self.forward_jets(x, t)
 
     def _bundle_affine(self, h0: Var, tails: dict, w: str, b: str):
         wv = self.vars[w]
@@ -243,6 +238,9 @@ class BoundNetwork:
     def _bundle_act(self, h0: Var, tails: dict, kind: str):
         """Activation over a shared primal plus per-direction Taylor tails."""
         alpha = self.config.elu_alpha
+        if not tails:
+            # values only: one tape node per activation (elu through expm1)
+            return ad.var_activation(h0, kind, alpha), tails
         if kind == "identity":
             return h0, tails
         if kind == "tanh":
@@ -257,7 +255,7 @@ class BoundNetwork:
             x0v = h0.value
             max_order = max((len(cs) for cs in tails.values()), default=0)
             if max_order >= 2 or (max_order >= 1 and alpha != 1.0):
-                if np.any(np.abs(x0v) < 1e-8):
+                if np.any(np.abs(x0v) < _KINK_MARGIN):
                     raise SmoothnessError(
                         f"elu jet of order {max_order} evaluated at the kink")
             mask = x0v > 0
@@ -279,37 +277,6 @@ class BoundNetwork:
             return y0, out
         raise ValueError(f"unknown activation kind {kind!r}")
 
-    def _bundle_layers(self, h0, tails, kind):
-        cfg = self.config
-        outs: list[Jet | None] = [None] * cfg.output_dim
-
-        def heads(h0, tails, w, b, group):
-            y0, ytails = self._bundle_affine(h0, tails, w, b)
-            for jj, j in enumerate(group):
-                c0 = ad.column(y0, jj)
-                jtails = {dd: [ad.column(c, jj) for c in cs] for dd, cs in ytails.items()}
-                oa = cfg.out_activation(j)
-                c0, jtails = self._bundle_act(c0, jtails, oa)
-                outs[j] = (c0, jtails)
-
-        if cfg.decoupled is None:
-            for i in range(1, cfg.hidden_layers):
-                h0, tails = self._bundle_affine(h0, tails, f"w_h{i}", f"b_h{i}")
-                h0, tails = self._bundle_act(h0, tails, kind)
-            heads(h0, tails, "w_out", "b_out", range(cfg.output_dim))
-        else:
-            dec = cfg.decoupled
-            for i in range(1, dec.trunk_depth):
-                h0, tails = self._bundle_affine(h0, tails, f"w_h{i}", f"b_h{i}")
-                h0, tails = self._bundle_act(h0, tails, kind)
-            for gi, group in enumerate(dec.groups):
-                hb0, btails = h0, tails
-                for i in range(dec.branch_depth):
-                    hb0, btails = self._bundle_affine(hb0, btails, f"g{gi}_w{i}", f"g{gi}_b{i}")
-                    hb0, btails = self._bundle_act(hb0, btails, kind)
-                heads(hb0, btails, f"g{gi}_w_out", f"g{gi}_b_out", group)
-        return outs
-
     def forward_jets(self, x, t=None, orders: dict | None = None) -> NetworkOutput:
         """Jets for several directions in one pass over a shared primal chain.
 
@@ -327,11 +294,8 @@ class BoundNetwork:
         for dd in orders:
             if dd != TIME and not (0 <= int(dd) < d_space):
                 raise ShapeError(f"direction {dd!r} outside the spatial axes")
-        if not orders:
-            return self.forward(x, t)
-
         n_pts, dim = X.shape
-        c0 = self.tape.input(X)
+        xin = self.tape.input(X)
         tails = {}
         for dd, od in orders.items():
             axis = dim - 1 if dd == TIME else int(dd)
@@ -341,11 +305,23 @@ class BoundNetwork:
                 self.tape.const(np.zeros((n_pts, dim))) for _ in range(od - 1)]
 
         cfg = self.config
-        h0, tails = self._bundle_affine(c0, tails, "w_in", "b_in")
-        h0, tails = self._bundle_act(h0, tails, cfg.hidden_activation)
-        outs = self._bundle_layers(h0, tails, cfg.hidden_activation)
+        act = cfg.hidden_activation
+        trunk, branches = _topology(cfg)
+        h0 = xin
+        for w, b in trunk:
+            h0, tails = self._bundle_act(*self._bundle_affine(h0, tails, w, b), act)
+        outs = [None] * cfg.output_dim
+        for hidden, (w, b), group in branches:
+            hb0, btails = h0, tails
+            for hw, hb in hidden:
+                hb0, btails = self._bundle_act(*self._bundle_affine(hb0, btails, hw, hb), act)
+            y0, ytails = self._bundle_affine(hb0, btails, w, b)
+            for jj, j in enumerate(group):
+                c0 = ad.column(y0, jj)
+                jtails = {dd: [ad.column(c, jj) for c in cs] for dd, cs in ytails.items()}
+                outs[j] = self._bundle_act(c0, jtails, cfg.out_activation(j))
 
-        result = NetworkOutput(values=[o[0] for o in outs], input_node=c0)
+        result = NetworkOutput(values=[o[0] for o in outs], input_node=xin)
         for dd in orders:
             result.jets[dd] = [Jet([o[0]] + o[1][dd]) for o in outs]
         return result

@@ -18,7 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .autodiff import Tape, backward
-from .errors import NonFiniteLossError
+from .errors import LdgmError, NonFiniteLossError
 from .loss import dgm_loss, ldgm_loss
 from .network import Network, NetworkConfig, ParameterSet, init_xavier
 from .sampling import SamplerConfig, draw_batch
@@ -93,8 +93,9 @@ class TrainReport:
         rep = cls()
         with open(path, newline="") as f:
             r = csv.reader(f)
-            header = next(r)
-            assert tuple(header) == cls.columns
+            header = tuple(next(r, ()))
+            if header != cls.columns:
+                raise LdgmError(f"{path}: report header {header} is not {cls.columns}")
             for row in r:
                 rep.rows.append((int(row[0]),) + tuple(float(v) for v in row[1:]))
         return rep
@@ -120,7 +121,7 @@ def train_loop(net: Network, draw, loss_fn, cfg: TrainConfig,
             lb = loss_fn(bound, batch)
             total = float(lb.J_total.value)
             if not math.isfinite(total):
-                raise NonFiniteLossError(stage)
+                raise NonFiniteLossError(state.step + 1, "loss")
             grads_by_id = backward(tape, lb.J_total)
             grads = [grads_by_id[v.idx] for v in bound.param_vars]
             adam_step(net.params, grads, state, cfg.rate_at(state.step + 1),

@@ -1,12 +1,20 @@
 """Independent numerical oracles used across the test suite.
 
-Everything here is deliberately written without the package's autodiff or
+Most of this is deliberately written without the package's autodiff or
 FFT machinery: plain finite differences, naive DFT summation, and a dense
 linear-algebra time stepper, so the main implementations are checked
-against genuinely separate code paths.
+against genuinely separate code paths.  The jet section is the exception:
+it records on the package's tape, but it is a second, scalar
+implementation of the truncated-Taylor algebra and recurrences (and a
+second interpreter of the tape), written apart from the network's own
+jet walk so that each checks the other.
 """
 
 import numpy as np
+
+from ldgm import autodiff as ad
+from ldgm.errors import SmoothnessError
+from ldgm.network import _KINK_MARGIN, _topology
 
 # step sizes tuned per order for Richardson-extrapolated central stencils
 _FD_STEPS = {1: 1e-5, 2: 5e-4, 3: 8e-3, 4: 4e-2}
@@ -83,3 +91,275 @@ def relative(a, b):
     a = np.asarray(a, dtype=np.float64).ravel()
     b = np.asarray(b, dtype=np.float64).ravel()
     return np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300)
+
+
+# -- Taylor jets on the tape --------------------------------------------------
+
+
+class Jet(ad.Jet):
+    """The library's jet container plus the truncated Taylor algebra.
+
+    An order-0 jet behaves exactly like its primal value; products follow
+    the Cauchy convolution of the truncated algebra.
+    """
+
+    __slots__ = ()
+
+    @property
+    def primal(self):
+        return self.coeffs[0]
+
+    def __add__(self, other):
+        if isinstance(other, ad.Jet):
+            return Jet([a + b for a, b in zip(self.coeffs, other.coeffs)])
+        return Jet([self.coeffs[0] + other] + self.coeffs[1:])
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if isinstance(other, ad.Jet):
+            return Jet([a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return Jet([self.coeffs[0] - other] + self.coeffs[1:])
+
+    def __rsub__(self, other):
+        return (-self).__add__(other)
+
+    def __neg__(self):
+        return Jet([-c for c in self.coeffs])
+
+    def __mul__(self, other):
+        if not isinstance(other, ad.Jet):
+            return Jet([c * other for c in self.coeffs])
+        if other.order != self.order:
+            raise ValueError("jet orders differ")
+        a, b = self.coeffs, other.coeffs
+        out = []
+        for j in range(len(a)):
+            s = a[0] * b[j]
+            for i in range(1, j + 1):
+                s = s + a[i] * b[j - i]
+            out.append(s)
+        return Jet(out)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if not isinstance(other, ad.Jet):
+            return Jet([c * (1.0 / np.asarray(other, dtype=np.float64)) for c in self.coeffs])
+        if other.order != self.order:
+            raise ValueError("jet orders differ")
+        a, b = self.coeffs, other.coeffs
+        out = [a[0] / b[0]]
+        for j in range(1, len(a)):
+            s = a[j]
+            for i in range(1, j + 1):
+                s = s - b[i] * out[j - i]
+            out.append(s / b[0])
+        return Jet(out)
+
+
+def jet_lift(x, direction_seed: float, order: int) -> Jet:
+    """Seed a jet: coeffs (x, seed, 0, ..., 0)."""
+    if order < 0:
+        raise ValueError("jet order must be >= 0")
+    if order == 0:
+        return Jet([x])
+    tape = x.tape
+    shape = x.value.shape
+    seed = tape.const(np.full(shape, float(direction_seed)))
+    zeros = [tape.const(np.zeros(shape)) for _ in range(order - 1)]
+    return Jet([x, seed] + zeros)
+
+
+def _compose(x, y0, gcoeff) -> Jet:
+    """Univariate composition y = f(x) given y0 and the coefficients of f'(x(s)).
+
+    gcoeff(m, ys) returns coefficient m of the derivative series, built from
+    the output coefficients computed so far; the standard recurrence is
+        j * y_j = sum_{i=1..j} i * x_i * g_{j-i}.
+    """
+    k = x.order
+    xs = x.coeffs
+    ys = [y0]
+    gs = []
+    for j in range(1, k + 1):
+        gs.append(gcoeff(j - 1, ys))
+        s = xs[1] * gs[j - 1]
+        for i in range(2, j + 1):
+            s = s + float(i) * xs[i] * gs[j - i]
+        ys.append(s if j == 1 else s * (1.0 / j))
+    return Jet(ys)
+
+
+def _conv(a, b, m):
+    s = a[0] * b[m]
+    for i in range(1, m + 1):
+        s = s + a[i] * b[m - i]
+    return s
+
+
+def apply_activation(x, kind: str, alpha: float = 1.0):
+    """Compose an activation with a jet via the truncated-Taylor recurrences."""
+    k = x.order
+    if kind == "identity":
+        return x
+    if kind == "tanh":
+        # y' = 1 - y^2 builds each coefficient from the lower ones
+        y0 = ad.tanh(x.coeffs[0])
+        return _compose(x, y0, lambda m, ys: (1.0 - _conv(ys, ys, m)) if m == 0 else -_conv(ys, ys, m))
+    if kind == "sigmoid":
+        y0 = ad.sigmoid(x.coeffs[0])
+        return _compose(x, y0, lambda m, ys: ys[m] - _conv(ys, ys, m))
+    if kind == "elu":
+        x0 = x.coeffs[0].value
+        if k >= 2 or (k >= 1 and alpha != 1.0):
+            if np.any(np.abs(x0) < _KINK_MARGIN):
+                raise SmoothnessError(
+                    f"elu jet of order {k} evaluated at the kink (|x| < {_KINK_MARGIN:g})")
+        mask = x0 > 0
+        pos = x
+        e = apply_exp(x)
+        neg = Jet([e.coeffs[0] * alpha - alpha] + [c * alpha for c in e.coeffs[1:]])
+        return Jet([ad.where(mask, p, n) for p, n in zip(pos.coeffs, neg.coeffs)])
+    if kind == "relu":
+        if k >= 2:
+            raise SmoothnessError("relu supports jet order <= 1")
+        y0 = ad.relu(x.coeffs[0])
+        if k == 0:
+            return Jet([y0])
+        mask = (x.coeffs[0].value > 0).astype(np.float64)
+        return Jet([y0, x.coeffs[1] * mask])
+    raise ValueError(f"unknown activation kind {kind!r}")
+
+
+def apply_exp(x) -> Jet:
+    y0 = ad.exp(x.coeffs[0])
+    return _compose(x, y0, lambda m, ys: ys[m])
+
+
+def apply_sin(x) -> Jet:
+    return _sin_cos(x)[0]
+
+
+def apply_cos(x) -> Jet:
+    return _sin_cos(x)[1]
+
+
+def _sin_cos(x):
+    # paired recurrence: s' = c x', c' = -s x'
+    k = x.order
+    xs = x.coeffs
+    ss = [ad.sin(xs[0])]
+    cs = [ad.cos(xs[0])]
+    for j in range(1, k + 1):
+        s = xs[1] * cs[j - 1]
+        c = xs[1] * ss[j - 1]
+        for i in range(2, j + 1):
+            s = s + float(i) * xs[i] * cs[j - i]
+            c = c + float(i) * xs[i] * ss[j - i]
+        ss.append(s if j == 1 else s * (1.0 / j))
+        cs.append(c * (-1.0 / j))
+    return Jet(ss), Jet(cs)
+
+
+def network_jets(net, x, t, order: int):
+    """Order-k jets of every output along spatial axis 0, from the jets above.
+
+    Walks the trained layers of `net` one affine map and one activation at
+    a time on a fresh tape, as a reference for the network's own jet walk.
+    """
+    cfg = net.config
+    tape = ad.Tape()
+    p = {name: tape.param(a) for name, a in zip(net.params.names, net.params.arrays)}
+    X = np.column_stack([x, t])
+    seed = np.zeros_like(X)
+    seed[:, 0] = 1.0
+    h = Jet([tape.input(X), tape.const(seed)] + [tape.const(np.zeros_like(X))
+                                                 for _ in range(order - 1)])
+
+    def affine(h, w, b):
+        return Jet([ad.affine(h.coeffs[0], p[w], p[b])] + [ad.matmul(c, p[w]) for c in h.coeffs[1:]])
+
+    def layer(h, w, b):
+        return apply_activation(affine(h, w, b), cfg.hidden_activation, cfg.elu_alpha)
+
+    trunk, branches = _topology(cfg)
+    for w, b in trunk:
+        h = layer(h, w, b)
+    outs = [None] * cfg.output_dim
+    for hidden, (w, b), group in branches:
+        hb = h
+        for hw, hbias in hidden:
+            hb = layer(hb, hw, hbias)
+        y = affine(hb, w, b)
+        for jj, j in enumerate(group):
+            outs[j] = apply_activation(Jet([ad.column(c, jj) for c in y.coeffs]),
+                                       cfg.out_activation(j), cfg.elu_alpha)
+    return outs
+
+
+def replay(tape) -> bool:
+    """Recompute every node from the record; True iff all values match bit-for-bit."""
+    vals: list[np.ndarray] = []
+    for node in tape.nodes:
+        op, ins, aux = node.op, node.inputs, node.aux
+        if op in ("const", "input", "param"):
+            v = node.value
+        elif op == "add":
+            v = np.add(vals[ins[0]], vals[ins[1]])
+        elif op == "sub":
+            v = np.subtract(vals[ins[0]], vals[ins[1]])
+        elif op == "mul":
+            v = np.multiply(vals[ins[0]], vals[ins[1]])
+        elif op == "div":
+            v = np.divide(vals[ins[0]], vals[ins[1]])
+        elif op == "addc":
+            v = np.add(vals[ins[0]], aux)
+        elif op == "rsubc":
+            v = aux - vals[ins[0]]
+        elif op == "mulc":
+            v = np.multiply(vals[ins[0]], aux)
+        elif op == "rdivc":
+            v = aux / vals[ins[0]]
+        elif op == "neg":
+            v = -vals[ins[0]]
+        elif op == "powc":
+            v = vals[ins[0]] ** aux
+        elif op == "exp":
+            v = np.exp(vals[ins[0]])
+        elif op == "log":
+            v = np.log(vals[ins[0]])
+        elif op == "sqrt":
+            v = np.sqrt(vals[ins[0]])
+        elif op == "tanh":
+            v = np.tanh(vals[ins[0]])
+        elif op == "sigmoid":
+            v = 0.5 * (np.tanh(0.5 * vals[ins[0]]) + 1.0)
+        elif op == "sin":
+            v = np.sin(vals[ins[0]])
+        elif op == "cos":
+            v = np.cos(vals[ins[0]])
+        elif op == "elu":
+            xv = vals[ins[0]]
+            v = np.where(xv > 0, xv, aux * np.expm1(xv))
+        elif op == "relu":
+            v = np.maximum(vals[ins[0]], 0.0)
+        elif op == "where":
+            v = np.where(aux, vals[ins[0]], vals[ins[1]])
+        elif op == "matmul":
+            v = vals[ins[0]] @ vals[ins[1]]
+        elif op == "affine":
+            v = vals[ins[0]] @ vals[ins[1]] + vals[ins[2]]
+        elif op == "col":
+            v = vals[ins[0]][:, aux]
+        elif op == "sum":
+            v = np.asarray(np.sum(vals[ins[0]]))
+        elif op == "mean":
+            v = np.asarray(np.mean(vals[ins[0]]))
+        else:  # pragma: no cover
+            raise NotImplementedError(op)
+        vals.append(v)
+        a, b = np.asarray(v), node.value
+        if a.shape != b.shape or a.tobytes() != b.tobytes():
+            return False
+    return True

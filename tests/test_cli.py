@@ -143,6 +143,36 @@ def test_run_abort_is_recorded_and_nonzero(tmp_path):
     assert status.startswith("abort:")
 
 
+def test_every_abort_records_its_cause(tmp_path):
+    # relu has no second derivative, and dgm on mkdv needs order-3 jets
+    out = str(tmp_path / "runs")
+    path = tmp_path / "relu.cfg"
+    path.write_text(
+        "problem.name=mkdv\nmethod=dgm\nnetwork.activation=relu\nnetwork.hidden_layers=2\n"
+        "network.width=6\nsampler.interior=8\nsampler.initial=4\nsampler.boundary=4\n"
+        f"train.stages=2\nseeds=0\nout={out}\n")
+    assert main(["run", "--config", str(path)]) == 1
+    d = next((tmp_path / "runs").iterdir())
+    status = (d / "status.txt").read_text().strip()
+    assert status.startswith("abort: SmoothnessError:")
+    assert "relu" in status
+    # a rerun reports the recorded abort instead of training again
+    (d / "config.resolved").unlink()
+    assert main(["run", "--config", str(path)]) == 1
+    assert not (d / "config.resolved").exists()
+
+
+def test_unknown_activation_is_rejected_at_load(tmp_path):
+    for key in ("network.activation", "network.output_activation"):
+        path = tmp_path / "gelu.cfg"
+        path.write_text(f"problem.name=beam\n{key}=gelu\nout={tmp_path / 'runs'}\n")
+        with pytest.raises(ConfigError) as e:
+            ExperimentConfig.from_file(path)
+        assert e.value.bad_keys == [key]
+        assert main(["run", "--config", str(path)]) == 2
+        assert not (tmp_path / "runs").exists()
+
+
 def test_checkpoint_artifact_roundtrips(tmp_path):
     cfg_path, out = write_cfg(tmp_path, stages=2)
     main(["run", "--config", str(cfg_path)])

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from ldgm.autodiff import Tape, backward
-from ldgm.errors import ShapeError, UnsupportedOrderError
+from ldgm.errors import ConfigError, ShapeError, SmoothnessError, UnsupportedOrderError
 from ldgm.network import (TIME, AnalyticNetwork, DecoupledSpec, Network, NetworkConfig,
                           init_xavier, load_checkpoint, save_checkpoint)
 
-from oracles import nested_derivative, relative
+from oracles import nested_derivative, network_jets, relative
 
 
 def beam_like_config():
@@ -100,24 +100,74 @@ def test_mixed_mode_agreement_jet_vs_reverse():
             assert relative(jet_d1, g[:, col]) < 1e-10
 
 
-def test_jet_derivatives_match_fd_through_network():
-    cfg = NetworkConfig(input_dim=2, hidden_layers=2, width=6, output_dim=1)
-    params = init_xavier(cfg, seed=11)
+@pytest.mark.parametrize("cfg,seed", [
+    pytest.param(NetworkConfig(input_dim=2, hidden_layers=2, width=6, output_dim=1), 11,
+                 id="tanh"),
+    pytest.param(NetworkConfig(input_dim=2, hidden_layers=2, width=6, output_dim=1,
+                               hidden_activation="sigmoid"), 11, id="sigmoid"),
+    # the FD stencil spans x0 +- 0.08; at seed 13 no elu preactivation changes
+    # sign over that span (at seed 11 one does, and FD then differences across the kink)
+    pytest.param(NetworkConfig(input_dim=2, hidden_layers=2, width=6, output_dim=1,
+                               hidden_activation="elu"), 13, id="elu"),
+    pytest.param(NetworkConfig(input_dim=2, hidden_layers=2, width=6, output_dim=3,
+                               output_activation=("tanh", "sigmoid", "identity")), 11,
+                 id="tuple_output_activation"),
+    pytest.param(NetworkConfig(input_dim=2, hidden_layers=3, width=6, output_dim=3,
+                               decoupled=DecoupledSpec(2, 1, ((0, 2), (1,)))), 11,
+                 id="decoupled"),
+])
+def test_jet_derivatives_match_fd_through_network(cfg, seed):
+    params = init_xavier(cfg, seed=seed)
     net = Network(cfg, params)
-    t0 = 0.37
+    x0, t0 = 0.21, 0.37
 
-    def f(xv):
+    def f(xv, j):
         tape = Tape()
         out = net.bind(tape).forward(np.array([[xv]]), np.array([t0]))
-        return float(out.values[0].value[0])
+        return float(out.values[j].value[0])
 
     tape = Tape()
-    out = net.bind(tape).forward_with_derivatives(np.array([[0.21]]), np.array([t0]),
+    out = net.bind(tape).forward_with_derivatives(np.array([[x0]]), np.array([t0]),
                                                   directions=[0], order=4)
-    for order in range(1, 5):
-        got = float(out.jets[0][0].derivative(order).value[0])
-        want = nested_derivative(f, 0.21, order)
-        assert abs(got - want) <= 2e-4 * max(abs(want), 1e-6)
+    oracle = network_jets(net, np.array([[x0]]), np.array([t0]), order=4)
+    for j in range(cfg.output_dim):
+        jet = out.jets[0][j]
+        for order in range(1, 5):
+            got = float(jet.derivative(order).value[0])
+            want = nested_derivative(lambda xv: f(xv, j), x0, order)
+            assert abs(got - want) <= 2e-4 * max(abs(want), 1e-6), (j, order)
+        ref = np.array([float(c.value[0]) for c in oracle[j].coeffs])
+        assert np.allclose([float(c.value[0]) for c in jet.coeffs], ref, rtol=1e-12, atol=1e-15)
+
+
+def test_jet_walk_enforces_activation_smoothness():
+    x, t = np.array([[0.3], [0.7]]), np.array([0.2, 0.5])
+    relu = NetworkConfig(input_dim=2, hidden_layers=2, width=4, output_dim=1,
+                         hidden_activation="relu")
+    bound = Network(relu, init_xavier(relu, 0)).bind(Tape())
+    assert bound.forward_jets(x, t, {0: 1}).jets[0][0].order == 1
+    with pytest.raises(SmoothnessError, match="relu"):
+        bound.forward_jets(x, t, {0: 2})
+
+    elu = NetworkConfig(input_dim=2, hidden_layers=1, width=2, output_dim=1,
+                        hidden_activation="elu")
+    params = init_xavier(elu, 0)
+    params.arrays[params.names.index("w_in")] = np.array([[1.0, 1.0], [0.0, 0.0]])
+    params.arrays[params.names.index("b_in")] = np.array([-0.3, 0.1])
+    bound = Network(elu, params).bind(Tape())
+    assert bound.forward_jets(np.array([[0.5]]), np.array([0.0]), {0: 2}).jets[0][0].order == 2
+    # the first unit's preactivation is x - 0.3: zero at x = 0.3
+    with pytest.raises(SmoothnessError, match="kink"):
+        bound.forward_jets(x, t, {0: 2})
+
+
+def test_unknown_activation_is_rejected():
+    with pytest.raises(ConfigError, match="gelu"):
+        NetworkConfig(input_dim=2, hidden_layers=1, width=4, output_dim=1,
+                      hidden_activation="gelu")
+    with pytest.raises(ConfigError, match="softplus"):
+        NetworkConfig(input_dim=2, hidden_layers=1, width=4, output_dim=2,
+                      output_activation=("identity", "softplus"))
 
 
 def test_constant_network_has_zero_derivatives():

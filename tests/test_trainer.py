@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ldgm.errors import NonFiniteLossError
+from ldgm.errors import LdgmError, NonFiniteLossError
 from ldgm.network import NetworkConfig, init_xavier
 from ldgm.sampling import SamplerConfig
 from ldgm.trainer import (AdamState, TrainConfig, TrainReport, adam_step,
@@ -55,10 +55,14 @@ def test_non_finite_gradient_aborts_with_diagnostics():
     params = tiny_params()
     state = AdamState(params)
     grads = [np.zeros_like(a) for a in params.arrays]
+    adam_step(params, grads, state, lr=1e-3)
     grads[1][0] = np.nan
     with pytest.raises(NonFiniteLossError) as e:
         adam_step(params, grads, state, lr=1e-3)
     assert "b_in" in str(e.value)
+    # the number is the Adam step counter, and the message says so
+    assert e.value.step == 2
+    assert "Adam step 2" in str(e.value)
 
 
 def test_zero_stages_returns_empty_report_and_initial_params():
@@ -109,6 +113,16 @@ def test_report_csv_roundtrip(tmp_path):
     assert back.rows[0] == rep.rows[0]
     assert math.isnan(back.rows[1][5])
     assert back.rows[1][0] == 10
+
+
+def test_report_csv_rejects_wrong_header(tmp_path):
+    path = tmp_path / "report.csv"
+    path.write_text("step,J_total,rel_l2\n5,0.25,0.5\n")
+    with pytest.raises(LdgmError, match="header"):
+        TrainReport.from_csv(path)
+    path.write_text("")
+    with pytest.raises(LdgmError, match="header"):
+        TrainReport.from_csv(path)
 
 
 def test_piecewise_log_rate_schedule():
