@@ -64,8 +64,8 @@ def run_single(cfg: ExperimentConfig, seed: int, out=None) -> tuple[Path, str]:
         write_table(run_dir / "summary.csv",
                     ("final_rel_l2", "final_J_total", "steps", "wall_seconds"),
                     [(report.final_rel_l2,
-                      report.rows[-1][1] if report.rows else math.nan,
-                      report.rows[-1][0] if report.rows else 0,
+                      report.column("J_total")[-1] if report.rows else math.nan,
+                      report.column("step")[-1] if report.rows else 0,
                       time.perf_counter() - t0)])
     except LdgmError as e:
         status = f"abort: {type(e).__name__}: {e}"
@@ -113,7 +113,7 @@ def cmd_sweep(args) -> int:
             run_dir, status = run_single(cfg, seed, out)
             if status == "ok":
                 report = TrainReport.from_csv(run_dir / "report.csv")
-                rows.append((v, report.final_rel_l2, report.rows[-1][6], "ok"))
+                rows.append((v, report.final_rel_l2, report.column("seconds")[-1], "ok"))
             else:
                 rows.append((v, math.nan, math.nan, status))
         except LdgmError as e:
@@ -154,9 +154,8 @@ def cmd_reference(args) -> int:
 def cmd_compare(args) -> int:
     a = TrainReport.from_csv(args.report_a)
     b = TrainReport.from_csv(args.report_b)
-    rows = []
-    for ra, rb in zip(a.rows, b.rows):
-        rows.append((ra[0], ra[5], rb[5], ra[6], rb[6]))
+    rows = list(zip(a.column("step"), a.column("rel_l2"), b.column("rel_l2"),
+                    a.column("seconds"), b.column("seconds")))
     header = ("step", "rel_l2_a", "rel_l2_b", "seconds_a", "seconds_b")
     if args.out:
         write_table(args.out, header, rows)

@@ -5,10 +5,11 @@ hidden affine layers (L tanh/elu applications total) and a linear output
 head, optionally split into a shared trunk plus per-group branches so that
 groups of outputs stop sharing late-layer parameters.
 
-Evaluation is one walk over that topology: each layer carries a shared
-primal plus, per requested input direction, its truncated Taylor tail.  A
-plain forward pass is the walk with no directions, and then every
-activation is a single tape node.
+Evaluation is one walk over that topology.  With input directions each
+layer carries one jet stack, the shared primal plus every direction's
+truncated Taylor coefficients, through one affine node and one Taylor-mode
+activation node.  A plain forward pass is the walk with no directions, and
+then every activation is the single tape node of the activation itself.
 """
 
 from __future__ import annotations
@@ -27,34 +28,6 @@ TIME = "t"
 
 # kink margin below which elu points count as sitting on the corner
 _KINK_MARGIN = 1e-8
-
-
-def _tail(xs_tail, y0, g0, kind):
-    """Taylor tail of an activation over a shared primal.
-
-    xs_tail holds the input coefficients x1..xk; the output coefficients
-    follow j*y_j = sum_{i=1..j} i*x_i*g_{j-i} with the derivative series g
-    built from y itself (tanh: 1-y^2, sigmoid: y-y^2, exp: y).
-    """
-    k = len(xs_tail)
-    xs = [None] + list(xs_tail)
-    ys = [y0]
-    gs = [g0]
-    for j in range(1, k + 1):
-        if j >= 2:
-            m = j - 1
-            if kind == "exp":
-                gs.append(ys[m])
-            else:
-                conv = ys[0] * ys[m]
-                for a in range(1, m + 1):
-                    conv = conv + ys[a] * ys[m - a]
-                gs.append(-conv if kind == "tanh" else ys[m] - conv)
-        s = xs[1] * gs[j - 1]
-        for i in range(2, j + 1):
-            s = s + float(i) * xs[i] * gs[j - i]
-        ys.append(s if j == 1 else s * (1.0 / j))
-    return ys[1:]
 
 
 @dataclass(frozen=True)
@@ -86,6 +59,10 @@ class NetworkConfig:
                 raise ConfigError([name], f"{name} {bad[0]!r} is not one of {ACTIVATION_KINDS}")
         if self.hidden_layers < 1 or self.width < 1 or self.output_dim < 1:
             raise ShapeError("hidden_layers, width and output_dim must all be >= 1")
+        if not isinstance(oa, str) and len(oa) != self.output_dim:
+            raise ConfigError(["output_activation"],
+                              f"output_activation lists {len(oa)} activations "
+                              f"for {self.output_dim} outputs")
         if self.decoupled is not None:
             d = self.decoupled
             seen = sorted(i for g in d.groups for i in g)
@@ -149,10 +126,12 @@ class ParameterSet:
     def to_vector(self) -> np.ndarray:
         return np.concatenate([a.ravel() for a in self.arrays])
 
-    def from_vector(self, v: np.ndarray) -> None:
+    def from_vector(self, v: np.ndarray, copy: bool = True) -> None:
+        """Set every array from its slice of v; copy=False makes them views of v."""
         off = 0
         for i, a in enumerate(self.arrays):
-            self.arrays[i] = v[off:off + a.size].reshape(a.shape).astype(np.float64)
+            part = v[off:off + a.size].reshape(a.shape)
+            self.arrays[i] = part.astype(np.float64) if copy else part
             off += a.size
 
     def __eq__(self, other):
@@ -178,7 +157,7 @@ def init_xavier(cfg: NetworkConfig, seed: int) -> ParameterSet:
 class NetworkOutput:
     values: list[Var]
     jets: dict[object, list[Jet]] = field(default_factory=dict)
-    input_node: Var | None = None
+    input_node: Var | None = None   # the inputs, or with jets the seeded input stack
 
 
 class Network:
@@ -230,61 +209,38 @@ class BoundNetwork:
         """Output values only: the jet walk with no directions."""
         return self.forward_jets(x, t)
 
-    def _bundle_affine(self, h0: Var, tails: dict, w: str, b: str):
-        wv = self.vars[w]
-        out0 = ad.affine(h0, wv, self.vars[b])
-        return out0, {dd: [ad.matmul(c, wv) for c in cs] for dd, cs in tails.items()}
+    def _act(self, h: Var, kind: str, blocks: tuple) -> Var:
+        """Activation of a value (no blocks) or of a jet stack, as one node.
 
-    def _bundle_act(self, h0: Var, tails: dict, kind: str):
-        """Activation over a shared primal plus per-direction Taylor tails."""
+        identity emits no node; with no blocks every activation is the single
+        node of a plain forward (elu through expm1).
+        """
         alpha = self.config.elu_alpha
-        if not tails:
-            # values only: one tape node per activation (elu through expm1)
-            return ad.var_activation(h0, kind, alpha), tails
-        if kind == "identity":
-            return h0, tails
-        if kind == "tanh":
-            y0 = ad.tanh(h0)
-            g0 = 1.0 - y0 * y0
-            return y0, {dd: _tail(cs, y0, g0, "tanh") for dd, cs in tails.items()}
-        if kind == "sigmoid":
-            y0 = ad.sigmoid(h0)
-            g0 = y0 - y0 * y0
-            return y0, {dd: _tail(cs, y0, g0, "sigmoid") for dd, cs in tails.items()}
-        if kind == "elu":
-            x0v = h0.value
-            max_order = max((len(cs) for cs in tails.values()), default=0)
-            if max_order >= 2 or (max_order >= 1 and alpha != 1.0):
-                if np.any(np.abs(x0v) < _KINK_MARGIN):
-                    raise SmoothnessError(
-                        f"elu jet of order {max_order} evaluated at the kink")
-            mask = x0v > 0
-            e0 = ad.exp(h0)
-            y0 = ad.where(mask, h0, e0 * alpha - alpha)
-            out = {}
-            for dd, cs in tails.items():
-                etail = _tail(cs, e0, e0, "exp")
-                out[dd] = [ad.where(mask, c, e * alpha) for c, e in zip(cs, etail)]
-            return y0, out
-        if kind == "relu":
-            y0 = ad.relu(h0)
-            out = {}
-            for dd, cs in tails.items():
-                if len(cs) >= 2:
-                    raise SmoothnessError("relu supports jet order <= 1")
-                mask = (h0.value > 0).astype(np.float64)
-                out[dd] = [c * mask for c in cs]
-            return y0, out
-        raise ValueError(f"unknown activation kind {kind!r}")
+        if not blocks or kind == "identity":
+            return ad.var_activation(h, kind, alpha)
+        order = len(blocks)
+        if kind == "relu" and order >= 2:
+            raise SmoothnessError("relu supports jet order <= 1")
+        if kind == "elu" and (order >= 2 or alpha != 1.0):
+            if np.any(np.abs(h.value[0]) < _KINK_MARGIN):
+                raise SmoothnessError(f"elu jet of order {order} evaluated at the kink")
+        return ad.taylor(h, kind, blocks, alpha)
 
     def forward_jets(self, x, t=None, orders: dict | None = None) -> NetworkOutput:
         """Jets for several directions in one pass over a shared primal chain.
 
         orders maps direction (spatial axis index or TIME) to the jet order
-        wanted along it; coeffs[j]*j! is the exact j-th derivative.
+        wanted along it; coeffs[j]*j! is the exact j-th derivative, and an
+        order-0 jet is the value alone.  The walk carries one jet stack per
+        layer: slot 0 the value, then coefficient j of every direction whose
+        order reaches j (directions by decreasing order; see `ad.taylor`).
+        Each layer is then one affine node and one activation node, whatever
+        the orders, and the head's coefficients are read out one slot each.
         """
         orders = orders or {}
         for od in orders.values():
+            if od < 0:
+                raise UnsupportedOrderError(f"jet order {od} is negative")
             if od > ad.JET_ORDER_CAP:
                 raise UnsupportedOrderError(f"jet order {od} exceeds cap {ad.JET_ORDER_CAP}")
         X = self._stack_inputs(x, t)
@@ -294,36 +250,53 @@ class BoundNetwork:
         for dd in orders:
             if dd != TIME and not (0 <= int(dd) < d_space):
                 raise ShapeError(f"direction {dd!r} outside the spatial axes")
+        ranked = sorted((dd for dd in orders if orders[dd] > 0), key=lambda dd: -orders[dd])
+        blocks = tuple(sum(orders[dd] >= j for dd in ranked)
+                       for j in range(1, max(orders.values(), default=0) + 1))
+        starts = ad.block_starts(blocks)
         n_pts, dim = X.shape
+        if blocks:
+            stack = np.zeros((starts[-1], n_pts, dim))
+            stack[0] = X
+            for r, dd in enumerate(ranked):
+                stack[1 + r, :, dim - 1 if dd == TIME else int(dd)] = 1.0
+            X = stack
         xin = self.tape.input(X)
-        tails = {}
-        for dd, od in orders.items():
-            axis = dim - 1 if dd == TIME else int(dd)
-            seed = np.zeros((n_pts, dim))
-            seed[:, axis] = 1.0
-            tails[dd] = [self.tape.const(seed)] + [
-                self.tape.const(np.zeros((n_pts, dim))) for _ in range(od - 1)]
 
         cfg = self.config
         act = cfg.hidden_activation
         trunk, branches = _topology(cfg)
-        h0 = xin
+        h = xin
         for w, b in trunk:
-            h0, tails = self._bundle_act(*self._bundle_affine(h0, tails, w, b), act)
-        outs = [None] * cfg.output_dim
+            h = self._act(ad.affine(h, self.vars[w], self.vars[b]), act, blocks)
+        values = [None] * cfg.output_dim
+        heads = [None] * cfg.output_dim  # per output: (jet stack, column)
         for hidden, (w, b), group in branches:
-            hb0, btails = h0, tails
-            for hw, hb in hidden:
-                hb0, btails = self._bundle_act(*self._bundle_affine(hb0, btails, hw, hb), act)
-            y0, ytails = self._bundle_affine(hb0, btails, w, b)
+            hb = h
+            for hw, hbias in hidden:
+                hb = self._act(ad.affine(hb, self.vars[hw], self.vars[hbias]), act, blocks)
+            y = ad.affine(hb, self.vars[w], self.vars[b])
             for jj, j in enumerate(group):
-                c0 = ad.column(y0, jj)
-                jtails = {dd: [ad.column(c, jj) for c in cs] for dd, cs in ytails.items()}
-                outs[j] = self._bundle_act(c0, jtails, cfg.out_activation(j))
+                kind = cfg.out_activation(j)
+                if not blocks:
+                    values[j] = self._act(ad.column(y, jj), kind, blocks)
+                    continue
+                heads[j] = (y, jj)
+                if kind != "identity":
+                    one = ad.take(y, (slice(None), slice(None), slice(jj, jj + 1)))
+                    heads[j] = (self._act(one, kind, blocks), 0)
+                values[j] = ad.take(heads[j][0], (0, slice(None), heads[j][1]))
 
-        result = NetworkOutput(values=[o[0] for o in outs], input_node=xin)
-        for dd in orders:
-            result.jets[dd] = [Jet([o[0]] + o[1][dd]) for o in outs]
+        result = NetworkOutput(values=values, input_node=xin)
+        for dd, od in orders.items():
+            if od == 0:
+                result.jets[dd] = [Jet([v]) for v in values]
+                continue
+            r = ranked.index(dd)
+            result.jets[dd] = [
+                Jet(ad.StackSlots(v, stack, [(starts[k - 1] + r, slice(None), col)
+                                             for k in range(1, od + 1)]))
+                for v, (stack, col) in zip(values, heads)]
         return result
 
     def forward_with_derivatives(self, x, t=None, directions=(), order: int = 1) -> NetworkOutput:

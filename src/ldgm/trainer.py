@@ -44,28 +44,34 @@ class TrainConfig:
 
 
 class AdamState:
-    """First/second moment accumulators plus the update counter."""
+    """First/second moment accumulators, flat in parameter order, plus the update counter."""
 
     def __init__(self, params: ParameterSet):
-        self.m = [np.zeros_like(a) for a in params.arrays]
-        self.v = [np.zeros_like(a) for a in params.arrays]
+        self.m = np.zeros(params.count)
+        self.v = np.zeros(params.count)
         self.step = 0
 
 
 def adam_step(params: ParameterSet, grads, state: AdamState, lr: float,
               beta1=0.9, beta2=0.999, eps=1e-8) -> tuple[ParameterSet, AdamState]:
-    """Standard bias-corrected update; params and state advance in place."""
+    """Standard bias-corrected update over one flat vector; params and state advance.
+
+    Elementwise it is the per-array update, bit for bit.  The parameter
+    arrays are handed back as views of a fresh vector, so arrays taken out
+    of `params` before the step keep their values.
+    """
     state.step += 1
     t = state.step
+    g = np.concatenate([np.ravel(a) for a in grads])
+    if not np.all(np.isfinite(g)):
+        i = next(i for i, a in enumerate(grads) if not np.all(np.isfinite(a)))
+        raise NonFiniteLossError(t, f"gradient of {params.names[i]}")
     c1 = 1.0 - beta1 ** t
     c2 = 1.0 - beta2 ** t
-    for i, g in enumerate(grads):
-        if not np.all(np.isfinite(g)):
-            raise NonFiniteLossError(t, f"gradient of {params.names[i]}")
-        state.m[i] = beta1 * state.m[i] + (1.0 - beta1) * g
-        state.v[i] = beta2 * state.v[i] + (1.0 - beta2) * (g * g)
-        params.arrays[i] = params.arrays[i] - lr * (state.m[i] / c1) / (
-            np.sqrt(state.v[i] / c2) + eps)
+    state.m = beta1 * state.m + (1.0 - beta1) * g
+    state.v = beta2 * state.v + (1.0 - beta2) * (g * g)
+    params.from_vector(params.to_vector() - lr * (state.m / c1) / (np.sqrt(state.v / c2) + eps),
+                       copy=False)
     return params, state
 
 
@@ -79,7 +85,12 @@ class TrainReport:
 
     @property
     def final_rel_l2(self) -> float:
-        return self.rows[-1][5] if self.rows else math.nan
+        return self.column("rel_l2")[-1] if self.rows else math.nan
+
+    def column(self, name: str) -> list:
+        """Every row's value of one column, looked up by its header name."""
+        i = self.columns.index(name)
+        return [row[i] for row in self.rows]
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as f:

@@ -198,18 +198,25 @@ def _conv(a, b, m):
     return s
 
 
+# coefficient m of f'(x(s)), built from the output coefficients ys found so far:
+# tanh' = 1 - tanh^2 and sigmoid' = sigmoid - sigmoid^2 build each coefficient
+# from the lower ones, and exp' = exp
+_DERIVATIVE_SERIES = {
+    "tanh": lambda m, ys: (1.0 - _conv(ys, ys, m)) if m == 0 else -_conv(ys, ys, m),
+    "sigmoid": lambda m, ys: ys[m] - _conv(ys, ys, m),
+    "exp": lambda m, ys: ys[m],
+}
+
+
 def apply_activation(x, kind: str, alpha: float = 1.0):
     """Compose an activation with a jet via the truncated-Taylor recurrences."""
     k = x.order
     if kind == "identity":
         return x
     if kind == "tanh":
-        # y' = 1 - y^2 builds each coefficient from the lower ones
-        y0 = ad.tanh(x.coeffs[0])
-        return _compose(x, y0, lambda m, ys: (1.0 - _conv(ys, ys, m)) if m == 0 else -_conv(ys, ys, m))
+        return _compose(x, ad.tanh(x.coeffs[0]), _DERIVATIVE_SERIES["tanh"])
     if kind == "sigmoid":
-        y0 = ad.sigmoid(x.coeffs[0])
-        return _compose(x, y0, lambda m, ys: ys[m] - _conv(ys, ys, m))
+        return _compose(x, ad.sigmoid(x.coeffs[0]), _DERIVATIVE_SERIES["sigmoid"])
     if kind == "elu":
         x0 = x.coeffs[0].value
         if k >= 2 or (k >= 1 and alpha != 1.0):
@@ -233,8 +240,7 @@ def apply_activation(x, kind: str, alpha: float = 1.0):
 
 
 def apply_exp(x) -> Jet:
-    y0 = ad.exp(x.coeffs[0])
-    return _compose(x, y0, lambda m, ys: ys[m])
+    return _compose(x, ad.exp(x.coeffs[0]), _DERIVATIVE_SERIES["exp"])
 
 
 def apply_sin(x) -> Jet:
@@ -262,20 +268,19 @@ def _sin_cos(x):
     return Jet(ss), Jet(cs)
 
 
-def network_jets(net, x, t, order: int):
-    """Order-k jets of every output along spatial axis 0, from the jets above.
+def network_jets(net, x, t, orders: dict):
+    """Jets of every output along each direction in `orders`, from the jets above.
 
-    Walks the trained layers of `net` one affine map and one activation at
-    a time on a fresh tape, as a reference for the network's own jet walk.
+    orders maps a spatial axis or "t" to a jet order.  Each direction gets
+    its own walk over the trained layers of `net`, one affine map and one
+    activation at a time on a fresh tape, as a reference for the network's
+    own jet walk.  Returns {direction: [jet per output]}.
     """
     cfg = net.config
     tape = ad.Tape()
     p = {name: tape.param(a) for name, a in zip(net.params.names, net.params.arrays)}
     X = np.column_stack([x, t])
-    seed = np.zeros_like(X)
-    seed[:, 0] = 1.0
-    h = Jet([tape.input(X), tape.const(seed)] + [tape.const(np.zeros_like(X))
-                                                 for _ in range(order - 1)])
+    xin = tape.input(X)
 
     def affine(h, w, b):
         return Jet([ad.affine(h.coeffs[0], p[w], p[b])] + [ad.matmul(c, p[w]) for c in h.coeffs[1:]])
@@ -284,18 +289,51 @@ def network_jets(net, x, t, order: int):
         return apply_activation(affine(h, w, b), cfg.hidden_activation, cfg.elu_alpha)
 
     trunk, branches = _topology(cfg)
-    for w, b in trunk:
-        h = layer(h, w, b)
-    outs = [None] * cfg.output_dim
-    for hidden, (w, b), group in branches:
-        hb = h
-        for hw, hbias in hidden:
-            hb = layer(hb, hw, hbias)
-        y = affine(hb, w, b)
-        for jj, j in enumerate(group):
-            outs[j] = apply_activation(Jet([ad.column(c, jj) for c in y.coeffs]),
-                                       cfg.out_activation(j), cfg.elu_alpha)
-    return outs
+    jets = {}
+    for dd, order in orders.items():
+        seed = np.zeros_like(X)
+        seed[:, X.shape[1] - 1 if dd == "t" else dd] = 1.0
+        coeffs = [xin, tape.const(seed)] + [tape.const(np.zeros_like(X)) for _ in range(order - 1)]
+        h = Jet(coeffs[:order + 1])
+        for w, b in trunk:
+            h = layer(h, w, b)
+        outs = [None] * cfg.output_dim
+        for hidden, (w, b), group in branches:
+            hb = h
+            for hw, hbias in hidden:
+                hb = layer(hb, hw, hbias)
+            y = affine(hb, w, b)
+            for jj, j in enumerate(group):
+                outs[j] = apply_activation(Jet([ad.column(c, jj) for c in y.coeffs]),
+                                           cfg.out_activation(j), cfg.elu_alpha)
+        jets[dd] = outs
+    return jets
+
+
+def _taylor_values(xv, kind, blocks, alpha):
+    """The value of a `taylor` node, one direction at a time through `_compose`.
+
+    Direction r holds coefficient j in slot 1 + sum(blocks[:j-1]) + r while
+    r < blocks[j-1].
+    """
+    starts = np.cumsum((1,) + tuple(blocks))
+    z0 = xv[0]
+    if kind == "relu":
+        return np.concatenate([np.maximum(z0, 0.0)[None], xv[1:] * (z0 > 0).astype(np.float64)])
+    with np.errstate(over="ignore"):  # elu: exp of the positive side is masked out below
+        y0 = {"tanh": np.tanh, "sigmoid": lambda z: 0.5 * (np.tanh(0.5 * z) + 1.0),
+              "elu": np.exp}[kind](z0)
+    series = _DERIVATIVE_SERIES["exp" if kind == "elu" else kind]
+    out = np.empty_like(xv)
+    out[0] = y0
+    for r in range(blocks[0]):
+        slots = [starts[j] + r for j in range(len(blocks)) if r < blocks[j]]
+        out[slots] = _compose(Jet([z0] + [xv[s] for s in slots]), y0, series).coeffs[1:]
+    if kind == "elu":
+        neg = out * alpha
+        neg[0] = out[0] * alpha - alpha
+        out = np.where(z0 > 0, xv, neg)
+    return out
 
 
 def replay(tape) -> bool:
@@ -349,9 +387,18 @@ def replay(tape) -> bool:
         elif op == "matmul":
             v = vals[ins[0]] @ vals[ins[1]]
         elif op == "affine":
-            v = vals[ins[0]] @ vals[ins[1]] + vals[ins[2]]
+            x, w, b = (vals[i] for i in ins)
+            if x.ndim == 2:
+                v = x @ w + b
+            else:  # a jet stack: slice by slice, the bias on the value slot only
+                v = np.stack([x[s] @ w for s in range(x.shape[0])])
+                v[0] = v[0] + b
+        elif op == "taylor":
+            v = _taylor_values(vals[ins[0]], *aux[:3])
         elif op == "col":
             v = vals[ins[0]][:, aux]
+        elif op == "take":
+            v = vals[ins[0]][aux]
         elif op == "sum":
             v = np.asarray(np.sum(vals[ins[0]]))
         elif op == "mean":

@@ -128,6 +128,24 @@ def test_reference_and_compare(tmp_path):
     assert len(lines) == 3
 
 
+def test_compare_prints_rel_l2_and_seconds_by_column(tmp_path, capsys):
+    a, b = TrainReport(), TrainReport()
+    a.log(1, 0.5, 0.2, 0.2, 0.1, 0.9, 0.25)
+    a.log(2, 0.25, 0.1, 0.1, 0.05, 0.4, 0.5)
+    b.log(1, 0.7, 0.3, 0.3, 0.1, 0.8, 0.125)
+    b.log(2, 0.35, 0.2, 0.1, 0.05, 0.3, 0.75)
+    pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
+    a.to_csv(pa)
+    b.to_csv(pb)
+    capsys.readouterr()
+    assert main(["compare", str(pa), str(pb)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "step,rel_l2_a,rel_l2_b,seconds_a,seconds_b",
+        "1,0.9,0.8,0.25,0.125",
+        "2,0.4,0.3,0.5,0.75",
+    ]
+
+
 def test_run_abort_is_recorded_and_nonzero(tmp_path):
     out = str(tmp_path / "runs")
     path = tmp_path / "explode.cfg"

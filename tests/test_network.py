@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+from ldgm import autodiff as ad
 from ldgm.autodiff import Tape, backward
 from ldgm.errors import ConfigError, ShapeError, SmoothnessError, UnsupportedOrderError
 from ldgm.network import (TIME, AnalyticNetwork, DecoupledSpec, Network, NetworkConfig,
                           init_xavier, load_checkpoint, save_checkpoint)
 
-from oracles import nested_derivative, network_jets, relative
+from oracles import central_gradient, nested_derivative, network_jets, relative, replay
 
 
 def beam_like_config():
@@ -129,7 +130,7 @@ def test_jet_derivatives_match_fd_through_network(cfg, seed):
     tape = Tape()
     out = net.bind(tape).forward_with_derivatives(np.array([[x0]]), np.array([t0]),
                                                   directions=[0], order=4)
-    oracle = network_jets(net, np.array([[x0]]), np.array([t0]), order=4)
+    oracle = network_jets(net, np.array([[x0]]), np.array([t0]), {0: 4})[0]
     for j in range(cfg.output_dim):
         jet = out.jets[0][j]
         for order in range(1, 5):
@@ -247,3 +248,152 @@ def test_analytic_network_values_and_jets():
     assert np.allclose(out.jets[0][0].coeffs[2].value * 2, -want, rtol=1e-13)
     assert np.allclose(out.jets[TIME][1].coeffs[1].value, -np.exp(-t) * np.cos(x[:, 0]),
                        rtol=1e-13)
+
+
+# -- the fused jet walk (one affine and one Taylor node per layer) -------------
+
+FUSED_NETS = {
+    "tanh": dict(),
+    "sigmoid": dict(hidden_activation="sigmoid"),
+    "elu": dict(hidden_activation="elu"),
+    "elu_alpha07": dict(hidden_activation="elu", elu_alpha=0.7),
+    "relu": dict(hidden_activation="relu"),
+    "tuple_output_activation": dict(output_activation=("sigmoid", "identity", "tanh")),
+    "decoupled": dict(decoupled=DecoupledSpec(2, 1, ((0, 2), (1,)))),
+}
+
+
+def fused_case(name, seed=4):
+    cfg = NetworkConfig(input_dim=3, hidden_layers=3, width=5, output_dim=3, **FUSED_NETS[name])
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1, 1, size=(6, 2))
+    t = rng.uniform(0, 1, size=6)
+    return Network(cfg, init_xavier(cfg, seed)), x, t
+
+
+@pytest.mark.parametrize("name,orders", [
+    *[pytest.param(kind, {0: k}, id=f"{kind}-{k}") for kind in ("tanh", "sigmoid")
+      for k in range(1, ad.JET_ORDER_CAP + 1)],
+    pytest.param("elu", {0: 1}, id="elu-1"),
+    pytest.param("elu_alpha07", {0: 1}, id="elu_alpha07-1"),
+    pytest.param("tanh", {TIME: 1, 0: 4, 1: 2}, id="tanh-mixed"),
+    pytest.param("sigmoid", {0: 2, 1: 3, TIME: 1}, id="sigmoid-mixed"),
+    pytest.param("elu", {0: 1, 1: 1, TIME: 1}, id="elu-mixed"),
+    pytest.param("relu", {0: 1, TIME: 1}, id="relu-mixed"),
+    pytest.param("tuple_output_activation", {0: 3, TIME: 2}, id="tuple_output_activation-mixed"),
+    pytest.param("decoupled", {1: 2, 0: 4, TIME: 1}, id="decoupled-mixed"),
+])
+def test_fused_jets_match_the_scalar_oracle(name, orders):
+    net, x, t = fused_case(name)
+    out = net.bind(Tape()).forward_jets(x, t, orders)
+    oracle = network_jets(net, x, t, orders)
+    for j in range(net.output_dim):
+        for dd, od in orders.items():
+            assert out.jets[dd][j].coeffs[0] is out.values[j]
+            got = [c.value for c in out.jets[dd][j].coeffs]
+            want = [c.value for c in oracle[dd][j].coeffs]
+            assert len(got) == od + 1
+            for k, (a, b) in enumerate(zip(got, want)):
+                assert np.allclose(a, b, rtol=1e-12, atol=1e-15), (dd, j, k)
+                # the fused recurrence keeps the scalar operation order
+                assert a.tobytes() == b.tobytes(), (dd, j, k)
+
+
+@pytest.mark.parametrize("name,orders", [
+    ("tanh", {0: 3, TIME: 2}),
+    ("sigmoid", {0: 3, TIME: 2}),
+    ("elu", {0: 2, TIME: 1}),
+    ("elu_alpha07", {0: 1, 1: 1}),
+    ("relu", {0: 1, TIME: 1}),
+    ("tuple_output_activation", {0: 2, TIME: 1}),
+    ("decoupled", {0: 2, 1: 1}),
+])
+def test_fused_vjp_matches_central_differences(name, orders):
+    # a fixed random linear functional of every coefficient of every output
+    net, x, t = fused_case(name, seed=6)
+    weights = {}
+
+    def loss(tape, bound):
+        out = bound.forward_jets(x, t, orders)
+        total = None
+        for dd, jets in out.jets.items():
+            for j, jet in enumerate(jets):
+                for k, c in enumerate(jet.coeffs):
+                    r = weights.setdefault((dd, j, k), np.random.default_rng(len(weights)).normal(
+                        size=c.value.shape))
+                    term = ad.mean(c * r)
+                    total = term if total is None else total + term
+        return total
+
+    tape = Tape()
+    bound = net.bind(tape)
+    grads = backward(tape, loss(tape, bound))
+    got = np.concatenate([grads[v.idx].ravel() for v in bound.param_vars])
+
+    def f(vec):
+        params = net.params.copy()
+        params.from_vector(vec)
+        tape = Tape()
+        return float(loss(tape, Network(net.config, params).bind(tape)).value)
+
+    want = central_gradient(f, net.params.to_vector(), h=1e-6)
+    assert np.max(np.abs(got - want)) <= 1e-7 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("name", list(FUSED_NETS))
+def test_fused_jet_tape_replays_bit_exactly(name):
+    net, x, t = fused_case(name)
+    tape = Tape()
+    out = net.bind(tape).forward_jets(x, t, {0: 1, TIME: 1} if name == "relu" else
+                                      {0: 3, 1: 1, TIME: 2})
+    total = None
+    for jets in out.jets.values():
+        for jet in jets:
+            for c in jet.coeffs:
+                total = ad.mean(c) if total is None else total + ad.mean(c)
+    assert {"taylor", "take"} <= {n.op for n in tape.nodes}
+    assert replay(tape)
+
+
+def test_jet_tape_size_does_not_grow_with_order():
+    x, t = np.array([[0.3], [0.7]]), np.array([0.2, 0.5])
+
+    def nodes(depth, order):
+        cfg = NetworkConfig(input_dim=2, hidden_layers=depth, width=4, output_dim=2)
+        tape = Tape()
+        Network(cfg, init_xavier(cfg, 0)).bind(tape).forward_jets(x, t, {0: order, TIME: 1})
+        return len(tape)
+
+    assert nodes(3, 1) == nodes(3, 4) == nodes(3, ad.JET_ORDER_CAP)
+    # a layer adds its two parameters, one affine node and one activation node
+    assert nodes(4, 4) - nodes(3, 4) == nodes(5, 4) - nodes(4, 4) == 4
+
+
+def test_order_zero_direction_is_the_value_alone():
+    net, x, t = fused_case("tanh")
+    bound = net.bind(Tape())
+    out = bound.forward_jets(x, t, {0: 0, TIME: 2})
+    assert out.jets[0][1].order == 0
+    assert out.jets[0][1].coeffs[0] is out.values[1]
+    assert out.jets[TIME][1].order == 2
+    only = bound.forward_jets(x, t, {0: 0})
+    assert only.jets[0][2].order == 0
+    assert only.values[2].value.tobytes() == bound.forward(x, t).values[2].value.tobytes()
+    with pytest.raises(UnsupportedOrderError, match="negative"):
+        bound.forward_jets(x, t, {0: -1})
+
+
+def test_output_activation_tuple_must_match_output_dim(tmp_path):
+    with pytest.raises(ConfigError, match="2 activations for 3 outputs"):
+        NetworkConfig(input_dim=2, hidden_layers=1, width=4, output_dim=3,
+                      output_activation=("identity", "tanh"))
+    # a checkpoint header with the same mismatch is refused when it loads
+    cfg = NetworkConfig(input_dim=2, hidden_layers=1, width=4, output_dim=2,
+                        output_activation=("identity", "tanh"))
+    path = tmp_path / "net.ckpt"
+    save_checkpoint(path, cfg, init_xavier(cfg, 0))
+    text = path.read_text().replace("output_activation=identity,tanh",
+                                    "output_activation=identity,tanh,tanh", 1)
+    path.write_text(text)
+    with pytest.raises(ConfigError, match="3 activations for 2 outputs"):
+        load_checkpoint(path)

@@ -51,6 +51,33 @@ def test_adam_is_deterministic_over_100_steps():
     assert run().tobytes() == run().tobytes()
 
 
+def test_flat_adam_matches_the_per_array_update_bit_for_bit():
+    def per_array(params, grads, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        c1, c2 = 1.0 - beta1 ** t, 1.0 - beta2 ** t
+        for i, g in enumerate(grads):
+            m[i] = beta1 * m[i] + (1.0 - beta1) * g
+            v[i] = beta2 * v[i] + (1.0 - beta2) * (g * g)
+            params.arrays[i] = params.arrays[i] - lr * (m[i] / c1) / (np.sqrt(v[i] / c2) + eps)
+
+    cfg = NetworkConfig(input_dim=2, hidden_layers=3, width=5, output_dim=2)
+    flat, ref = init_xavier(cfg, seed=1), init_xavier(cfg, seed=1)
+    state = AdamState(flat)
+    m = [np.zeros_like(a) for a in ref.arrays]
+    v = [np.zeros_like(a) for a in ref.arrays]
+    rng = np.random.default_rng(5)
+    for step in range(1, 6):
+        grads = [rng.normal(size=a.shape) * 10.0 ** rng.integers(-6, 3) for a in ref.arrays]
+        held = [a.copy() for a in flat.arrays]
+        taken = list(flat.arrays)
+        adam_step(flat, grads, state, lr=1e-2)
+        per_array(ref, grads, m, v, step, lr=1e-2)
+        assert flat.to_vector().tobytes() == ref.to_vector().tobytes()
+        assert [a.shape for a in flat.arrays] == [a.shape for a in ref.arrays]
+        # arrays taken out before the step are not changed by it
+        assert all(np.array_equal(a, b) for a, b in zip(taken, held))
+    assert state.m.tobytes() == np.concatenate([a.ravel() for a in m]).tobytes()
+
+
 def test_non_finite_gradient_aborts_with_diagnostics():
     params = tiny_params()
     state = AdamState(params)
