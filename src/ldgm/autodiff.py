@@ -14,14 +14,13 @@ The network computes jets on jet stacks: one array whose slot 0 is a value
 and whose further slots are the Taylor coefficients of every direction.
 `affine` maps a whole stack with one product and `taylor` applies an
 activation to it through the Taylor recurrence, each as one node with a
-hand-written reverse, so the tape grows with the number of layers and not
-with the jet orders.
+hand-written reverse, so the layers' part of the tape grows with the
+number of layers and not with the jet orders.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 
 import numpy as np
 
@@ -586,31 +585,6 @@ def backward(tape: Tape, output: Var, wrt=None) -> dict[int, np.ndarray]:
 # -- Taylor jets ---------------------------------------------------------
 
 
-class StackSlots(Sequence):
-    """Read-only coefficient list backed by slots of a jet stack.
-
-    Entry 0 is given; entry k is the stack read at index[k-1] by one `take`
-    node, recorded the first time it is asked for, so unused coefficients
-    cost nothing.
-    """
-
-    def __init__(self, first: Var, stack: Var, index):
-        self._vars = [first] + [None] * len(index)
-        self._stack = stack
-        self._index = list(index)
-
-    def __len__(self) -> int:
-        return len(self._vars)
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return [self[i] for i in range(*k.indices(len(self)))]
-        k = range(len(self))[k]
-        if self._vars[k] is None:
-            self._vars[k] = take(self._stack, self._index[k - 1])
-        return self._vars[k]
-
-
 class Jet:
     """Truncated Taylor coefficients of a value along one input direction.
 
@@ -620,7 +594,7 @@ class Jet:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        self.coeffs = coeffs if isinstance(coeffs, StackSlots) else list(coeffs)
+        self.coeffs = list(coeffs)
 
     @property
     def order(self) -> int:

@@ -126,12 +126,10 @@ class ParameterSet:
     def to_vector(self) -> np.ndarray:
         return np.concatenate([a.ravel() for a in self.arrays])
 
-    def from_vector(self, v: np.ndarray, copy: bool = True) -> None:
-        """Set every array from its slice of v; copy=False makes them views of v."""
+    def from_vector(self, v: np.ndarray) -> None:
         off = 0
         for i, a in enumerate(self.arrays):
-            part = v[off:off + a.size].reshape(a.shape)
-            self.arrays[i] = part.astype(np.float64) if copy else part
+            self.arrays[i] = v[off:off + a.size].reshape(a.shape).astype(np.float64)
             off += a.size
 
     def __eq__(self, other):
@@ -294,8 +292,8 @@ class BoundNetwork:
                 continue
             r = ranked.index(dd)
             result.jets[dd] = [
-                Jet(ad.StackSlots(v, stack, [(starts[k - 1] + r, slice(None), col)
-                                             for k in range(1, od + 1)]))
+                Jet([v] + [ad.take(stack, (starts[k - 1] + r, slice(None), col))
+                           for k in range(1, od + 1)])
                 for v, (stack, col) in zip(values, heads)]
         return result
 

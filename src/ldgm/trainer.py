@@ -57,8 +57,8 @@ def adam_step(params: ParameterSet, grads, state: AdamState, lr: float,
     """Standard bias-corrected update over one flat vector; params and state advance.
 
     Elementwise it is the per-array update, bit for bit.  The parameter
-    arrays are handed back as views of a fresh vector, so arrays taken out
-    of `params` before the step keep their values.
+    arrays are replaced by fresh ones, so arrays taken out of `params`
+    before the step keep their values.
     """
     state.step += 1
     t = state.step
@@ -70,8 +70,7 @@ def adam_step(params: ParameterSet, grads, state: AdamState, lr: float,
     c2 = 1.0 - beta2 ** t
     state.m = beta1 * state.m + (1.0 - beta1) * g
     state.v = beta2 * state.v + (1.0 - beta2) * (g * g)
-    params.from_vector(params.to_vector() - lr * (state.m / c1) / (np.sqrt(state.v / c2) + eps),
-                       copy=False)
+    params.from_vector(params.to_vector() - lr * (state.m / c1) / (np.sqrt(state.v / c2) + eps))
     return params, state
 
 
