@@ -9,12 +9,12 @@ from .loss import LossBreakdown, dgm_loss, ldgm_loss
 from .metrics import derivative_scale_diagnostic, evaluation_grid, relative_l2
 from .network import (AnalyticNetwork, DecoupledSpec, Network, NetworkConfig,
                       ParameterSet, init_xavier, load_checkpoint, save_checkpoint)
-from .reference import ReferenceField, SpectralCHConfig, exact_solution, fft, ifft, solve_ch_spectral
-from .ritz import RitzConfig, drm_loss, ldrm_loss, train_ritz
+from .reference import ReferenceField, SpectralCHConfig, fft, ifft, solve_ch_spectral
+from .ritz import RitzConfig, drm_loss, ldrm_loss
 from .sampling import SampleBatch, SamplerConfig, draw_batch
 from .system import (BoundaryCond, ProblemSpec, SystemForm, builtin_problems,
-                     get_problem, ldgm_system, rewrite_first_order, rewrite_second_order)
-from .trainer import (AdamState, TrainConfig, TrainReport, adam_step,
+                     get_problem, ldgm_system, rewrite_first_order)
+from .trainer import (METHODS, AdamState, TrainConfig, TrainReport, adam_step,
                       default_network_config, success_rate, train)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

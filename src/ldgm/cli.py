@@ -18,7 +18,6 @@ from .errors import ConfigError, LdgmError
 from .metrics import derivative_scale_diagnostic, write_table
 from .network import save_checkpoint
 from .reference import SpectralCHConfig, solve_ch_spectral
-from .ritz import train_ritz
 from .trainer import TrainReport, train
 
 
@@ -44,21 +43,14 @@ def run_single(cfg: ExperimentConfig, seed: int, out=None) -> tuple[Path, str]:
     run_dir.mkdir(parents=True, exist_ok=True)
     (run_dir / "config.resolved").write_text(cfg.resolved_text())
 
-    method = cfg.method
     status = "ok"
     t0 = time.perf_counter()
     try:
         spec = cfg.problem()
         net_cfg = cfg.network(spec)
-        if method in ("ldgm", "dgm"):
-            truth = None
-            if spec.name == "cahn_hilliard":
-                truth = _ch_truth(cfg, run_dir)
-            report, params = train(spec, method, net_cfg, cfg.sampler(), cfg.train(),
-                                   seed=seed, truth=truth)
-        else:
-            report, params = train_ritz(spec, method, net_cfg, cfg.train(),
-                                        cfg.ritz(), seed=seed)
+        truth = _ch_truth(cfg, run_dir) if spec.name == "cahn_hilliard" else None
+        report, params = train(spec, cfg.method, net_cfg, cfg.sampler(), cfg.train(),
+                               seed=seed, truth=truth, ritz_cfg=cfg.ritz())
         report.to_csv(run_dir / "report.csv")
         save_checkpoint(run_dir / "params.ckpt", net_cfg, params)
         write_table(run_dir / "summary.csv",

@@ -17,7 +17,7 @@ from .network import DecoupledSpec, NetworkConfig
 from .ritz import RitzConfig
 from .sampling import SamplerConfig
 from .system import ProblemSpec, get_problem
-from .trainer import TrainConfig, default_network_config
+from .trainer import TrainConfig, default_network_config, method_entry
 
 _DEFAULTS = {
     "problem.name": "beam",
@@ -55,8 +55,6 @@ NUMERIC_KEYS = {k for k in _DEFAULTS
                 if k.split(".")[-1] not in ("name", "activation", "output_activation",
                                             "groups", "schedule") and k not in ("method", "seeds", "out")}
 
-_METHODS = ("ldgm", "dgm", "ldrm", "drm")
-
 
 def parse_config_text(text: str) -> dict[str, str]:
     out = {}
@@ -75,8 +73,8 @@ def validate_keys(raw: dict[str, str]) -> None:
     bad = sorted(k for k in raw if k not in _DEFAULTS)
     if bad:
         raise ConfigError(bad)
-    if "method" in raw and raw["method"] not in _METHODS:
-        raise ConfigError(["method"], f"method must be one of {_METHODS}")
+    if "method" in raw:
+        method_entry(raw["method"])
     for key in ("network.activation", "network.output_activation"):
         if key in raw and raw[key] not in ACTIVATION_KINDS:
             raise ConfigError([key], f"{key} must be one of {ACTIVATION_KINDS}")
@@ -144,6 +142,8 @@ class ExperimentConfig:
                                    elu_alpha=float(self.raw["network.elu_alpha"]))
 
     def sampler(self) -> SamplerConfig:
+        if method_entry(self.method).variational:
+            return self.ritz().sampler()
         return SamplerConfig(
             interior=int(self.raw["sampler.interior"]),
             initial=int(self.raw["sampler.initial"]),

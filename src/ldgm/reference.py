@@ -1,4 +1,4 @@
-"""Ground-truth providers: closed forms and the spectral phase-field solver.
+"""Ground truth without a closed form: the spectral phase-field solver.
 
 The time stepper treats the stiff biharmonic term implicitly and the
 double-well nonlinearity explicitly, mode by mode:
@@ -18,8 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InstabilityError, SizeError, UnavailableError
-from .system import ProblemSpec
+from .errors import InstabilityError, SizeError
 
 
 # -- radix-2 transform --------------------------------------------------------
@@ -171,19 +170,3 @@ def solve_ch_spectral(cfg: SpectralCHConfig, u0: Optional[np.ndarray] = None) ->
         values[step] = u
     ts = cfg.dt * np.arange(cfg.n_steps + 1)
     return ReferenceField(xs=x, ts=ts, values=values)
-
-
-# -- closed forms -------------------------------------------------------------
-
-
-def exact_solution(spec: ProblemSpec, x, t) -> np.ndarray:
-    """Hand-coded closed forms, kept independent of the registry's path."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    t = np.asarray(t, dtype=np.float64).reshape(-1)
-    if spec.name == "beam":
-        return np.exp(-t) * np.sin(x[:, 0])
-    if spec.name == "mkdv":
-        return np.tanh(x[:, 0] + 2.0 * t - 1.0)
-    if spec.name == "heat_nd":
-        return np.sum(x * (1.0 - x), axis=1) * (t + 1.0)
-    raise UnavailableError(f"{spec.name} has no closed-form solution here")

@@ -19,7 +19,8 @@ import numpy as np
 from . import autodiff as ad
 from .errors import ShapeError
 from .loss import LossBreakdown, _interior_ctx
-from .sampling import SampleBatch, SamplerConfig, draw_batch
+from .sampling import SampleBatch, SamplerConfig
+from .sampling import draw_batch  # noqa: F401  (perfbench/spans.py wraps ldgm.ritz.draw_batch)
 from .system import ProblemSpec
 
 
@@ -29,6 +30,11 @@ class RitzConfig:
     interior: int = 400
     boundary: int = 100
     seed: int = 0
+
+    def sampler(self) -> SamplerConfig:
+        """The quadrature points' sampler; stationary problems draw no initial points."""
+        return SamplerConfig(interior=self.interior, initial=0,
+                             boundary=self.boundary, seed=self.seed)
 
 
 def _measures(spec: ProblemSpec) -> tuple[float, float]:
@@ -107,25 +113,3 @@ def drm_loss(spec: ProblemSpec, bound, batch: SampleBatch,
     lam = cfg.penalty
     total = J_e + lam * J_b
     return LossBreakdown(J_e, J_i, J_b, total, {}, (1.0, 0.0, lam))
-
-
-def train_ritz(spec: ProblemSpec, method: str, net_cfg, train_cfg,
-               ritz_cfg: RitzConfig = RitzConfig(), seed: int = 0):
-    """Stage/step loop over fresh quadrature samples for ldrm or drm."""
-    from . import metrics
-    from .network import Network, init_xavier
-    from .trainer import train_loop
-
-    if method not in ("ldrm", "drm"):
-        raise ValueError(f"method must be 'ldrm' or 'drm', got {method!r}")
-    loss = ldrm_loss if method == "ldrm" else drm_loss
-    net = Network(net_cfg, init_xavier(net_cfg, seed))
-    sampler = SamplerConfig(interior=ritz_cfg.interior, initial=0,
-                            boundary=ritz_cfg.boundary, seed=ritz_cfg.seed + seed)
-
-    grid = metrics.evaluation_grid(spec)
-    truth = spec.exact(grid.x)
-    metric = lambda n: metrics.network_relative_l2(n, grid, truth)  # noqa: E731
-    draw = lambda stage: draw_batch(sampler, spec, stage)  # noqa: E731
-    loss_fn = lambda bound, batch: loss(spec, bound, batch, ritz_cfg)  # noqa: E731
-    return train_loop(net, draw, loss_fn, train_cfg, metric)

@@ -9,8 +9,8 @@ the strong form (derivatives from high-order jets), or on an analytic
 solution for exactness checks.
 
 A SystemForm is one concrete rewrite: the roster of unknowns, the
-constraint and evolution residuals expressed with first (or at most
-second) derivatives of roster variables, and the boundary residuals.
+constraint and evolution residuals expressed with first derivatives of
+roster variables, and the boundary residuals.
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ class ProblemSpec:
     loss_weights: tuple[float, float, float] = (1.0, 1.0, 1.0)
     params: dict = field(default_factory=dict)
     ldgm_form: Optional[Callable] = None      # override for the trained first-order system
-    second_form: Optional[Callable] = None    # override for the second-order system
     dgm_boundary: Optional[Callable] = None   # override for strong-form boundary residuals
 
     def __post_init__(self):
@@ -144,42 +143,6 @@ class ChainView:
         return s
 
 
-class Chain2View:
-    """Second-order roster (u, w_1, ..., w_J) with w_1 = D^2 u, w_{j+1} = D^2 w_j."""
-
-    def __init__(self, ctx, k: int):
-        self.ctx = ctx
-        self.k = k
-
-    @property
-    def u(self):
-        return self.ctx.out(0)
-
-    @property
-    def x(self):
-        return self.ctx.x
-
-    @property
-    def t(self):
-        return self.ctx.t
-
-    def d(self, p: int, axis: int = 0):
-        if p == 0:
-            return self.ctx.out(0)
-        if p == 1:
-            return self.ctx.dx(0, axis, order=1)
-        j, rem = divmod(p, 2)
-        if rem == 0:
-            return self.ctx.out(j)
-        return self.ctx.dx(j, axis, order=1)
-
-    def grad(self, i: int):
-        return self.ctx.dx(0, i, order=1)
-
-    def lap(self):
-        return self.ctx.out(1)
-
-
 class StrongView:
     """Direct view: all derivatives from jets of the single output."""
 
@@ -227,26 +190,6 @@ def strong_jet_orders(spec: ProblemSpec) -> dict:
 # -- rewrites -----------------------------------------------------------------
 
 
-def _chain_boundary(spec: ProblemSpec, slot_of_order):
-    """Boundary residual builder shared by the chain rewrites.
-
-    slot_of_order maps a derivative order from the boundary condition to a
-    roster slot (or to a first-derivative request when no slot holds it).
-    """
-    bc = spec.boundary
-
-    def boundary(bctx):
-        if bc.kind == "periodic":
-            return [bctx.out(i) - bctx.out_mirror(i) for i in range(bctx.size)]
-        res = []
-        for i, (order, _) in enumerate(bc.targets):
-            g = bc.data(i, bctx.x, bctx.t)
-            res.append(slot_of_order(bctx, order) - g)
-        return res
-
-    return boundary
-
-
 def rewrite_first_order(spec: ProblemSpec) -> SystemForm:
     """Roster (u, v_1..v_{k-1}); only first derivatives appear in the system."""
     k = spec.pde_order
@@ -290,72 +233,21 @@ def rewrite_first_order(spec: ProblemSpec) -> SystemForm:
             return bctx.out(0)
         raise OrderError(f"boundary derivative order {order} has no roster slot")
 
+    bc = spec.boundary
+
+    def boundary(bctx):
+        if bc.kind == "periodic":
+            return [bctx.out(i) - bctx.out_mirror(i) for i in range(bctx.size)]
+        res = []
+        for i, (order, _) in enumerate(bc.targets):
+            g = bc.data(i, bctx.x, bctx.t)
+            res.append(slot_of_order(bctx, order) - g)
+        return res
+
     return SystemForm(
         spec=spec, roster=roster,
         jet_orders=({0: 1, TIME: 1} if d == 1 else {**{i: 1 for i in range(d)}, TIME: 1}),
-        evolution=evolution, constraints=constraints,
-        boundary=_chain_boundary(spec, slot_of_order),
-        exact_outputs=exact)
-
-
-def rewrite_second_order(spec: ProblemSpec) -> SystemForm:
-    """Roster (u, w_1..w_J), w_{j+1} = D^2 w_j; at most second derivatives."""
-    k = spec.pde_order
-    d = spec.spatial_dim
-    if spec.stationary:
-        raise OrderError("rewrites apply to evolution problems")
-    if k < 2:
-        raise OrderError("second-order rewrite needs pde order >= 2")
-    if spec.second_form is not None:
-        return spec.second_form(spec)
-    if d > 1 and k > 2:
-        raise OrderError("second-order rewrite above order 2 is 1-d only")
-    nw = k // 2
-
-    if d == 1:
-        roster = ("u",) + tuple("u_" + "x" * (2 * j) for j in range(1, nw + 1))
-
-        def lap_of(ctx, slot):
-            return ctx.dx(slot, 0, order=2)
-    else:
-        roster = ("u", "lap_u")
-
-        def lap_of(ctx, slot):
-            s = ctx.dx(slot, 0, order=2)
-            for i in range(1, d):
-                s = s + ctx.dx(slot, i, order=2)
-            return s
-
-    constraints = tuple(
-        (f"{roster[j + 1]} = D^2 {roster[j]}",
-         (lambda j: lambda ctx: lap_of(ctx, j) - ctx.out(j + 1))(j))
-        for j in range(nw))
-
-    def evolution(ctx):
-        return ctx.dt(0) - spec.rhs(Chain2View(ctx, k))
-
-    exact = None
-    if spec.exact_expr is not None:
-        u = sp.sympify(spec.exact_expr)
-        if d == 1:
-            x0 = sp.Symbol("x0")
-            exact = tuple(sp.diff(u, x0, 2 * j) for j in range(nw + 1))
-        else:
-            lap = sum(sp.diff(u, sp.Symbol(f"x{i}"), 2) for i in range(d))
-            exact = (u, lap)
-
-    def slot_of_order(bctx, order):
-        if order % 2 == 0 and order // 2 <= nw:
-            return bctx.out(order // 2)
-        if order == 1:
-            return bctx.dx(0, 0, order=1)
-        raise OrderError(f"boundary derivative order {order} unsupported here")
-
-    return SystemForm(
-        spec=spec, roster=roster,
-        jet_orders=({0: 2, TIME: 1} if d == 1 else {**{i: 2 for i in range(d)}, TIME: 1}),
-        evolution=evolution, constraints=constraints,
-        boundary=_chain_boundary(spec, slot_of_order),
+        evolution=evolution, constraints=constraints, boundary=boundary,
         exact_outputs=exact)
 
 
@@ -406,24 +298,6 @@ def _ch_ldgm_form(spec: ProblemSpec) -> SystemForm:
                       evolution=evolution, constraints=constraints, boundary=boundary)
 
 
-def _ch_second_form(spec: ProblemSpec) -> SystemForm:
-    eps = spec.params["epsilon"]
-
-    def evolution(ctx):
-        return ctx.dt(0) + ctx.dx(1, 0, order=2)
-
-    constraints = (
-        ("v = eps*u_xx + f(u)",
-         lambda ctx: ctx.out(1) - eps * ctx.dx(0, 0, order=2) - _fcubic(ctx.out(0))),
-    )
-
-    def boundary(bctx):
-        return [bctx.dx(0, 0, order=1)]
-
-    return SystemForm(spec=spec, roster=("u", "mu"), jet_orders={0: 2, TIME: 1},
-                      evolution=evolution, constraints=constraints, boundary=boundary)
-
-
 def _ch_dgm_boundary(spec: ProblemSpec):
     eps = spec.params["epsilon"]
 
@@ -449,7 +323,7 @@ def cahn_hilliard(epsilon: float = 0.1) -> ProblemSpec:
         initial=lambda x: np.cos(x[:, 0]),
         boundary=BoundaryCond("neumann", ((1, 0.0), (3, 0.0))),
         params={"epsilon": epsilon},
-        ldgm_form=_ch_ldgm_form, second_form=_ch_second_form)
+        ldgm_form=_ch_ldgm_form)
     spec.dgm_boundary = _ch_dgm_boundary(spec)
     return spec
 

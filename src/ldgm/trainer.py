@@ -17,10 +17,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import ritz
 from .autodiff import Tape, backward
-from .errors import LdgmError, NonFiniteLossError
+from .errors import ConfigError, LdgmError, NonFiniteLossError
 from .loss import dgm_loss, ldgm_loss
 from .network import Network, NetworkConfig, ParameterSet, init_xavier
+from .ritz import RitzConfig
 from .sampling import SamplerConfig, draw_batch
 from .system import ProblemSpec, ldgm_system
 
@@ -114,7 +116,7 @@ class TrainReport:
 def train_loop(net: Network, draw, loss_fn, cfg: TrainConfig,
                metric: Optional[Callable] = None,
                callback: Optional[Callable] = None) -> tuple[TrainReport, ParameterSet]:
-    """Generic engine behind all the training entry points.
+    """Generic engine behind `train`.
 
     draw(stage) -> batch; loss_fn(bound_net, batch) -> LossBreakdown;
     metric(net) -> relative error for the report (may be None).
@@ -147,38 +149,69 @@ def train_loop(net: Network, draw, loss_fn, cfg: TrainConfig,
     return report, net.params
 
 
+@dataclass(frozen=True)
+class Method:
+    """One residual method: its output count, its loss and where its points come from.
+
+    `loss(spec, ritz_cfg)` returns loss_fn(bound, batch) -> LossBreakdown.  A
+    variational method draws its quadrature points from the `ritz.*` keys.
+    The losses are looked up by module attribute at call time, so a wrapper
+    installed on `trainer.ldgm_loss` or `ritz.ldrm_loss` sees every call.
+    """
+
+    outputs: Callable[[ProblemSpec], int]
+    loss: Callable
+    variational: bool = False
+
+
+def _ldgm(spec: ProblemSpec, ritz_cfg: RitzConfig):
+    form = ldgm_system(spec)
+    return lambda bound, batch: ldgm_loss(form, bound, batch)
+
+
+METHODS = {
+    "ldgm": Method(lambda spec: ldgm_system(spec).size, _ldgm),
+    "dgm": Method(lambda spec: 1,
+                  lambda spec, rc: lambda bound, batch: dgm_loss(spec, bound, batch)),
+    "ldrm": Method(lambda spec: spec.spatial_dim + 1,
+                   lambda spec, rc: lambda bound, batch: ritz.ldrm_loss(spec, bound, batch, rc),
+                   variational=True),
+    "drm": Method(lambda spec: 1,
+                  lambda spec, rc: lambda bound, batch: ritz.drm_loss(spec, bound, batch, rc),
+                  variational=True),
+}
+
+
+def method_entry(method: str) -> Method:
+    if method not in METHODS:
+        raise ConfigError(["method"], f"method must be one of {tuple(METHODS)}, got {method!r}")
+    return METHODS[method]
+
+
 def default_network_config(spec: ProblemSpec, method: str,
                            hidden_layers=3, width=50, activation="tanh",
                            decoupled=None) -> NetworkConfig:
-    m = 1 if method in ("dgm", "drm") else (
-        ldgm_system(spec).size if method == "ldgm" else spec.spatial_dim + 1)
     return NetworkConfig(
         input_dim=spec.spatial_dim + (0 if spec.stationary else 1),
-        hidden_layers=hidden_layers, width=width, output_dim=m,
+        hidden_layers=hidden_layers, width=width, output_dim=method_entry(method).outputs(spec),
         hidden_activation=activation, decoupled=decoupled)
 
 
 def train(spec: ProblemSpec, method: str, net_cfg: NetworkConfig,
           sampler_cfg: SamplerConfig, train_cfg: TrainConfig, seed: int = 0,
-          truth: Optional[Callable] = None,
-          eval_grid=None) -> tuple[TrainReport, ParameterSet]:
+          truth: Optional[Callable] = None, eval_grid=None,
+          ritz_cfg: RitzConfig = RitzConfig()) -> tuple[TrainReport, ParameterSet]:
     """Run the nested stage/step loop for one residual method.
 
     `truth(x, t) -> values` enables the relative-error column; for problems
-    with a closed form it defaults to the exact solution.
+    with a closed form it defaults to the exact solution.  Every method draws
+    its points from `sampler_cfg`; only the variational losses read
+    `ritz_cfg`, and only its penalty.
     """
-    if method not in ("ldgm", "dgm"):
-        raise ValueError(f"method must be 'ldgm' or 'dgm', got {method!r}")
     from . import metrics
 
-    params = init_xavier(net_cfg, seed)
-    net = Network(net_cfg, params)
-
-    if method == "ldgm":
-        form = ldgm_system(spec)
-        loss_fn = lambda bound, batch: ldgm_loss(form, bound, batch)  # noqa: E731
-    else:
-        loss_fn = lambda bound, batch: dgm_loss(spec, bound, batch)  # noqa: E731
+    loss_fn = method_entry(method).loss(spec, ritz_cfg)
+    net = Network(net_cfg, init_xavier(net_cfg, seed))
 
     if truth is None and spec.exact_expr is not None:
         truth = spec.exact

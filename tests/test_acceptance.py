@@ -17,7 +17,7 @@ from ldgm.loss import dgm_loss, ldgm_loss
 from ldgm.metrics import derivative_scale_diagnostic
 from ldgm.network import AnalyticNetwork, Network, NetworkConfig, init_xavier
 from ldgm.reference import SpectralCHConfig, solve_ch_spectral
-from ldgm.ritz import RitzConfig, train_ritz
+from ldgm.ritz import RitzConfig
 from ldgm.sampling import SamplerConfig, draw_batch
 from ldgm.system import get_problem, rewrite_first_order
 from ldgm.trainer import TrainConfig, default_network_config, train, success_rate
@@ -321,9 +321,10 @@ def test_criterion_9_success_rates_at_depth_64():
 def test_criterion_10_split_ritz_manufactured():
     spec = get_problem("bilaplacian_ritz", d=1)
     cfg = NetworkConfig(input_dim=1, hidden_layers=3, width=20, output_dim=2)
-    rep, _ = train_ritz(spec, "ldrm", cfg,
-                        TrainConfig(stages=1500, steps_per_stage=5, learning_rate=2e-3,
-                                    log_every=100), RitzConfig(penalty=500.0), seed=0)
+    rc = RitzConfig(penalty=500.0)
+    rep, _ = train(spec, "ldrm", cfg, rc.sampler(),
+                   TrainConfig(stages=1500, steps_per_stage=5, learning_rate=2e-3,
+                               log_every=100), seed=0, ritz_cfg=rc)
     rel = rep.final_rel_l2
     report(10, rel < 0.02, f"split-form trained rel_l2 {rel:.4f} (<0.02)")
 
@@ -332,8 +333,9 @@ def test_criterion_10_baseline_reference_point():
     # the order-2 baseline on the same instance does reach the target
     spec = get_problem("bilaplacian_ritz", d=1)
     cfg = NetworkConfig(input_dim=1, hidden_layers=3, width=20, output_dim=1)
-    rep, _ = train_ritz(spec, "drm", cfg,
-                        TrainConfig(stages=1500, steps_per_stage=5, learning_rate=2e-3,
-                                    log_every=100), RitzConfig(penalty=500.0), seed=0)
+    rc = RitzConfig(penalty=500.0)
+    rep, _ = train(spec, "drm", cfg, rc.sampler(),
+                   TrainConfig(stages=1500, steps_per_stage=5, learning_rate=2e-3,
+                               log_every=100), seed=0, ritz_cfg=rc)
     rel = rep.final_rel_l2
     report("10 (baseline)", rel < 0.02, f"baseline trained rel_l2 {rel:.4f} (<0.02)")

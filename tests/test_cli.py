@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -199,3 +201,43 @@ def test_checkpoint_artifact_roundtrips(tmp_path):
     cfg, params = load_checkpoint(d / "params.ckpt")
     assert cfg.output_dim == 4  # beam roster size
     assert np.all(np.isfinite(params.to_vector()))
+
+
+RITZ = """
+problem.name=bilaplacian_ritz
+problem.dimension=1
+method={method}
+network.hidden_layers=2
+network.width=6
+ritz.interior=12
+ritz.boundary=6
+train.stages=3
+train.steps_per_stage=2
+seeds=0
+out={out}
+"""
+
+
+@pytest.mark.parametrize("method,outputs", [("ldrm", 2), ("drm", 1)])
+def test_variational_run_writes_expected_artifacts(tmp_path, capsys, method, outputs):
+    path = tmp_path / "ritz.cfg"
+    path.write_text(RITZ.format(method=method, out=tmp_path / "runs"))
+    assert main(["run", "--config", str(path)]) == 0
+    d = next((tmp_path / "runs").iterdir())
+    for name in ("report.csv", "params.ckpt", "config.resolved", "status.txt",
+                 "summary.csv"):
+        assert (d / name).exists(), name
+    assert (d / "status.txt").read_text().strip() == "ok"
+    report = TrainReport.from_csv(d / "report.csv")
+    assert len(report.rows) == 3
+    assert math.isfinite(report.final_rel_l2)
+    from ldgm.network import load_checkpoint
+    assert load_checkpoint(d / "params.ckpt")[0].output_dim == outputs
+    # a rerun reports the recorded status instead of training again
+    before = (d / "report.csv").read_bytes()
+    (d / "config.resolved").unlink()
+    capsys.readouterr()
+    assert main(["run", "--config", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("seed 0: ok")
+    assert not (d / "config.resolved").exists()
+    assert (d / "report.csv").read_bytes() == before

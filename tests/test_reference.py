@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from ldgm.errors import SizeError, UnavailableError
-from ldgm.reference import (ReferenceField, SpectralCHConfig, exact_solution, fft,
-                            ifft, solve_ch_spectral)
+from ldgm.reference import ReferenceField, SpectralCHConfig, fft, ifft, solve_ch_spectral
 from ldgm.system import get_problem
 
-from oracles import dense_ch_solver, naive_dft, relative
+from oracles import dense_ch_solver, exact_solution, naive_dft, relative
 
 
 def test_delta_has_flat_spectrum():

@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from ldgm.errors import OrderError, UnavailableError
+from ldgm.errors import UnavailableError
 from ldgm.network import AnalyticNetwork
 from ldgm.sampling import SamplerConfig, draw_batch
 from ldgm.loss import ldgm_loss
 from ldgm.system import (BoundaryCond, ProblemSpec, builtin_problems, get_problem,
-                         ldgm_system, rewrite_first_order, rewrite_second_order)
+                         ldgm_system, rewrite_first_order)
 
 
 def advection() -> ProblemSpec:
@@ -39,16 +39,6 @@ def test_first_order_rewrite_rosters():
     assert len(form.constraints) == 2
     assert rewrite_first_order(advection()).roster == ("u",)
     assert rewrite_first_order(get_problem("beam")).roster == ("u", "u_x", "u_xx", "u_xxx")
-
-
-def test_second_order_rewrite_rosters():
-    assert rewrite_second_order(get_problem("heat_nd", d=1)).roster == ("u", "u_xx")
-    assert rewrite_second_order(get_problem("heat_nd", d=3)).roster == ("u", "lap_u")
-    assert rewrite_second_order(kdv_like()).roster == ("u", "u_xx")
-    assert rewrite_second_order(get_problem("beam")).roster == ("u", "u_xx", "u_xxxx")
-    assert rewrite_second_order(get_problem("cahn_hilliard")).roster == ("u", "mu")
-    with pytest.raises(OrderError):
-        rewrite_second_order(advection())
 
 
 def test_ch_training_roster_matches_four_variable_system():
@@ -99,7 +89,6 @@ def _max_system_residual(form, n_points=1000, seed=0):
 def test_exact_solutions_annihilate_both_rewrites(name, kwargs):
     spec = get_problem(name, **kwargs)
     assert _max_system_residual(rewrite_first_order(spec)) < 1e-9
-    assert _max_system_residual(rewrite_second_order(spec)) < 1e-9
 
 
 def test_advection_exact_annihilates_single_variable_form():

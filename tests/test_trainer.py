@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from ldgm.errors import LdgmError, NonFiniteLossError
+from ldgm.config import ExperimentConfig
+from ldgm.errors import ConfigError, LdgmError, NonFiniteLossError
 from ldgm.network import NetworkConfig, init_xavier
+from ldgm.ritz import RitzConfig
 from ldgm.sampling import SamplerConfig
-from ldgm.trainer import (AdamState, TrainConfig, TrainReport, adam_step,
+from ldgm.trainer import (METHODS, AdamState, TrainConfig, TrainReport, adam_step,
                           default_network_config, train)
 from ldgm.system import get_problem
 
@@ -171,3 +173,44 @@ def test_short_ldgm_run_reduces_beam_error():
                                   log_every=20), seed=0)
     assert report.rows[-1][5] < report.rows[0][5]
     assert all(math.isfinite(r[1]) for r in report.rows)
+
+
+# method -> (problem, its output count)
+_METHOD_CASES = {
+    "ldgm": (lambda: get_problem("beam"), 4),
+    "dgm": (lambda: get_problem("beam"), 1),
+    "ldrm": (lambda: get_problem("bilaplacian_ritz", d=1), 2),
+    "drm": (lambda: get_problem("bilaplacian_ritz", d=1), 1),
+}
+
+
+@pytest.mark.parametrize("method", list(METHODS))
+def test_every_method_trains_through_train(method):
+    make_spec, outputs = _METHOD_CASES[method]
+    spec = make_spec()
+    net_cfg = default_network_config(spec, method, hidden_layers=1, width=4)
+    assert net_cfg.output_dim == METHODS[method].outputs(spec) == outputs
+    if METHODS[method].variational:
+        sampler = RitzConfig(interior=12, boundary=6).sampler()
+    else:
+        sampler = SamplerConfig(interior=12, initial=6, boundary=6)
+    report, params = train(spec, method, net_cfg, sampler,
+                           TrainConfig(stages=1, steps_per_stage=2), seed=0)
+    assert len(report.rows) == 1
+    assert all(math.isfinite(v) for v in report.rows[0])
+    assert params.arrays[-1].shape[-1] == outputs
+
+
+def test_unknown_method_is_a_config_error():
+    spec = advection()
+    net_cfg = NetworkConfig(input_dim=2, hidden_layers=1, width=4, output_dim=1)
+    with pytest.raises(ConfigError) as e:
+        train(spec, "ldgm2", net_cfg, SamplerConfig(interior=5, initial=2, boundary=2),
+              TrainConfig(stages=1))
+    assert e.value.bad_keys == ["method"]
+    assert str(tuple(METHODS)) in str(e.value)
+    with pytest.raises(ConfigError):
+        default_network_config(spec, "ldgm2")
+    with pytest.raises(ConfigError) as e:
+        ExperimentConfig.from_text("method=ldgm2\n")
+    assert e.value.bad_keys == ["method"]
