@@ -1,10 +1,11 @@
 """Residual losses over sampled batches, as tape-tracked scalars.
 
-Two assembly paths share all the plumbing here: the order-reduced path
-evaluates a SystemForm on the multi-output network using only low-order
-jets, while the strong-form baseline differentiates a single output up to
-the full PDE order.  Every term is a mean of squares over its batch, so
-totals are batch-size invariant and weighted exactly as configured.
+One assembly serves both residual methods: it evaluates a SystemForm on
+the network, whether the form is an order-reduced rewrite (extra outputs,
+low-order jets) or the strong form (one output, jets up to the PDE
+order).  Each point set is walked once, to the jet orders its residuals
+need.  Every term is a mean of squares over its batch, so totals are
+batch-size invariant and weighted exactly as configured.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .autodiff import Var
 from .errors import ShapeError, UnsupportedOrderError
 from .network import TIME
 from .sampling import SampleBatch
-from .system import ProblemSpec, StrongView, SystemForm, strong_jet_orders
+from .system import ProblemSpec, SystemForm, strong_form
 
 
 @dataclass
@@ -35,21 +36,23 @@ def _mse(v: Var) -> Var:
     return ad.mean(v * v)
 
 
-def _combine(J_e, J_i, J_b, weights, constraint_terms) -> LossBreakdown:
-    w_e, w_i, w_b = weights
-    total = w_e * J_e + w_i * J_i + w_b * J_b
-    return LossBreakdown(J_e, J_i, J_b, total, constraint_terms, weights)
+class PointCtx:
+    """Network outputs and their jets at one point set, from one walk.
 
+    `orders` maps direction (spatial axis or TIME) to the jet order the
+    residuals read there.  With `mirror_x` (a periodic boundary) the
+    context also holds `.mirror`, the same walk at the mirror points.
+    """
 
-class DerivCtx:
-    """Interior-point accessors over network outputs and their jets."""
-
-    def __init__(self, values, jets, x, t, spatial_dim):
-        self.values = values
-        self.jets = jets
+    def __init__(self, bound, x, t, orders, spatial_dim, mirror_x=None):
+        walk = bound.forward_jets(x, t, orders)
+        self.values = walk.values
+        self.jets = walk.jets
         self.x = x
         self.t = t
         self.spatial_dim = spatial_dim
+        self.mirror = (None if mirror_x is None
+                       else PointCtx(bound, mirror_x, t, orders, spatial_dim))
 
     @property
     def size(self):
@@ -69,58 +72,15 @@ class DerivCtx:
         return jet.derivative(order)
 
 
-class BoundaryCtx:
-    """Boundary-point accessors; jets and mirror values computed on demand."""
-
-    def __init__(self, bound, batch: SampleBatch, spatial_dim):
-        self.bound = bound
-        self.x = batch.boundary_x
-        self.t = batch.boundary_t
-        self.mirror_x = batch.boundary_mirror_x
-        self.axis = batch.boundary_axis
-        self.side = batch.boundary_side
-        self.spatial_dim = spatial_dim
-        self._values = None
-        self._mirror = None
-        self._jets = {}
-
-    @property
-    def size(self):
-        return self.bound.output_dim
-
-    def out(self, i) -> Var:
-        if self._values is None:
-            self._values = self.bound.forward(self.x, self.t).values
-        return self._values[i]
-
-    def out_mirror(self, i) -> Var:
-        if self._mirror is None:
-            self._mirror = self.bound.forward(self.mirror_x, self.t).values
-        return self._mirror[i]
-
-    def dx(self, i, axis=0, order=1) -> Var:
-        key = axis
-        if key not in self._jets or self._jets[key][0].order < order:
-            out = self.bound.forward_with_derivatives(self.x, self.t,
-                                                      directions=[axis], order=order)
-            self._jets[key] = out.jets[axis]
-        return self._jets[key][i].derivative(order)
-
-
-def _interior_ctx(bound, x, t, jet_orders, spatial_dim) -> DerivCtx:
-    out = bound.forward_jets(x, t, jet_orders)
-    return DerivCtx(out.values, out.jets, x, t, spatial_dim)
-
-
 def ldgm_loss(system: SystemForm, bound, batch: SampleBatch) -> LossBreakdown:
     """Mean-square system residuals: evolution + constraints, initial, boundary."""
     spec = system.spec
+    d = spec.spatial_dim
     if bound.output_dim != system.size:
         raise ShapeError(
             f"network has {bound.output_dim} outputs, roster needs {system.size}")
 
-    ctx = _interior_ctx(bound, batch.interior_x, batch.interior_t,
-                        system.jet_orders, spec.spatial_dim)
+    ctx = PointCtx(bound, batch.interior_x, batch.interior_t, system.jet_orders, d)
     constraint_terms = {}
     J_e = _mse(system.evolution(ctx))
     for name, fn in system.constraints:
@@ -129,66 +89,22 @@ def ldgm_loss(system: SystemForm, bound, batch: SampleBatch) -> LossBreakdown:
         J_e = J_e + term
 
     u0 = spec.initial(batch.initial_x)
-    init_vals = bound.forward(batch.initial_x, np.zeros(len(batch.initial_x))).values
-    J_i = _mse(init_vals[0] - u0)
+    ictx = PointCtx(bound, batch.initial_x, np.zeros(len(batch.initial_x)), {}, d)
+    J_i = _mse(ictx.out(0) - u0)
 
-    bctx = BoundaryCtx(bound, batch, spec.spatial_dim)
+    periodic = spec.boundary.kind == "periodic"
+    bctx = PointCtx(bound, batch.boundary_x, batch.boundary_t, system.boundary_orders, d,
+                    mirror_x=batch.boundary_mirror_x if periodic else None)
     residuals = system.boundary(bctx)
     J_b = _mse(residuals[0])
     for r in residuals[1:]:
         J_b = J_b + _mse(r)
 
-    return _combine(J_e, J_i, J_b, spec.loss_weights, constraint_terms)
+    w_e, w_i, w_b = spec.loss_weights
+    total = w_e * J_e + w_i * J_i + w_b * J_b
+    return LossBreakdown(J_e, J_i, J_b, total, constraint_terms, spec.loss_weights)
 
 
-def _dgm_boundary(spec: ProblemSpec, bctx: BoundaryCtx):
-    if spec.dgm_boundary is not None:
-        return spec.dgm_boundary(bctx)
-    bc = spec.boundary
-    if bc.kind == "periodic":
-        res = [bctx.out(0) - bctx.out_mirror(0)]
-        for order in range(1, spec.pde_order):
-            # periodicity of the derivatives along the pinned axis
-            a = bctx.dx(0, 0, order=order)
-            out = bctx.bound.forward_with_derivatives(bctx.mirror_x, bctx.t,
-                                                      directions=[0], order=order)
-            res.append(a - out.jets[0][0].derivative(order))
-        return res
-    res = []
-    for i, (order, _) in enumerate(bc.targets):
-        g = bc.data(i, bctx.x, bctx.t)
-        if order == 0:
-            res.append(bctx.out(0) - g)
-        else:
-            if spec.spatial_dim != 1:
-                raise ShapeError("derivative boundary data is 1-d only")
-            res.append(bctx.dx(0, 0, order=order) - g)
-    return res
-
-
-def dgm_loss(spec: ProblemSpec, bound, batch: SampleBatch,
-             jet_cap: int = ad.JET_ORDER_CAP) -> LossBreakdown:
-    """Strong-form baseline: the k-th order residual via order-k jets."""
-    if bound.output_dim != 1:
-        raise ShapeError("strong-form loss expects a single-output network")
-    orders = strong_jet_orders(spec)
-    if max(orders.values()) > jet_cap:
-        raise UnsupportedOrderError(
-            f"pde order {spec.pde_order} exceeds jet cap {jet_cap}")
-
-    ctx = _interior_ctx(bound, batch.interior_x, batch.interior_t,
-                        orders, spec.spatial_dim)
-    residual = ctx.dt(0) - spec.rhs(StrongView(ctx))
-    J_e = _mse(residual)
-
-    u0 = spec.initial(batch.initial_x)
-    init_vals = bound.forward(batch.initial_x, np.zeros(len(batch.initial_x))).values
-    J_i = _mse(init_vals[0] - u0)
-
-    bctx = BoundaryCtx(bound, batch, spec.spatial_dim)
-    residuals = _dgm_boundary(spec, bctx)
-    J_b = _mse(residuals[0])
-    for r in residuals[1:]:
-        J_b = J_b + _mse(r)
-
-    return _combine(J_e, J_i, J_b, spec.loss_weights, {})
+def dgm_loss(spec: ProblemSpec, bound, batch: SampleBatch) -> LossBreakdown:
+    """Strong-form baseline: the same assembly on the one-variable system."""
+    return ldgm_loss(strong_form(spec), bound, batch)

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ShapeError
-from .loss import LossBreakdown, _interior_ctx
+from .loss import LossBreakdown, PointCtx
 from .sampling import SampleBatch, SamplerConfig
 from .sampling import draw_batch  # noqa: F401  (perfbench/spans.py wraps ldgm.ritz.draw_batch)
 from .system import ProblemSpec
@@ -48,6 +48,11 @@ def _measures(spec: ProblemSpec) -> tuple[float, float]:
     return volume, surface
 
 
+def _breakdown(bound, J_e, J_b, lam: float) -> LossBreakdown:
+    """J = J_e + lambda * J_b; there is no initial term."""
+    return LossBreakdown(J_e, bound.tape.const(0.0), J_b, J_e + lam * J_b, {}, (1.0, 0.0, lam))
+
+
 def ldrm_loss(spec: ProblemSpec, bound, batch: SampleBatch,
               cfg: RitzConfig) -> LossBreakdown:
     d = spec.spatial_dim
@@ -56,8 +61,7 @@ def ldrm_loss(spec: ProblemSpec, bound, batch: SampleBatch,
     f = spec.params["source"](batch.interior_x)
     volume, surface = _measures(spec)
 
-    orders = {i: 1 for i in range(d)}
-    ctx = _interior_ctx(bound, batch.interior_x, None, orders, d)
+    ctx = PointCtx(bound, batch.interior_x, None, {i: 1 for i in range(d)}, d)
     div_q = ctx.dx(1, 0)
     for i in range(1, d):
         div_q = div_q + ctx.dx(1 + i, i)
@@ -67,21 +71,18 @@ def ldrm_loss(spec: ProblemSpec, bound, batch: SampleBatch,
         integrand = integrand + gap * gap
     J_e = ad.mean(integrand) * volume
 
-    bvals = bound.forward(batch.boundary_x, None).values
-    p = bvals[0]
+    bctx = PointCtx(bound, batch.boundary_x, None, {}, d)
+    p = bctx.out(0)
     axes = batch.boundary_axis
-    qn = bvals[1] if d == 1 else None
+    qn = bctx.out(1)
     if d > 1:
         # pick each point's normal component of q by masking on its face axis
-        qn = bvals[1] * (axes == 0).astype(np.float64)
+        qn = qn * (axes == 0).astype(np.float64)
         for i in range(1, d):
-            qn = qn + bvals[1 + i] * (axes == i).astype(np.float64)
+            qn = qn + bctx.out(1 + i) * (axes == i).astype(np.float64)
     J_b = ad.mean(p * p + qn * qn) * surface
 
-    J_i = bound.tape.const(0.0)
-    lam = cfg.penalty
-    total = J_e + lam * J_b
-    return LossBreakdown(J_e, J_i, J_b, total, {}, (1.0, 0.0, lam))
+    return _breakdown(bound, J_e, J_b, cfg.penalty)
 
 
 def drm_loss(spec: ProblemSpec, bound, batch: SampleBatch,
@@ -92,16 +93,14 @@ def drm_loss(spec: ProblemSpec, bound, batch: SampleBatch,
     f = spec.params["source"](batch.interior_x)
     volume, surface = _measures(spec)
 
-    orders = {i: 2 for i in range(d)}
-    ctx = _interior_ctx(bound, batch.interior_x, None, orders, d)
+    ctx = PointCtx(bound, batch.interior_x, None, {i: 2 for i in range(d)}, d)
     lap = ctx.dx(0, 0, order=2)
     for i in range(1, d):
         lap = lap + ctx.dx(0, i, order=2)
     integrand = 0.5 * lap * lap - ctx.out(0) * f
     J_e = ad.mean(integrand) * volume
 
-    from .loss import BoundaryCtx
-    bctx = BoundaryCtx(bound, batch, d)
+    bctx = PointCtx(bound, batch.boundary_x, None, {i: 1 for i in range(d)}, d)
     p = bctx.out(0)
     axes = batch.boundary_axis
     dn = bctx.dx(0, 0, order=1) * (axes == 0).astype(np.float64)
@@ -109,7 +108,4 @@ def drm_loss(spec: ProblemSpec, bound, batch: SampleBatch,
         dn = dn + bctx.dx(0, i, order=1) * (axes == i).astype(np.float64)
     J_b = ad.mean(p * p + dn * dn) * surface
 
-    J_i = bound.tape.const(0.0)
-    lam = cfg.penalty
-    total = J_e + lam * J_b
-    return LossBreakdown(J_e, J_i, J_b, total, {}, (1.0, 0.0, lam))
+    return _breakdown(bound, J_e, J_b, cfg.penalty)

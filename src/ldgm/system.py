@@ -9,8 +9,10 @@ the strong form (derivatives from high-order jets), or on an analytic
 solution for exactness checks.
 
 A SystemForm is one concrete rewrite: the roster of unknowns, the
-constraint and evolution residuals expressed with first derivatives of
-roster variables, and the boundary residuals.
+evolution and constraint residuals over the roster, the boundary
+residuals and the jet orders each point set is walked to.  The first-order
+rewrites need first derivatives of roster variables only; the strong form
+is the trivial rewrite, roster (u,) with every derivative from jets of u.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Callable, Optional
 import numpy as np
 import sympy as sp
 
-from .errors import OrderError, UnavailableError
+from .errors import OrderError, ShapeError, UnavailableError
 
 TIME = "t"
 
@@ -87,7 +89,7 @@ class ProblemSpec:
 
 @dataclass
 class SystemForm:
-    """One order-reduced rewrite of a ProblemSpec."""
+    """One rewrite of a ProblemSpec as a system of residuals."""
 
     spec: ProblemSpec
     roster: tuple[str, ...]
@@ -95,6 +97,7 @@ class SystemForm:
     evolution: Callable              # ctx -> residual
     constraints: tuple               # ((name, ctx -> residual), ...)
     boundary: Callable               # bctx -> list of residuals
+    boundary_orders: dict = field(default_factory=dict)  # direction -> jet order at the boundary
     exact_outputs: Optional[tuple] = None   # sympy exprs per roster slot
 
     @property
@@ -133,9 +136,6 @@ class ChainView:
             return self.ctx.dx(self.k - 1, axis)
         raise OrderError(f"derivative order {p} above pde order {self.k}")
 
-    def grad(self, i: int):
-        return self.ctx.out(1 + i)
-
     def lap(self):
         s = self.ctx.dx(1, 0)
         for i in range(1, self.ctx.spatial_dim):
@@ -164,27 +164,11 @@ class StrongView:
     def d(self, p: int, axis: int = 0):
         return self.ctx.dx(0, axis, order=p) if p else self.ctx.out(0)
 
-    def grad(self, i: int):
-        return self.ctx.dx(0, i, order=1)
-
     def lap(self):
         s = self.ctx.dx(0, 0, order=2)
         for i in range(1, self.ctx.spatial_dim):
             s = s + self.ctx.dx(0, i, order=2)
         return s
-
-
-def strong_jet_orders(spec: ProblemSpec) -> dict:
-    """Jet orders the strong-form residual needs per direction."""
-    if spec.spatial_dim == 1:
-        orders = {0: spec.pde_order}
-    else:
-        if spec.pde_order > 2:
-            raise OrderError("strong form above order 2 is 1-d only")
-        orders = {i: 2 for i in range(spec.spatial_dim)}
-    if not spec.stationary:
-        orders[TIME] = 1
-    return orders
 
 
 # -- rewrites -----------------------------------------------------------------
@@ -237,7 +221,7 @@ def rewrite_first_order(spec: ProblemSpec) -> SystemForm:
 
     def boundary(bctx):
         if bc.kind == "periodic":
-            return [bctx.out(i) - bctx.out_mirror(i) for i in range(bctx.size)]
+            return [bctx.out(i) - bctx.mirror.out(i) for i in range(bctx.size)]
         res = []
         for i, (order, _) in enumerate(bc.targets):
             g = bc.data(i, bctx.x, bctx.t)
@@ -249,6 +233,44 @@ def rewrite_first_order(spec: ProblemSpec) -> SystemForm:
         jet_orders=({0: 1, TIME: 1} if d == 1 else {**{i: 1 for i in range(d)}, TIME: 1}),
         evolution=evolution, constraints=constraints, boundary=boundary,
         exact_outputs=exact)
+
+
+def strong_form(spec: ProblemSpec) -> SystemForm:
+    """The trivial rewrite: roster (u,), the PDE residual from order-k jets of u.
+
+    Boundary points are walked once, to the largest target order (k-1 on a
+    periodic boundary, whose derivatives match across faces up to k-1); a
+    problem's `dgm_boundary` replaces the residuals, not the walk.
+    """
+    k = spec.pde_order
+    d = spec.spatial_dim
+    if spec.stationary:
+        raise OrderError("rewrites apply to evolution problems")
+    if d > 1 and k > 2:
+        raise OrderError("strong form above order 2 is 1-d only")
+    bc = spec.boundary
+    periodic = bc.kind == "periodic"
+    boundary_order = k - 1 if periodic else max(order for order, _ in bc.targets)
+
+    def boundary(bctx):
+        here = StrongView(bctx)
+        if periodic:
+            there = StrongView(bctx.mirror)
+            return [here.d(p) - there.d(p) for p in range(k)]
+        res = []
+        for i, (order, _) in enumerate(bc.targets):
+            g = bc.data(i, bctx.x, bctx.t)
+            if order and d != 1:
+                raise ShapeError("derivative boundary data is 1-d only")
+            res.append(here.d(order) - g)
+        return res
+
+    return SystemForm(
+        spec=spec, roster=("u",),
+        jet_orders=({0: k, TIME: 1} if d == 1 else {**{i: 2 for i in range(d)}, TIME: 1}),
+        evolution=lambda ctx: ctx.dt(0) - spec.rhs(StrongView(ctx)),
+        constraints=(), boundary=spec.dgm_boundary or boundary,
+        boundary_orders={0: boundary_order})
 
 
 def ldgm_system(spec: ProblemSpec) -> SystemForm:

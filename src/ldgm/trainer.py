@@ -182,10 +182,21 @@ METHODS = {
 }
 
 
-def method_entry(method: str) -> Method:
+def method_entry(method: str, spec: Optional[ProblemSpec] = None) -> Method:
+    """The method's table entry; given a problem, first check that the two fit.
+
+    A variational method needs a stationary problem and a residual method
+    an evolution problem; a mismatch is a config error before any walk.
+    """
     if method not in METHODS:
         raise ConfigError(["method"], f"method must be one of {tuple(METHODS)}, got {method!r}")
-    return METHODS[method]
+    entry = METHODS[method]
+    if spec is not None and entry.variational != spec.stationary:
+        need = "a stationary" if entry.variational else "an evolution"
+        kind = "stationary" if spec.stationary else "an evolution problem"
+        raise ConfigError(["method", "problem.name"],
+                          f"method {method!r} needs {need} problem; {spec.name!r} is {kind}")
+    return entry
 
 
 def default_network_config(spec: ProblemSpec, method: str,
@@ -193,7 +204,8 @@ def default_network_config(spec: ProblemSpec, method: str,
                            decoupled=None) -> NetworkConfig:
     return NetworkConfig(
         input_dim=spec.spatial_dim + (0 if spec.stationary else 1),
-        hidden_layers=hidden_layers, width=width, output_dim=method_entry(method).outputs(spec),
+        hidden_layers=hidden_layers, width=width,
+        output_dim=method_entry(method, spec).outputs(spec),
         hidden_activation=activation, decoupled=decoupled)
 
 
@@ -210,7 +222,7 @@ def train(spec: ProblemSpec, method: str, net_cfg: NetworkConfig,
     """
     from . import metrics
 
-    loss_fn = method_entry(method).loss(spec, ritz_cfg)
+    loss_fn = method_entry(method, spec).loss(spec, ritz_cfg)
     net = Network(net_cfg, init_xavier(net_cfg, seed))
 
     if truth is None and spec.exact_expr is not None:

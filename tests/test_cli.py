@@ -241,3 +241,19 @@ def test_variational_run_writes_expected_artifacts(tmp_path, capsys, method, out
     assert capsys.readouterr().out.startswith("seed 0: ok")
     assert not (d / "config.resolved").exists()
     assert (d / "report.csv").read_bytes() == before
+
+
+@pytest.mark.parametrize("method,name,extra", [
+    ("ldrm", "beam", ""), ("drm", "heat_nd", "problem.dimension=2"),
+    ("dgm", "bilaplacian_ritz", "problem.dimension=1"),
+])
+def test_method_on_the_wrong_kind_of_problem_aborts_with_a_status(tmp_path, method, name, extra):
+    path = tmp_path / "mismatch.cfg"
+    path.write_text(f"problem.name={name}\n{extra}\nmethod={method}\nnetwork.hidden_layers=1\n"
+                    f"network.width=4\ntrain.stages=1\nseeds=0\nout={tmp_path / 'runs'}\n")
+    assert main(["run", "--config", str(path)]) == 1
+    d = next((tmp_path / "runs").iterdir())
+    status = (d / "status.txt").read_text().strip()
+    assert status.startswith("abort: ConfigError: ")
+    assert repr(method) in status and repr(name) in status
+    assert not (d / "report.csv").exists()

@@ -4,12 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from ldgm.autodiff import Tape, backward
+from ldgm.autodiff import JET_ORDER_CAP, Tape, backward
 from ldgm.errors import ShapeError, UnsupportedOrderError
 from ldgm.loss import dgm_loss, ldgm_loss
-from ldgm.network import AnalyticNetwork, Network, NetworkConfig, init_xavier
+from ldgm.network import (AnalyticNetwork, BoundNetwork, Network, NetworkConfig,
+                          init_xavier)
+from ldgm.ritz import RitzConfig
 from ldgm.sampling import SamplerConfig, draw_batch
-from ldgm.system import get_problem, ldgm_system, rewrite_first_order
+from ldgm.system import get_problem, ldgm_system, rewrite_first_order, strong_form
+from ldgm.trainer import METHODS, default_network_config
 
 from oracles import central_gradient, relative
 from test_system import advection
@@ -77,11 +80,47 @@ def test_roster_size_mismatch_raises():
 
 
 def test_dgm_with_low_jet_cap_errors():
-    spec = get_problem("beam")
+    # the strong form of an order-7 problem needs jets above the walk's cap
+    spec = dataclasses.replace(get_problem("beam"), pde_order=7)
+    assert spec.pde_order > JET_ORDER_CAP
     net = small_net(spec, 1)
     batch = draw_batch(SamplerConfig(seed=0), spec, stage=0)
     with pytest.raises(UnsupportedOrderError):
-        dgm_loss(spec, net.bind(Tape()), batch, jet_cap=3)
+        dgm_loss(spec, net.bind(Tape()), batch)
+
+
+_WALK_PROBLEMS = [
+    ("beam", {}), ("allen_cahn", {}), ("cahn_hilliard", {}), ("mkdv", {}),
+    ("heat_nd", {"d": 3}), ("bilaplacian_ritz", {"d": 1}), ("bilaplacian_ritz", {"d": 2}),
+]
+
+
+@pytest.mark.parametrize("name,kwargs,method", [
+    pytest.param(name, kwargs, method, id=f"{method}-{name}{kwargs.get('d', '')}")
+    for name, kwargs in _WALK_PROBLEMS for method, entry in METHODS.items()
+    if entry.variational == get_problem(name, **kwargs).stationary])
+def test_each_point_set_is_walked_once(monkeypatch, name, kwargs, method):
+    """Every loss walks the network once per point set, whatever orders it reads."""
+    spec = get_problem(name, **kwargs)
+    walked = []
+    jets = BoundNetwork.forward_jets
+
+    def counting(self, x, t=None, orders=None):
+        walked.append(x)
+        return jets(self, x, t, orders)
+
+    monkeypatch.setattr(BoundNetwork, "forward_jets", counting)
+    net_cfg = default_network_config(spec, method, hidden_layers=1, width=4)
+    net = Network(net_cfg, init_xavier(net_cfg, 0))
+    batch = draw_batch(SamplerConfig(interior=6, initial=4, boundary=4, seed=1), spec, 0)
+    METHODS[method].loss(spec, RitzConfig())(net.bind(Tape()), batch)
+    expected = [batch.interior_x]
+    if not spec.stationary:
+        expected.append(batch.initial_x)
+    expected.append(batch.boundary_x)
+    if spec.boundary.kind == "periodic":
+        expected.append(batch.boundary_mirror_x)
+    assert [id(x) for x in walked] == [id(x) for x in expected]
 
 
 def test_dgm_and_ldgm_initial_terms_agree_for_first_order_problem():
@@ -142,16 +181,22 @@ def test_nonnegative_components_and_weighted_additivity():
         assert jt == pytest.approx(2.0 * je + 0.5 * ji + 3.0 * jb, rel=1e-12)
 
 
-def test_periodic_boundary_pairs_opposite_faces():
+@pytest.mark.parametrize("method,periodic,broken", [
+    pytest.param("ldgm", ["sin(x0)*exp(-t)", "cos(x0)*exp(-t)"], ["x0*exp(-t)", "exp(-t)"],
+                 id="ldgm"),
+    # values match across faces, u_x does not: only the mirror jets see it
+    pytest.param("dgm", ["sin(x0)*exp(-t)"], ["x0*(x0 - 2*pi)*exp(-t)"], id="dgm"),
+])
+def test_periodic_boundary_pairs_opposite_faces(method, periodic, broken):
     spec = get_problem("allen_cahn")
-    form = ldgm_system(spec)
+    form = ldgm_system(spec) if method == "ldgm" else strong_form(spec)
     # a field that is 2pi-periodic in x: residuals vanish across faces
-    mock = AnalyticNetwork(["sin(x0)*exp(-t)", "cos(x0)*exp(-t)"], 1)
+    mock = AnalyticNetwork(periodic, 1)
     batch = draw_batch(SamplerConfig(seed=13), spec, stage=0)
     lb = ldgm_loss(form, mock.bind(Tape()), batch)
     assert float(lb.J_b.value) < 1e-25
     # a non-periodic field does not
-    mock2 = AnalyticNetwork(["x0*exp(-t)", "exp(-t)"], 1)
+    mock2 = AnalyticNetwork(broken, 1)
     lb2 = ldgm_loss(form, mock2.bind(Tape()), batch)
     assert float(lb2.J_b.value) > 1e-3
 

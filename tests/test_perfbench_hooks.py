@@ -25,3 +25,47 @@ def test_every_traced_hook_is_an_attribute_of_its_owner(monkeypatch):
             owner = getattr(owner, part)
         assert leaf in vars(owner), f"{module_name}.{attr} (span {span})"
         assert callable(vars(owner)[leaf]), f"{module_name}.{attr}"
+
+
+# method -> (owner module, the loss hook its table entry must call, problem)
+_LOSS_HOOKS = {
+    "ldgm": ("ldgm.trainer", "ldgm_loss", ("beam", {})),
+    "dgm": ("ldgm.trainer", "dgm_loss", ("beam", {})),
+    "ldrm": ("ldgm.ritz", "ldrm_loss", ("bilaplacian_ritz", {"d": 1})),
+    "drm": ("ldgm.ritz", "drm_loss", ("bilaplacian_ritz", {"d": 1})),
+}
+
+
+def test_every_method_reaches_its_traced_loss_hook(monkeypatch):
+    """A method routed past its hook would leave that loss span empty in a traced run."""
+    from ldgm.ritz import RitzConfig
+    from ldgm.sampling import SamplerConfig
+    from ldgm.system import get_problem
+    from ldgm.trainer import METHODS, TrainConfig, default_network_config, train
+
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    for name in ("spans", "measure"):
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    traced = {(module, attr) for module, attr, _ in importlib.import_module("spans").TRACED}
+    assert set(_LOSS_HOOKS) == set(METHODS)
+
+    calls = {}
+    for module_name, attr, _ in _LOSS_HOOKS.values():
+        assert (module_name, attr) in traced, f"{module_name}.{attr} is not traced"
+        owner = importlib.import_module(module_name)
+        hook = getattr(owner, attr)
+
+        def counted(*args, _hook=hook, _attr=attr, **kwargs):
+            calls[_attr] = calls.get(_attr, 0) + 1
+            return _hook(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, counted)
+
+    for method, (_, attr, (problem, kwargs)) in _LOSS_HOOKS.items():
+        calls.clear()
+        spec = get_problem(problem, **kwargs)
+        sampler = (RitzConfig(interior=6, boundary=4).sampler() if METHODS[method].variational
+                   else SamplerConfig(interior=6, initial=4, boundary=4))
+        train(spec, method, default_network_config(spec, method, hidden_layers=1, width=4),
+              sampler, TrainConfig(stages=1, steps_per_stage=2), seed=0)
+        assert calls == {attr: 2}, method

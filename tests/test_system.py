@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from ldgm.autodiff import Tape
 from ldgm.errors import UnavailableError
 from ldgm.network import AnalyticNetwork
 from ldgm.sampling import SamplerConfig, draw_batch
-from ldgm.loss import ldgm_loss
+from ldgm.loss import PointCtx, ldgm_loss
 from ldgm.system import (BoundaryCond, ProblemSpec, builtin_problems, get_problem,
                          ldgm_system, rewrite_first_order)
 
@@ -73,10 +74,8 @@ def _max_system_residual(form, n_points=1000, seed=0):
     mock = AnalyticNetwork([str(e) for e in form.exact_outputs], spec.spatial_dim)
     cfg = SamplerConfig(interior=n_points, initial=10, boundary=10, seed=seed)
     batch = draw_batch(cfg, spec, stage=0)
-    from ldgm.loss import _interior_ctx
-    tape_bound = mock.bind(__import__("ldgm.autodiff", fromlist=["Tape"]).Tape())
-    ctx = _interior_ctx(tape_bound, batch.interior_x, batch.interior_t,
-                        form.jet_orders, spec.spatial_dim)
+    ctx = PointCtx(mock.bind(Tape()), batch.interior_x, batch.interior_t,
+                   form.jet_orders, spec.spatial_dim)
     worst = np.max(np.abs(form.evolution(ctx).value))
     for _, fn in form.constraints:
         worst = max(worst, np.max(np.abs(fn(ctx).value)))
@@ -101,7 +100,6 @@ def test_ldgm_loss_components_vanish_on_exact_solution():
     form = rewrite_first_order(spec)
     mock = AnalyticNetwork([str(e) for e in form.exact_outputs], 1)
     batch = draw_batch(SamplerConfig(seed=3), spec, stage=0)
-    from ldgm.autodiff import Tape
     lb = ldgm_loss(form, mock.bind(Tape()), batch)
     for v in (lb.J_e, lb.J_i, lb.J_b, lb.J_total):
         assert float(v.value) < 1e-9

@@ -5,7 +5,7 @@ import pytest
 
 from ldgm.config import ExperimentConfig
 from ldgm.errors import ConfigError, LdgmError, NonFiniteLossError
-from ldgm.network import NetworkConfig, init_xavier
+from ldgm.network import BoundNetwork, NetworkConfig, init_xavier
 from ldgm.ritz import RitzConfig
 from ldgm.sampling import SamplerConfig
 from ldgm.trainer import (METHODS, AdamState, TrainConfig, TrainReport, adam_step,
@@ -214,3 +214,24 @@ def test_unknown_method_is_a_config_error():
     with pytest.raises(ConfigError) as e:
         ExperimentConfig.from_text("method=ldgm2\n")
     assert e.value.bad_keys == ["method"]
+
+
+@pytest.mark.parametrize("method,name,kwargs", [
+    ("ldrm", "beam", {}), ("drm", "heat_nd", {"d": 2}),
+    ("dgm", "bilaplacian_ritz", {"d": 1}), ("ldgm", "bilaplacian_ritz", {"d": 2}),
+])
+def test_method_must_fit_the_kind_of_problem(monkeypatch, method, name, kwargs):
+    walks = []
+    monkeypatch.setattr(BoundNetwork, "forward_jets", lambda *a, **k: walks.append(a))
+    spec = get_problem(name, **kwargs)
+    net_cfg = NetworkConfig(input_dim=spec.spatial_dim + (not spec.stationary),
+                            hidden_layers=1, width=4, output_dim=1)
+    for call in (lambda: default_network_config(spec, method),
+                 lambda: train(spec, method, net_cfg,
+                               SamplerConfig(interior=5, initial=2, boundary=2),
+                               TrainConfig(stages=1))):
+        with pytest.raises(ConfigError) as e:
+            call()
+        assert e.value.bad_keys == ["method", "problem.name"]
+        assert repr(method) in str(e.value) and repr(name) in str(e.value)
+    assert walks == []
