@@ -10,12 +10,17 @@ network computes them (see `network`), and because each coefficient is
 itself a tape node, any derivative a jet produces remains differentiable
 with respect to the parameters (one reverse pass suffices).
 
+Every tape op is one entry of the op table `OPS`: the function that records
+the op sits next to its reverse, and `backward` looks up one reverse per
+node.  The tests register a few ops of their own in the same table.
+
 The network computes jets on jet stacks: one array whose slot 0 is a value
 and whose further slots are the Taylor coefficients of every direction.
 `affine` maps a whole stack with one product and `taylor` applies an
 activation to it through the Taylor recurrence, each as one node with a
 hand-written reverse, so the layers' part of the tape grows with the
-number of layers and not with the jet orders.
+number of layers and not with the jet orders.  With no coefficient slots
+`taylor` is the plain activation.
 """
 
 from __future__ import annotations
@@ -29,6 +34,12 @@ from .errors import InvalidNodeError
 JET_ORDER_CAP = 6
 
 ACTIVATION_KINDS = ("tanh", "sigmoid", "elu", "identity", "relu")
+
+# op -> reverse(node, g, xs), or None for a leaf: given the node's adjoint g
+# and its input values xs, a reverse returns one adjoint per input.  `backward`
+# sums a broadcast adjoint down to its input's shape, and adds an adjoint
+# given as (index, a) at input[index] only.
+OPS: dict = {"const": None, "input": None, "param": None}
 
 
 class Node:
@@ -53,22 +64,44 @@ class Tape:
     def __init__(self):
         self.nodes: list[Node] = []
 
-    def _push(self, op, inputs, aux, value, is_param=False) -> "Var":
+    def push(self, op, inputs, aux, value, is_param=False) -> "Var":
+        """Record one node of `op` reading the node ids `inputs`."""
         self.nodes.append(Node(op, inputs, aux, value, is_param))
         return Var(self, len(self.nodes) - 1)
 
     def const(self, value) -> "Var":
-        return self._push("const", (), None, np.asarray(value, dtype=np.float64))
+        return self.push("const", (), None, np.asarray(value, dtype=np.float64))
 
     def input(self, value) -> "Var":
         """A leaf that is differentiable but not a parameter (e.g. x, t)."""
-        return self._push("input", (), None, np.asarray(value, dtype=np.float64))
+        return self.push("input", (), None, np.asarray(value, dtype=np.float64))
 
     def param(self, value) -> "Var":
-        return self._push("param", (), None, np.asarray(value, dtype=np.float64), is_param=True)
+        return self.push("param", (), None, np.asarray(value, dtype=np.float64), is_param=True)
 
     def __len__(self):
         return len(self.nodes)
+
+
+def tape_of(*args: "Var") -> Tape:
+    """The one tape that every operand is recorded on."""
+    tape = args[0].tape
+    for a in args:
+        if a.tape is not tape:
+            raise InvalidNodeError("operands recorded on different tapes")
+    return tape
+
+
+def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
+    """Reduce a broadcast gradient back to the operand's shape."""
+    if g.shape == shape:
+        return g
+    while g.ndim > len(shape):
+        g = g.sum(axis=0)
+    for ax, s in enumerate(shape):
+        if s == 1 and g.shape[ax] != 1:
+            g = g.sum(axis=ax, keepdims=True)
+    return g
 
 
 class Var:
@@ -98,9 +131,9 @@ class Var:
         if isinstance(other, Var):
             if other.tape is not t:
                 raise InvalidNodeError("operands recorded on different tapes")
-            return t._push(op, (self.idx, other.idx), None, fn(self.value, other.value))
+            return t.push(op, (self.idx, other.idx), None, fn(self.value, other.value))
         c = np.asarray(other, dtype=np.float64)
-        return t._push(op + "c", (self.idx,), c, fn(self.value, c))
+        return t.push(op + "c", (self.idx,), c, fn(self.value, c))
 
     def __add__(self, other):
         return self._binary("add", other, np.add)
@@ -114,7 +147,7 @@ class Var:
 
     def __rsub__(self, other):
         c = np.asarray(other, dtype=np.float64)
-        return self.tape._push("rsubc", (self.idx,), c, c - self.value)
+        return self.tape.push("rsubc", (self.idx,), c, c - self.value)
 
     def __mul__(self, other):
         return self._binary("mul", other, np.multiply)
@@ -122,75 +155,46 @@ class Var:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, Var):
-            return self._binary("div", other, np.divide)
+        """Division by a constant (a product with its reciprocal)."""
         return self.__mul__(1.0 / np.asarray(other, dtype=np.float64))
 
-    def __rtruediv__(self, other):
-        c = np.asarray(other, dtype=np.float64)
-        return self.tape._push("rdivc", (self.idx,), c, c / self.value)
-
     def __neg__(self):
-        return self.tape._push("neg", (self.idx,), None, -self.value)
-
-    def __pow__(self, p):
-        p = float(p)
-        return self.tape._push("powc", (self.idx,), p, self.value ** p)
+        return self.tape.push("neg", (self.idx,), None, -self.value)
 
 
-def _unary(op, x: Var, value, aux=None) -> Var:
-    return x.tape._push(op, (x.idx,), aux, value)
+# the reverses of Var's arithmetic
+OPS.update({
+    "add": lambda node, g, xs: (g, g),
+    "sub": lambda node, g, xs: (g, -g),
+    "mul": lambda node, g, xs: (g * xs[1], g * xs[0]),
+    "addc": lambda node, g, xs: (g,),
+    "rsubc": lambda node, g, xs: (-g,),
+    "mulc": lambda node, g, xs: (g * node.aux,),
+    "neg": lambda node, g, xs: (-g,),
+})
 
 
-def exp(x: Var) -> Var:
-    return _unary("exp", x, np.exp(x.value))
+def mean(x: Var) -> Var:
+    return x.tape.push("mean", (x.idx,), None, np.asarray(np.mean(x.value)))
 
 
-def log(x: Var) -> Var:
-    return _unary("log", x, np.log(x.value))
+OPS["mean"] = lambda node, g, xs: (np.broadcast_to(g / xs[0].size, xs[0].shape),)
 
 
-def sqrt(x: Var) -> Var:
-    return _unary("sqrt", x, np.sqrt(x.value))
+def take(y: Var, index) -> Var:
+    """y[index] for a basic (slicing) index, e.g. one column or one coefficient of a jet stack."""
+    return y.tape.push("take", (y.idx,), index, y.value[index])
 
 
-def tanh(x: Var) -> Var:
-    return _unary("tanh", x, np.tanh(x.value))
+OPS["take"] = lambda node, g, xs: ((node.aux, g),)
 
 
-def sigmoid(x: Var) -> Var:
-    return _unary("sigmoid", x, 0.5 * (np.tanh(0.5 * x.value) + 1.0))
-
-
-def sin(x: Var) -> Var:
-    return _unary("sin", x, np.sin(x.value))
-
-
-def cos(x: Var) -> Var:
-    return _unary("cos", x, np.cos(x.value))
-
-
-def elu(x: Var, alpha: float = 1.0) -> Var:
-    v = x.value
-    return _unary("elu", x, np.where(v > 0, v, alpha * np.expm1(v)), float(alpha))
-
-
-def relu(x: Var) -> Var:
-    return _unary("relu", x, np.maximum(x.value, 0.0))
-
-
-def where(mask: np.ndarray, a: Var, b: Var) -> Var:
-    """Elementwise select with a constant (non-differentiated) mask."""
-    if a.tape is not b.tape:
-        raise InvalidNodeError("operands recorded on different tapes")
-    mask = np.asarray(mask, dtype=bool)
-    return a.tape._push("where", (a.idx, b.idx), mask, np.where(mask, a.value, b.value))
-
-
-def matmul(a: Var, b: Var) -> Var:
-    if a.tape is not b.tape:
-        raise InvalidNodeError("operands recorded on different tapes")
-    return a.tape._push("matmul", (a.idx, b.idx), None, a.value @ b.value)
+def _matmul_vjp(a: np.ndarray, b: np.ndarray, g: np.ndarray):
+    """Adjoints of a @ b; a 3-d a is a stack of row blocks sharing b."""
+    if a.ndim == 2:
+        return g @ b.T, a.T @ g
+    g2 = g.reshape(-1, g.shape[-1])
+    return (g2 @ b.T).reshape(a.shape), a.reshape(-1, a.shape[-1]).T @ g2
 
 
 def affine(x: Var, w: Var, b: Var) -> Var:
@@ -200,96 +204,95 @@ def affine(x: Var, w: Var, b: Var) -> Var:
     coefficients.  The product runs slice by slice (each slice gives the
     bits of the 2-d product) and only the value slot is shifted by b.
     """
-    if x.tape is not w.tape or x.tape is not b.tape:
-        raise InvalidNodeError("operands recorded on different tapes")
+    tape = tape_of(x, w, b)
     if x.value.ndim == 2:
-        return x.tape._push("affine", (x.idx, w.idx, b.idx), None, x.value @ w.value + b.value)
+        return tape.push("affine", (x.idx, w.idx, b.idx), None, x.value @ w.value + b.value)
     v = np.matmul(x.value, w.value)
     v[0] += b.value
-    return x.tape._push("affine", (x.idx, w.idx, b.idx), None, v)
+    return tape.push("affine", (x.idx, w.idx, b.idx), None, v)
 
 
-def column(y: Var, j: int) -> Var:
-    """Extract column j of a 2-d node."""
-    return y.tape._push("col", (y.idx,), int(j), y.value[:, j])
+# a jet stack's bias shifts its value slot only
+OPS["affine"] = lambda node, g, xs: (*_matmul_vjp(xs[0], xs[1], g), g if g.ndim == 2 else g[0])
 
 
-def take(y: Var, index) -> Var:
-    """y[index] for a basic (slicing) index, e.g. one coefficient of a jet stack."""
-    return y.tape._push("take", (y.idx,), index, y.value[index])
+# -- activations --------------------------------------------------------------
 
 
-def total(x: Var) -> Var:
-    return _unary("sum", x, np.asarray(np.sum(x.value)))
-
-
-def mean(x: Var) -> Var:
-    return _unary("mean", x, np.asarray(np.mean(x.value)))
-
-
-def var_activation(x: Var, kind: str, alpha: float = 1.0) -> Var:
+def _value(kind: str, z: np.ndarray, alpha: float) -> np.ndarray:
+    """The activation at z; both network walks take their values from here."""
     if kind == "tanh":
-        return tanh(x)
+        return np.tanh(z)
     if kind == "sigmoid":
-        return sigmoid(x)
+        return 0.5 * (np.tanh(0.5 * z) + 1.0)
     if kind == "elu":
-        return elu(x, alpha)
-    if kind == "identity":
-        return x
+        return np.where(z > 0, z, alpha * np.expm1(z))
     if kind == "relu":
-        return relu(x)
-    raise ValueError(f"unknown activation kind {kind!r}")
+        return np.maximum(z, 0.0)
+    raise ValueError(f"activation {kind!r} has no Taylor node")
 
 
-# -- Taylor-mode activations on jet stacks ---------------------------------
+def _slope(kind: str, z: np.ndarray, y: np.ndarray, alpha: float) -> np.ndarray:
+    """The derivative at z, from z and y = the value there.
+
+    It is also the first term g_0 of the derivative series that the jet
+    recurrence runs on (relu: the mask that carries its order-1 slots).
+    """
+    if kind == "tanh":
+        return 1.0 - y * y
+    if kind == "sigmoid":
+        return y - y * y
+    if kind == "elu":
+        # exp(min(z, 0)) is 1 where z > 0, so at alpha = 1 it is the slope
+        e = np.exp(np.minimum(z, 0.0))
+        return e if alpha == 1.0 else np.where(z > 0, 1.0, alpha * e)
+    return (z > 0).astype(np.float64)
+
+
+def tanh(x: Var) -> Var:
+    """A plain tanh node (the network records `taylor` instead)."""
+    return x.tape.push("tanh", (x.idx,), ("tanh", (), 1.0, None), _value("tanh", x.value, 1.0))
 
 
 def taylor(x: Var, kind: str, blocks: tuple, alpha: float = 1.0) -> Var:
-    """An activation applied to a jet stack, recorded as one node.
+    """An activation applied to a value or to a jet stack, recorded as one node.
 
-    Slot 0 of x holds the preactivation z0.  Coefficient j >= 1 of the
-    first blocks[j-1] directions fills the next blocks[j-1] slots; the
-    directions are ordered by decreasing jet order, so each block is a
-    prefix of the one before it.  The output coefficients follow
+    With no blocks x is the preactivation itself and the node is the plain
+    activation.  Otherwise slot 0 of x holds the preactivation z0, and
+    coefficient j >= 1 of the first blocks[j-1] directions fills the next
+    blocks[j-1] slots; the directions are ordered by decreasing jet order,
+    so each block is a prefix of the one before it.  The output coefficients
+    follow
         j * y_j = sum_{i=1..j} i * x_i * g_{j-i},
     with the derivative series g built from y itself (tanh: 1 - y^2,
-    sigmoid: y - y^2, exp: y).  Every step runs on a whole block in the
-    operation order of the scalar recurrence, so each slot gets the bits
-    of the per-direction computation.  elu takes the exp series where
-    z0 <= 0 and the identity elsewhere; relu carries order-1 slots only
-    (its higher orders do not exist, and the network refuses them).
+    sigmoid: y - y^2, elu where z0 <= 0: alpha * exp(z0), then g_m = y_m).
+    Every step runs on a whole block in the operation order of the scalar
+    recurrence, so each slot gets the bits of the per-direction
+    computation.  elu is the identity where z0 > 0; relu carries order-1
+    slots only (its higher orders do not exist, and the network refuses
+    them).
     """
     xv = x.value
+    if not blocks:
+        return x.tape.push("taylor", (x.idx,), (kind, (), alpha, None), _value(kind, xv, alpha))
     z0 = xv[0]
     y = np.empty_like(xv)
-    y0 = y[0]
-    if kind == "tanh":
-        np.tanh(z0, out=y0)
-        saved = _series(xv, y, 1.0 - y0 * y0, blocks, kind)
-    elif kind == "sigmoid":
-        np.multiply(z0, 0.5, out=y0)
-        np.tanh(y0, out=y0)
-        y0 += 1.0
-        y0 *= 0.5
-        saved = _series(xv, y, y0 - y0 * y0, blocks, kind)
-    elif kind == "elu":
-        mask = z0 > 0
-        e = np.empty_like(xv)
-        # exp of the positive side is never used; clipping keeps it finite
-        np.exp(np.minimum(z0, 0.0), out=e[0])
-        gs = _series(xv, e, e[0], blocks, "exp")
-        np.multiply(e, alpha, out=y)
-        y0 -= alpha
-        y = np.where(mask, xv, y)
-        pos = mask.astype(np.float64)
-        saved = (pos, (1.0 - pos) * alpha, e, gs)
-    elif kind == "relu":
-        saved = z0 > 0
-        np.maximum(z0, 0.0, out=y0)
-        np.multiply(xv[1:], saved, out=y[1:])
+    y[0] = _value(kind, z0, alpha)
+    g0 = _slope(kind, z0, y[0], alpha)
+    if kind == "relu":
+        np.multiply(xv[1:], g0, out=y[1:])
+        saved = g0
     else:
-        raise ValueError(f"activation {kind!r} has no Taylor node")
-    return x.tape._push("taylor", (x.idx,), (kind, tuple(blocks), float(alpha), saved), y)
+        # elu's exp side has elu' = y + alpha: its series after g0 is y itself
+        saved = _series(xv, y, g0, blocks, "exp" if kind == "elu" else kind)
+        if kind == "elu":
+            # a new array: the series keeps views of the exp side's coefficients;
+            # the reverse takes the sides as float masks
+            pos = z0 > 0
+            y = np.where(pos, xv, y)
+            pos = pos.astype(np.float64)
+            saved = (saved, pos, 1.0 - pos)
+    return x.tape.push("taylor", (x.idx,), (kind, tuple(blocks), float(alpha), saved), y)
 
 
 def block_starts(blocks) -> list[int]:
@@ -399,56 +402,42 @@ def _series_vjp(x, y, gs, yb, blocks, kind):
     return y0b, g0b
 
 
-def _taylor_vjp(node: Node, xv: np.ndarray, g: np.ndarray) -> np.ndarray:
+def _taylor_vjp(node, g, xs):
     kind, blocks, alpha, saved = node.aux
+    xv = xs[0]
+    if not blocks:
+        return (g * _slope(kind, xv, node.value, alpha),)
     if kind == "relu":
-        return g * saved
+        return (g * saved,)
     if kind == "elu":
-        # float masks: the exp side's adjoints vanish where z0 > 0
-        pos, neg_alpha, e, gs = saved
-        xb = g * neg_alpha
-        _, e0b = _series_vjp(xv, e, gs, xb, blocks, "exp")
+        # y = x where z0 > 0; elsewhere the exp side, where g0 = y0 + alpha
+        # (so dg0/dy0 = 1) and y0 feeds no other term
+        gs, pos, neg = saved
+        xb = g * neg
+        xb[0] = g[0]
+        _, g0b = _series_vjp(xv, node.value, gs, xb, blocks, "exp")
         xb[1:] += g[1:] * pos
         xb0 = xb[0]
-        xb0 += e0b
-        xb0 *= e[0]
-        xb0 += g[0] * pos
-        return xb
-    xb = g.copy()
-    y0b, g0b = _series_vjp(xv, node.value, saved, xb, blocks, kind)
+    else:
+        gs = saved
+        xb = g.copy()
+        y0b, g0b = _series_vjp(xv, node.value, gs, xb, blocks, kind)
+        xb0 = xb[0]
+        xb0 += y0b
+        dg0 = np.multiply(node.value[0], -2.0, out=y0b)
+        if kind == "sigmoid":
+            dg0 += 1.0
+        g0b *= dg0
     # slot 0: (adjoint of y0 + y0b + g0b * dg0/dy0) * f'(z0), with f'(z0) = g0
-    xb0 = xb[0]
-    xb0 += y0b
-    dg0 = np.multiply(node.value[0], -2.0, out=y0b)
-    if kind == "sigmoid":
-        dg0 += 1.0
-    g0b *= dg0
     xb0 += g0b
-    xb0 *= saved[0]
-    return xb
+    xb0 *= gs[0]
+    return (xb,)
+
+
+OPS["taylor"] = OPS["tanh"] = _taylor_vjp
 
 
 # -- reverse mode ---------------------------------------------------------
-
-
-def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
-    """Reduce a broadcast gradient back to the operand's shape."""
-    if g.shape == shape:
-        return g
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for ax, s in enumerate(shape):
-        if s == 1 and g.shape[ax] != 1:
-            g = g.sum(axis=ax, keepdims=True)
-    return g
-
-
-def _matmul_vjp(a: np.ndarray, b: np.ndarray, g: np.ndarray):
-    """Adjoints of a @ b; a 3-d a is a stack of row blocks sharing b."""
-    if a.ndim == 2:
-        return g @ b.T, a.T @ g
-    g2 = g.reshape(-1, g.shape[-1])
-    return (g2 @ b.T).reshape(a.shape), a.reshape(-1, a.shape[-1]).T @ g2
 
 
 def backward(tape: Tape, output: Var, wrt=None) -> dict[int, np.ndarray]:
@@ -467,106 +456,32 @@ def backward(tape: Tape, output: Var, wrt=None) -> dict[int, np.ndarray]:
 
     owned: set[int] = set()  # adjoints this sweep allocated itself (safe to update in place)
 
-    def acc(i, g):
-        a = adj[i]
-        adj[i] = g if a is None else a + g
-
     for i in range(output.idx, -1, -1):
         g = adj[i]
         if g is None:
             continue
         node = nodes[i]
-        op = node.op
-        if op in ("const", "input", "param"):
+        try:
+            reverse = OPS[node.op]
+        except KeyError:
+            raise InvalidNodeError(f"tape op {node.op!r} has no reverse in the op table") from None
+        if reverse is None:
             continue
         ins = node.inputs
-        if op == "affine":
-            x, w, b = ins
-            gx, gw = _matmul_vjp(nodes[x].value, nodes[w].value, g)
-            acc(x, gx)
-            acc(w, gw)
-            # a jet stack's bias shifts its value slot only
-            acc(b, _unbroadcast(g if g.ndim == 2 else g[0], nodes[b].value.shape))
-        elif op == "taylor":
-            acc(ins[0], _taylor_vjp(node, nodes[ins[0]].value, g))
-        elif op == "take":
-            # coefficients scatter into one buffer owned by this sweep
-            src = ins[0]
-            if src not in owned:
-                a = adj[src]
-                adj[src] = np.zeros_like(nodes[src].value) if a is None else a.copy()
-                owned.add(src)
-            adj[src][node.aux] += g
-        elif op == "add":
-            a, b = ins
-            acc(a, _unbroadcast(g, nodes[a].value.shape))
-            acc(b, _unbroadcast(g, nodes[b].value.shape))
-        elif op == "sub":
-            a, b = ins
-            acc(a, _unbroadcast(g, nodes[a].value.shape))
-            acc(b, _unbroadcast(-g, nodes[b].value.shape))
-        elif op == "mul":
-            a, b = ins
-            acc(a, _unbroadcast(g * nodes[b].value, nodes[a].value.shape))
-            acc(b, _unbroadcast(g * nodes[a].value, nodes[b].value.shape))
-        elif op == "div":
-            a, b = ins
-            bv = nodes[b].value
-            acc(a, _unbroadcast(g / bv, nodes[a].value.shape))
-            acc(b, _unbroadcast(-g * nodes[a].value / (bv * bv), nodes[b].value.shape))
-        elif op == "addc":
-            acc(ins[0], _unbroadcast(g, nodes[ins[0]].value.shape))
-        elif op == "rsubc":
-            acc(ins[0], _unbroadcast(-g, nodes[ins[0]].value.shape))
-        elif op == "mulc":
-            acc(ins[0], _unbroadcast(g * node.aux, nodes[ins[0]].value.shape))
-        elif op == "rdivc":
-            xv = nodes[ins[0]].value
-            acc(ins[0], _unbroadcast(-g * node.aux / (xv * xv), nodes[ins[0]].value.shape))
-        elif op == "neg":
-            acc(ins[0], -g)
-        elif op == "powc":
-            xv = nodes[ins[0]].value
-            acc(ins[0], g * node.aux * xv ** (node.aux - 1.0))
-        elif op == "exp":
-            acc(ins[0], g * node.value)
-        elif op == "log":
-            acc(ins[0], g / nodes[ins[0]].value)
-        elif op == "sqrt":
-            acc(ins[0], g * 0.5 / node.value)
-        elif op == "tanh":
-            acc(ins[0], g * (1.0 - node.value * node.value))
-        elif op == "sigmoid":
-            acc(ins[0], g * node.value * (1.0 - node.value))
-        elif op == "sin":
-            acc(ins[0], g * np.cos(nodes[ins[0]].value))
-        elif op == "cos":
-            acc(ins[0], -g * np.sin(nodes[ins[0]].value))
-        elif op == "elu":
-            xv = nodes[ins[0]].value
-            acc(ins[0], g * np.where(xv > 0, 1.0, node.value + node.aux))
-        elif op == "relu":
-            acc(ins[0], g * (nodes[ins[0]].value > 0))
-        elif op == "where":
-            a, b = ins
-            acc(a, _unbroadcast(g * node.aux, nodes[a].value.shape))
-            acc(b, _unbroadcast(g * ~node.aux, nodes[b].value.shape))
-        elif op == "matmul":
-            a, b = ins
-            ga, gb = _matmul_vjp(nodes[a].value, nodes[b].value, g)
-            acc(a, ga)
-            acc(b, gb)
-        elif op == "col":
-            z = np.zeros_like(nodes[ins[0]].value)
-            z[:, node.aux] = g
-            acc(ins[0], z)
-        elif op == "sum":
-            acc(ins[0], np.broadcast_to(g, nodes[ins[0]].value.shape))
-        elif op == "mean":
-            xv = nodes[ins[0]].value
-            acc(ins[0], np.broadcast_to(g / xv.size, xv.shape))
-        else:  # pragma: no cover
-            raise NotImplementedError(op)
+        xs = [nodes[k].value for k in ins]
+        for j, x, gj in zip(ins, xs, reverse(node, g, xs)):
+            a = adj[j]
+            if type(gj) is tuple:
+                # reads of parts of node j scatter into one buffer owned by this sweep
+                if j not in owned:
+                    adj[j] = np.zeros_like(x) if a is None else a.copy()
+                    owned.add(j)
+                index, gj = gj
+                adj[j][index] += gj
+                continue
+            if gj.shape != x.shape:
+                gj = _unbroadcast(gj, x.shape)
+            adj[j] = gj if a is None else a + gj
 
     out: dict[int, np.ndarray] = {}
     for i, node in enumerate(nodes):

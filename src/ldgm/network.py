@@ -8,8 +8,9 @@ groups of outputs stop sharing late-layer parameters.
 Evaluation is one walk over that topology.  With input directions each
 layer carries one jet stack, the shared primal plus every direction's
 truncated Taylor coefficients, through one affine node and one Taylor-mode
-activation node.  A plain forward pass is the walk with no directions, and
-then every activation is the single tape node of the activation itself.
+activation node.  A plain forward pass is the walk with no directions: each
+layer then carries the values alone, and its activation is the same
+`taylor` node with no coefficient blocks.
 """
 
 from __future__ import annotations
@@ -210,16 +211,15 @@ class BoundNetwork:
     def _act(self, h: Var, kind: str, blocks: tuple) -> Var:
         """Activation of a value (no blocks) or of a jet stack, as one node.
 
-        identity emits no node; with no blocks every activation is the single
-        node of a plain forward (elu through expm1).
+        identity emits no node.
         """
+        if kind == "identity":
+            return h
         alpha = self.config.elu_alpha
-        if not blocks or kind == "identity":
-            return ad.var_activation(h, kind, alpha)
         order = len(blocks)
         if kind == "relu" and order >= 2:
             raise SmoothnessError("relu supports jet order <= 1")
-        if kind == "elu" and (order >= 2 or alpha != 1.0):
+        if kind == "elu" and (order >= 2 or (order and alpha != 1.0)):
             if np.any(np.abs(h.value[0]) < _KINK_MARGIN):
                 raise SmoothnessError(f"elu jet of order {order} evaluated at the kink")
         return ad.taylor(h, kind, blocks, alpha)
@@ -268,7 +268,8 @@ class BoundNetwork:
         for w, b in trunk:
             h = self._act(ad.affine(h, self.vars[w], self.vars[b]), act, blocks)
         values = [None] * cfg.output_dim
-        heads = [None] * cfg.output_dim  # per output: (jet stack, column)
+        heads = [None] * cfg.output_dim  # per output: (jet stack or values, column)
+        rows = (0, slice(None)) if blocks else (slice(None),)  # where the values sit
         for hidden, (w, b), group in branches:
             hb = h
             for hw, hbias in hidden:
@@ -276,14 +277,12 @@ class BoundNetwork:
             y = ad.affine(hb, self.vars[w], self.vars[b])
             for jj, j in enumerate(group):
                 kind = cfg.out_activation(j)
-                if not blocks:
-                    values[j] = self._act(ad.column(y, jj), kind, blocks)
-                    continue
                 heads[j] = (y, jj)
                 if kind != "identity":
-                    one = ad.take(y, (slice(None), slice(None), slice(jj, jj + 1)))
+                    one = ad.take(y, (Ellipsis, slice(jj, jj + 1)))
                     heads[j] = (self._act(one, kind, blocks), 0)
-                values[j] = ad.take(heads[j][0], (0, slice(None), heads[j][1]))
+                stack, col = heads[j]
+                values[j] = ad.take(stack, rows + (col,))
 
         result = NetworkOutput(values=values, input_node=xin)
         for dd, od in orders.items():

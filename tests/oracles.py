@@ -4,9 +4,10 @@ Most of this is deliberately written without the package's autodiff or
 FFT machinery: plain finite differences, naive DFT summation, and a dense
 linear-algebra time stepper, so the main implementations are checked
 against genuinely separate code paths.  The jet section is the exception:
-it records on the package's tape, but it is a second, scalar
-implementation of the truncated-Taylor algebra and recurrences (and a
-second interpreter of the tape), written apart from the network's own
+it records on the package's tape (with the ops only the tests use, which
+register their reverses in the package's op table), but it is a second,
+scalar implementation of the truncated-Taylor algebra and recurrences (and
+a second interpreter of the tape), written apart from the network's own
 jet walk so that each checks the other.
 """
 
@@ -106,6 +107,66 @@ def exact_solution(spec, x, t) -> np.ndarray:
     raise UnavailableError(f"{spec.name} has no closed-form solution here")
 
 
+# -- ops only the tests record --------------------------------------------------
+# Each puts its reverse in the package's op table, so `ad.backward`
+# differentiates it like the package's own ops; `replay` recomputes the
+# unary ones from _FORWARD.
+
+
+_FORWARD = {}
+
+
+def _unary(op, forward, reverse):
+    """Tape op `op` of one var; reverse(g, x, y) gives the adjoint of x."""
+    ad.OPS[op] = lambda node, g, xs: (reverse(g, xs[0], node.value),)
+    _FORWARD[op] = forward
+    return lambda x: x.tape.push(op, (x.idx,), None, forward(x.value))
+
+
+exp = _unary("exp", np.exp, lambda g, x, y: g * y)
+expm1 = _unary("expm1", np.expm1, lambda g, x, y: g * np.exp(x))
+log = _unary("log", np.log, lambda g, x, y: g / x)
+sqrt = _unary("sqrt", np.sqrt, lambda g, x, y: g * 0.5 / y)
+sin = _unary("sin", np.sin, lambda g, x, y: g * np.cos(x))
+cos = _unary("cos", np.cos, lambda g, x, y: -g * np.sin(x))
+relu = _unary("relu", lambda x: np.maximum(x, 0.0), lambda g, x, y: g * (x > 0))
+total = _unary("sum", lambda x: np.asarray(np.sum(x)), lambda g, x, y: np.broadcast_to(g, x.shape))
+
+
+def div(a, b):
+    return ad.tape_of(a, b).push("div", (a.idx, b.idx), None, a.value / b.value)
+
+
+def rdiv(c, x):
+    """c / x for a constant c."""
+    c = np.asarray(c, dtype=np.float64)
+    return x.tape.push("rdivc", (x.idx,), c, c / x.value)
+
+
+def power(x, p):
+    """x ** p for a constant p."""
+    return x.tape.push("powc", (x.idx,), float(p), x.value ** float(p))
+
+
+def where(mask, a, b):
+    """Elementwise select with a constant (non-differentiated) mask."""
+    mask = np.asarray(mask, dtype=bool)
+    return ad.tape_of(a, b).push("where", (a.idx, b.idx), mask, np.where(mask, a.value, b.value))
+
+
+def matmul(a, b):
+    return ad.tape_of(a, b).push("matmul", (a.idx, b.idx), None, a.value @ b.value)
+
+
+ad.OPS.update({
+    "div": lambda node, g, xs: (g / xs[1], -g * xs[0] / (xs[1] * xs[1])),
+    "rdivc": lambda node, g, xs: (-g * node.aux / (xs[0] * xs[0]),),
+    "powc": lambda node, g, xs: (g * node.aux * xs[0] ** (node.aux - 1.0),),
+    "where": lambda node, g, xs: (g * node.aux, g * ~node.aux),
+    "matmul": lambda node, g, xs: ad._matmul_vjp(xs[0], xs[1], g),
+})
+
+
 # -- Taylor jets on the tape --------------------------------------------------
 
 
@@ -162,12 +223,12 @@ class Jet(ad.Jet):
         if other.order != self.order:
             raise ValueError("jet orders differ")
         a, b = self.coeffs, other.coeffs
-        out = [a[0] / b[0]]
+        out = [div(a[0], b[0])]
         for j in range(1, len(a)):
             s = a[j]
             for i in range(1, j + 1):
                 s = s - b[i] * out[j - i]
-            out.append(s / b[0])
+            out.append(div(s, b[0]))
         return Jet(out)
 
 
@@ -213,47 +274,40 @@ def _conv(a, b, m):
 
 # coefficient m of f'(x(s)), built from the output coefficients ys found so far:
 # tanh' = 1 - tanh^2 and sigmoid' = sigmoid - sigmoid^2 build each coefficient
-# from the lower ones, and exp' = exp
+# from the lower ones (elu's exp side, y' = y + alpha, is written where it is used)
 _DERIVATIVE_SERIES = {
     "tanh": lambda m, ys: (1.0 - _conv(ys, ys, m)) if m == 0 else -_conv(ys, ys, m),
     "sigmoid": lambda m, ys: ys[m] - _conv(ys, ys, m),
-    "exp": lambda m, ys: ys[m],
 }
 
 
 def apply_activation(x, kind: str, alpha: float = 1.0):
     """Compose an activation with a jet via the truncated-Taylor recurrences."""
     k = x.order
+    x0 = x.coeffs[0]
     if kind == "identity":
         return x
     if kind == "tanh":
-        return _compose(x, ad.tanh(x.coeffs[0]), _DERIVATIVE_SERIES["tanh"])
+        return _compose(x, ad.tanh(x0), _DERIVATIVE_SERIES["tanh"])
     if kind == "sigmoid":
-        return _compose(x, ad.sigmoid(x.coeffs[0]), _DERIVATIVE_SERIES["sigmoid"])
+        return _compose(x, (ad.tanh(x0 * 0.5) + 1.0) * 0.5, _DERIVATIVE_SERIES["sigmoid"])
     if kind == "elu":
-        x0 = x.coeffs[0].value
         if k >= 2 or (k >= 1 and alpha != 1.0):
-            if np.any(np.abs(x0) < _KINK_MARGIN):
+            if np.any(np.abs(x0.value) < _KINK_MARGIN):
                 raise SmoothnessError(
                     f"elu jet of order {k} evaluated at the kink (|x| < {_KINK_MARGIN:g})")
-        mask = x0 > 0
-        pos = x
-        e = apply_exp(x)
-        neg = Jet([e.coeffs[0] * alpha - alpha] + [c * alpha for c in e.coeffs[1:]])
-        return Jet([ad.where(mask, p, n) for p, n in zip(pos.coeffs, neg.coeffs)])
+        # the exp side: y = alpha * expm1(x), and y' = alpha * exp(x) = y + alpha
+        slope = exp(x0) * alpha
+        neg = _compose(x, expm1(x0) * alpha, lambda m, ys: slope if m == 0 else ys[m])
+        return Jet([where(x0.value > 0, p, n) for p, n in zip(x.coeffs, neg.coeffs)])
     if kind == "relu":
         if k >= 2:
             raise SmoothnessError("relu supports jet order <= 1")
-        y0 = ad.relu(x.coeffs[0])
         if k == 0:
-            return Jet([y0])
-        mask = (x.coeffs[0].value > 0).astype(np.float64)
-        return Jet([y0, x.coeffs[1] * mask])
+            return Jet([relu(x0)])
+        mask = (x0.value > 0).astype(np.float64)
+        return Jet([relu(x0), x.coeffs[1] * mask])
     raise ValueError(f"unknown activation kind {kind!r}")
-
-
-def apply_exp(x) -> Jet:
-    return _compose(x, ad.exp(x.coeffs[0]), _DERIVATIVE_SERIES["exp"])
 
 
 def apply_sin(x) -> Jet:
@@ -268,8 +322,8 @@ def _sin_cos(x):
     # paired recurrence: s' = c x', c' = -s x'
     k = x.order
     xs = x.coeffs
-    ss = [ad.sin(xs[0])]
-    cs = [ad.cos(xs[0])]
+    ss = [sin(xs[0])]
+    cs = [cos(xs[0])]
     for j in range(1, k + 1):
         s = xs[1] * cs[j - 1]
         c = xs[1] * ss[j - 1]
@@ -296,7 +350,7 @@ def network_jets(net, x, t, orders: dict):
     xin = tape.input(X)
 
     def affine(h, w, b):
-        return Jet([ad.affine(h.coeffs[0], p[w], p[b])] + [ad.matmul(c, p[w]) for c in h.coeffs[1:]])
+        return Jet([ad.affine(h.coeffs[0], p[w], p[b])] + [matmul(c, p[w]) for c in h.coeffs[1:]])
 
     def layer(h, w, b):
         return apply_activation(affine(h, w, b), cfg.hidden_activation, cfg.elu_alpha)
@@ -317,7 +371,7 @@ def network_jets(net, x, t, orders: dict):
                 hb = layer(hb, hw, hbias)
             y = affine(hb, w, b)
             for jj, j in enumerate(group):
-                outs[j] = apply_activation(Jet([ad.column(c, jj) for c in y.coeffs]),
+                outs[j] = apply_activation(Jet([ad.take(c, (slice(None), jj)) for c in y.coeffs]),
                                            cfg.out_activation(j), cfg.elu_alpha)
         jets[dd] = outs
     return jets
@@ -326,27 +380,30 @@ def network_jets(net, x, t, orders: dict):
 def _taylor_values(xv, kind, blocks, alpha):
     """The value of a `taylor` node, one direction at a time through `_compose`.
 
-    Direction r holds coefficient j in slot 1 + sum(blocks[:j-1]) + r while
-    r < blocks[j-1].
+    With no blocks xv is the preactivation; otherwise direction r holds
+    coefficient j in slot 1 + sum(blocks[:j-1]) + r while r < blocks[j-1].
     """
-    starts = np.cumsum((1,) + tuple(blocks))
-    z0 = xv[0]
+    z0 = xv[0] if blocks else xv
+    series = _DERIVATIVE_SERIES.get(kind)
+    with np.errstate(over="ignore"):  # elu: its exp side is masked out where z0 > 0
+        if kind == "elu":
+            y0 = alpha * np.expm1(z0)
+            slope = alpha * np.exp(z0)
+            series = lambda m, ys: slope if m == 0 else ys[m]  # noqa: E731
+        else:
+            y0 = {"tanh": np.tanh, "sigmoid": lambda z: 0.5 * (np.tanh(0.5 * z) + 1.0),
+                  "relu": lambda z: np.maximum(z, 0.0)}[kind](z0)
+    if not blocks:
+        return np.where(z0 > 0, z0, y0) if kind == "elu" else y0
     if kind == "relu":
-        return np.concatenate([np.maximum(z0, 0.0)[None], xv[1:] * (z0 > 0).astype(np.float64)])
-    with np.errstate(over="ignore"):  # elu: exp of the positive side is masked out below
-        y0 = {"tanh": np.tanh, "sigmoid": lambda z: 0.5 * (np.tanh(0.5 * z) + 1.0),
-              "elu": np.exp}[kind](z0)
-    series = _DERIVATIVE_SERIES["exp" if kind == "elu" else kind]
+        return np.concatenate([y0[None], xv[1:] * (z0 > 0).astype(np.float64)])
+    starts = np.cumsum((1,) + tuple(blocks))
     out = np.empty_like(xv)
     out[0] = y0
     for r in range(blocks[0]):
         slots = [starts[j] + r for j in range(len(blocks)) if r < blocks[j]]
         out[slots] = _compose(Jet([z0] + [xv[s] for s in slots]), y0, series).coeffs[1:]
-    if kind == "elu":
-        neg = out * alpha
-        neg[0] = out[0] * alpha - alpha
-        out = np.where(z0 > 0, xv, neg)
-    return out
+    return np.where(z0 > 0, xv, out) if kind == "elu" else out
 
 
 def replay(tape) -> bool:
@@ -376,25 +433,10 @@ def replay(tape) -> bool:
             v = -vals[ins[0]]
         elif op == "powc":
             v = vals[ins[0]] ** aux
-        elif op == "exp":
-            v = np.exp(vals[ins[0]])
-        elif op == "log":
-            v = np.log(vals[ins[0]])
-        elif op == "sqrt":
-            v = np.sqrt(vals[ins[0]])
+        elif op in _FORWARD:
+            v = _FORWARD[op](vals[ins[0]])
         elif op == "tanh":
             v = np.tanh(vals[ins[0]])
-        elif op == "sigmoid":
-            v = 0.5 * (np.tanh(0.5 * vals[ins[0]]) + 1.0)
-        elif op == "sin":
-            v = np.sin(vals[ins[0]])
-        elif op == "cos":
-            v = np.cos(vals[ins[0]])
-        elif op == "elu":
-            xv = vals[ins[0]]
-            v = np.where(xv > 0, xv, aux * np.expm1(xv))
-        elif op == "relu":
-            v = np.maximum(vals[ins[0]], 0.0)
         elif op == "where":
             v = np.where(aux, vals[ins[0]], vals[ins[1]])
         elif op == "matmul":
@@ -408,12 +450,8 @@ def replay(tape) -> bool:
                 v[0] = v[0] + b
         elif op == "taylor":
             v = _taylor_values(vals[ins[0]], *aux[:3])
-        elif op == "col":
-            v = vals[ins[0]][:, aux]
         elif op == "take":
             v = vals[ins[0]][aux]
-        elif op == "sum":
-            v = np.asarray(np.sum(vals[ins[0]]))
         elif op == "mean":
             v = np.asarray(np.mean(vals[ins[0]]))
         else:  # pragma: no cover

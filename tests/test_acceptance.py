@@ -22,7 +22,7 @@ from ldgm.sampling import SamplerConfig, draw_batch
 from ldgm.system import get_problem, rewrite_first_order
 from ldgm.trainer import TrainConfig, default_network_config, train, success_rate
 
-from oracles import central_gradient, dense_ch_solver, nested_derivative, relative
+from oracles import central_gradient, dense_ch_solver, nested_derivative, relative, total
 
 
 def report(criterion, ok, detail):
@@ -85,7 +85,7 @@ def test_criterion_1_autodiff_oracles():
                 tape = Tape()
                 bound = Network(cfg, p).bind(tape)
                 out = bound.forward_with_derivatives(x[:1], t[:1], directions=[0], order=2)
-                return ad.total(out.jets[0][0].coeffs[2]), tape, bound
+                return total(out.jets[0][0].coeffs[2]), tape, bound
 
             c, tape, bound = coeff_at(vec)
             grads = backward(tape, c)

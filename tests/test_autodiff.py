@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,9 +10,15 @@ import pytest
 from ldgm import autodiff as ad
 from ldgm.autodiff import Tape, backward
 from ldgm.errors import InvalidNodeError, SmoothnessError
+from ldgm.network import Network, init_xavier
+from ldgm.ritz import RitzConfig
+from ldgm.sampling import SamplerConfig, draw_batch
+from ldgm.system import builtin_problems, get_problem
+from ldgm.trainer import METHODS, default_network_config
 
-from oracles import (Jet, apply_activation, apply_sin, central_gradient, jet_lift,
-                     nested_derivative, relative, replay)
+from oracles import (Jet, apply_activation, apply_sin, central_gradient, cos, div, exp,
+                     jet_lift, log, matmul, nested_derivative, power, rdiv, relative, replay,
+                     sin, sqrt)
 
 
 def test_backward_identity():
@@ -31,22 +41,22 @@ def _scalar_ops_catalog():
         ("add", lambda a, b: a + b),
         ("sub", lambda a, b: a - b),
         ("mul", lambda a, b: a * b),
-        ("div", lambda a, b: a / (b + 2.5)),
+        ("div", lambda a, b: div(a, b + 2.5)),
         ("addc", lambda a, b: a + 1.7),
         ("rsubc", lambda a, b: 1.7 - a),
         ("mulc", lambda a, b: 0.3 * a),
-        ("rdivc", lambda a, b: 2.0 / (a + 3.0)),
+        ("rdivc", lambda a, b: rdiv(2.0, a + 3.0)),
         ("neg", lambda a, b: -a),
-        ("powc", lambda a, b: (a + 3.0) ** 2.5),
-        ("exp", lambda a, b: ad.exp(a * 0.3)),
-        ("log", lambda a, b: ad.log(a + 3.0)),
-        ("sqrt", lambda a, b: ad.sqrt(a + 3.0)),
+        ("powc", lambda a, b: power(a + 3.0, 2.5)),
+        ("exp", lambda a, b: exp(a * 0.3)),
+        ("log", lambda a, b: log(a + 3.0)),
+        ("sqrt", lambda a, b: sqrt(a + 3.0)),
         ("tanh", lambda a, b: ad.tanh(a)),
-        ("sigmoid", lambda a, b: ad.sigmoid(a)),
-        ("sin", lambda a, b: ad.sin(a)),
-        ("cos", lambda a, b: ad.cos(a)),
-        ("elu", lambda a, b: ad.elu(a + 0.5)),
-        ("mix", lambda a, b: ad.tanh(a * b) * ad.exp(b * 0.2) + a / (b + 2.5)),
+        ("sigmoid", lambda a, b: ad.taylor(a, "sigmoid", ())),
+        ("sin", lambda a, b: sin(a)),
+        ("cos", lambda a, b: cos(a)),
+        ("elu", lambda a, b: ad.taylor(a + 0.5, "elu", ())),
+        ("mix", lambda a, b: ad.tanh(a * b) * exp(b * 0.2) + div(a, b + 2.5)),
     ]
 
 
@@ -79,8 +89,8 @@ def test_matmul_broadcast_column_backward():
         tape = Tape()
         w = tape.param(wflat[:8].reshape(2, 4))
         b = tape.param(wflat[8:])
-        h = ad.tanh(ad.matmul(tape.input(x), w) + b)
-        return ad.mean(ad.column(h, 1) * ad.column(h, 2)), tape, (w, b)
+        h = ad.tanh(matmul(tape.input(x), w) + b)
+        return ad.mean(ad.take(h, (slice(None), 1)) * ad.take(h, (slice(None), 2))), tape, (w, b)
 
     vec = np.concatenate([w0.ravel(), b0])
     out, tape, (w, b) = run(vec)
@@ -107,8 +117,8 @@ def test_full_tanh_network_gradient_matches_fd():
             off += size
         h = tape.input(x)
         for i in range(0, 6, 2):
-            h = ad.tanh(ad.matmul(h, ps[i]) + ps[i + 1])
-        y = ad.column(ad.matmul(h, ps[6]) + ps[7], 0)
+            h = ad.tanh(matmul(h, ps[i]) + ps[i + 1])
+        y = ad.take(matmul(h, ps[6]) + ps[7], (slice(None), 0))
         r = y - target
         return ad.mean(r * r), tape, ps
 
@@ -135,12 +145,53 @@ def test_backward_rejects_foreign_output():
         backward(t2, p)
 
 
+def test_op_without_a_reverse_is_an_invalid_node():
+    tape = Tape()
+    p = tape.param(2.0)
+    y = tape.push("cube", (p.idx,), None, p.value ** 3)
+    with pytest.raises(InvalidNodeError, match="'cube'"):
+        backward(tape, y)
+
+
+# ops that only the tests record; tests/oracles.py registers them
+_TEST_OPS = {"exp", "expm1", "log", "sqrt", "sin", "cos", "relu", "sum", "div", "rdivc",
+             "powc", "where", "matmul"}
+
+
+def test_op_table_holds_what_the_package_records():
+    """Every builtin loss records only ops of the package's own table, and that
+    table holds nothing else but the plain tanh node; with the oracles imported
+    the table also covers the ops only the tests record."""
+    src = Path(ad.__file__).resolve().parents[1]
+    own = subprocess.run(
+        [sys.executable, "-c", "from ldgm import autodiff; print(*autodiff.OPS)"],
+        capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=str(src))).stdout.split()
+    recorded = set()
+    for spec in builtin_problems() + [get_problem("bilaplacian_ritz", d=2)]:
+        for method, entry in METHODS.items():
+            if entry.variational != spec.stationary:
+                continue
+            batch = draw_batch(SamplerConfig(interior=6, initial=4, boundary=4, seed=1), spec, 0)
+            for act in ("tanh", "sigmoid", "elu"):
+                cfg = default_network_config(spec, method, hidden_layers=1, width=4,
+                                             activation=act)
+                tape = Tape()
+                loss = entry.loss(spec, RitzConfig())(
+                    Network(cfg, init_xavier(cfg, 0)).bind(tape), batch)
+                backward(tape, loss.J_total)
+                recorded |= {n.op for n in tape.nodes}
+    assert recorded <= set(own)
+    assert set(own) - recorded == {"tanh"}
+    assert set(own) | _TEST_OPS <= set(ad.OPS)
+
+
 def test_replay_is_bit_exact_and_deterministic():
     def build():
         tape = Tape()
         p = tape.param(np.array([0.3, -0.7]))
         x = tape.input(np.linspace(-1, 1, 7))
-        y = ad.mean(ad.tanh(ad.column(ad.matmul(x.tape.const(np.ones((7, 1))), tape.const(np.ones((1, 2)))), 0) * p.tape.const(1.0) + x * 0.5) * ad.sigmoid(x))
+        y = ad.mean(ad.tanh(ad.take(matmul(x.tape.const(np.ones((7, 1))), tape.const(np.ones((1, 2)))), (slice(None), 0)) * p.tape.const(1.0) + x * 0.5) * ad.taylor(x, "sigmoid", ()))
         return tape, y
 
     t1, y1 = build()
@@ -174,7 +225,7 @@ def test_order_zero_jet_matches_primal():
     x = tape.input(0.37)
     j = jet_lift(x, 1.0, 0)
     out = apply_activation(j * 2.0 - 0.1, "sigmoid")
-    direct = ad.sigmoid(x * 2.0 - 0.1)
+    direct = ad.taylor(x * 2.0 - 0.1, "sigmoid", ())
     assert float(out.primal.value) == float(direct.value)
 
 

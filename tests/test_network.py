@@ -299,6 +299,23 @@ def test_fused_jets_match_the_scalar_oracle(name, orders):
                 assert a.tobytes() == b.tobytes(), (dd, j, k)
 
 
+@pytest.mark.parametrize("name", list(FUSED_NETS))
+def test_plain_walk_values_are_the_jet_walks_slot_zero(name):
+    # a 3x10 net (4x10 when decoupled) at 64 points, bit for bit
+    extra = dict(FUSED_NETS[name], hidden_layers=3)
+    if "decoupled" in extra:
+        extra.update(hidden_layers=4, decoupled=DecoupledSpec(3, 1, ((0, 2), (1,))))
+    cfg = NetworkConfig(input_dim=3, width=10, output_dim=3, **extra)
+    rng = np.random.default_rng(13)
+    x, t = rng.uniform(-1, 1, size=(64, 2)), rng.uniform(0, 1, size=64)
+    bound = Network(cfg, init_xavier(cfg, 13)).bind(Tape())
+    plain = bound.forward(x, t).values
+    for orders in ({0: 1}, {TIME: 1, 1: 1}):
+        jets = bound.forward_jets(x, t, orders).values
+        for j in range(cfg.output_dim):
+            assert plain[j].value.tobytes() == jets[j].value.tobytes(), (orders, j)
+
+
 @pytest.mark.parametrize("name,orders", [
     ("tanh", {0: 3, TIME: 2}),
     ("sigmoid", {0: 3, TIME: 2}),
@@ -307,6 +324,8 @@ def test_fused_jets_match_the_scalar_oracle(name, orders):
     ("relu", {0: 1, TIME: 1}),
     ("tuple_output_activation", {0: 2, TIME: 1}),
     ("decoupled", {0: 2, 1: 1}),
+    # an order-0 direction is the value alone: the walk with no coefficient slots
+    *[pytest.param(name, {0: 0}, id=f"{name}-plain") for name in FUSED_NETS],
 ])
 def test_fused_vjp_matches_central_differences(name, orders):
     # a fixed random linear functional of every coefficient of every output
