@@ -12,7 +12,6 @@ the scheme conserves mass exactly.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -21,7 +20,7 @@ import numpy as np
 from .errors import InstabilityError, SizeError
 
 
-# -- radix-2 transform --------------------------------------------------------
+# -- transform ------------------------------------------------------------------
 
 
 def _check_pow2(n: int) -> None:
@@ -29,42 +28,17 @@ def _check_pow2(n: int) -> None:
         raise SizeError(f"length {n} is not a power of two")
 
 
-def _fft_core(x: np.ndarray) -> np.ndarray:
-    """Iterative decimation-in-time butterflies, no normalization."""
-    n = x.size
-    levels = n.bit_length() - 1
-    idx = np.arange(n)
-    rev = np.zeros(n, dtype=np.int64)
-    for i in range(levels):
-        rev = (rev << 1) | ((idx >> i) & 1)
-    a = x[rev].astype(np.complex128)
-    size = 2
-    while size <= n:
-        half = size // 2
-        tw = np.exp(-2j * np.pi * np.arange(half) / size)
-        a = a.reshape(n // size, size)
-        even = a[:, :half]
-        odd = a[:, half:] * tw
-        a = np.concatenate([even + odd, even - odd], axis=1).ravel()
-        size *= 2
-    return a
-
-
 def fft(x) -> np.ndarray:
     """Unitary-convention DFT; length must be a power of two."""
     x = np.asarray(x, dtype=np.complex128)
     _check_pow2(x.size)
-    if x.size == 1:
-        return x.copy()
-    return _fft_core(x) / math.sqrt(x.size)
+    return np.fft.fft(x, norm="ortho")
 
 
 def ifft(X) -> np.ndarray:
     X = np.asarray(X, dtype=np.complex128)
     _check_pow2(X.size)
-    if X.size == 1:
-        return X.copy()
-    return np.conj(_fft_core(np.conj(X))) / math.sqrt(X.size)
+    return np.fft.ifft(X, norm="ortho")
 
 
 # -- spectral solver ----------------------------------------------------------
