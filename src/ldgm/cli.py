@@ -54,11 +54,12 @@ def run_single(cfg: ExperimentConfig, seed: int, out=None) -> tuple[Path, str]:
         report.to_csv(run_dir / "report.csv")
         save_checkpoint(run_dir / "params.ckpt", net_cfg, params)
         write_table(run_dir / "summary.csv",
-                    ("final_rel_l2", "final_J_total", "steps", "wall_seconds"),
+                    ("final_rel_l2", "final_J_total", "steps", "wall_seconds",
+                     "tail_min_rel_l2", "tail_median_rel_l2"),
                     [(report.final_rel_l2,
                       report.column("J_total")[-1] if report.rows else math.nan,
                       report.column("step")[-1] if report.rows else 0,
-                      time.perf_counter() - t0)])
+                      time.perf_counter() - t0, *report.tail_rel_l2())])
     except LdgmError as e:
         status = f"abort: {type(e).__name__}: {e}"
     status_path.write_text(status + "\n")

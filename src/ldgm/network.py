@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import sympy as sp
 
 from . import autodiff as ad
 from .autodiff import ACTIVATION_KINDS, Jet, Tape, Var
@@ -309,6 +308,7 @@ class AnalyticNetwork:
     """
 
     def __init__(self, exprs, spatial_dim: int, with_time: bool = True):
+        import sympy as sp
         self.spatial_dim = spatial_dim
         self.with_time = with_time
         self.xsyms = sp.symbols(f"x0:{spatial_dim}")
@@ -320,6 +320,7 @@ class AnalyticNetwork:
     def _fn(self, i, direction, order):
         key = (i, direction, order)
         if key not in self._fns:
+            import sympy as sp
             e = self.exprs[i]
             s = self.tsym if direction == TIME else self.xsyms[direction]
             e = sp.diff(e, s, order) if order else e

@@ -94,12 +94,13 @@ class ReferenceField:
                 + wt * ((1 - wx) * v[j0 + 1, i0] + wx * v[j0 + 1, i1]))
 
     def save_csv(self, path) -> None:
+        """One `t,x,u` row per grid value, as `csv.writer` would write it (CRLF ends)."""
+        xs = [repr(x) for x in self.xs.tolist()]
+        lines = ["t,x,u"] + [f"{t},{x},{u!r}"
+                             for t, row in zip(map(repr, self.ts.tolist()), self.values.tolist())
+                             for x, u in zip(xs, row)]
         with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["t", "x", "u"])
-            for j, t in enumerate(self.ts):
-                for i, x in enumerate(self.xs):
-                    w.writerow([repr(float(t)), repr(float(x)), repr(float(self.values[j, i]))])
+            f.write("\r\n".join(lines) + "\r\n")
 
     @classmethod
     def load_csv(cls, path) -> "ReferenceField":

@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
-import sympy as sp
 
 from .errors import OrderError, ShapeError, UnavailableError
 
@@ -58,14 +58,12 @@ class ProblemSpec:
     rhs: Optional[Callable]
     initial: Optional[Callable]
     boundary: Optional[BoundaryCond]
-    exact_expr: Optional[object] = None
+    exact_expr: Optional[object] = None   # symbolic source of `solution` (sympy syntax)
+    solution: Optional[Callable] = None   # numpy closed form u(x, t) of exact_expr
     loss_weights: tuple[float, float, float] = (1.0, 1.0, 1.0)
     params: dict = field(default_factory=dict)
     ldgm_form: Optional[Callable] = None      # override for the trained first-order system
     dgm_boundary: Optional[Callable] = None   # override for strong-form boundary residuals
-
-    def __post_init__(self):
-        self._exact_fn = None
 
     @property
     def stationary(self) -> bool:
@@ -73,17 +71,12 @@ class ProblemSpec:
 
     def exact(self, x, t=None):
         """Closed-form solution values, if the problem has one."""
-        if self.exact_expr is None:
+        if self.solution is None:
             raise UnavailableError(f"{self.name} has no closed-form solution")
-        if self._exact_fn is None:
-            xs = sp.symbols(f"x0:{self.spatial_dim}")
-            args = list(xs) + ([] if self.stationary else [sp.Symbol("t")])
-            self._exact_fn = sp.lambdify(args, sp.sympify(self.exact_expr), "numpy")
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        args = [x[:, i] for i in range(self.spatial_dim)]
         if not self.stationary:
-            args.append(np.asarray(t, dtype=np.float64).reshape(-1))
-        v = self._exact_fn(*args)
+            t = np.asarray(t, dtype=np.float64).reshape(-1)
+        v = self.solution(x, t)
         return np.broadcast_to(np.asarray(v, dtype=np.float64), (x.shape[0],)).copy()
 
 
@@ -98,11 +91,20 @@ class SystemForm:
     constraints: tuple               # ((name, ctx -> residual), ...)
     boundary: Callable               # bctx -> list of residuals
     boundary_orders: dict = field(default_factory=dict)  # direction -> jet order at the boundary
-    exact_outputs: Optional[tuple] = None   # sympy exprs per roster slot
+    exact_slots: tuple = ()          # per roster slot, the (axis, order) derivative of u it holds
 
     @property
     def size(self) -> int:
         return len(self.roster)
+
+    @cached_property
+    def exact_outputs(self) -> Optional[tuple]:
+        """sympy exprs per roster slot, derived from `spec.exact_expr` on first access."""
+        if self.spec.exact_expr is None or not self.exact_slots:
+            return None
+        import sympy as sp
+        u = sp.sympify(self.spec.exact_expr)
+        return tuple(sp.diff(u, sp.Symbol(f"x{axis}"), order) for axis, order in self.exact_slots)
 
 
 # -- derivative views ---------------------------------------------------------
@@ -191,21 +193,14 @@ def rewrite_first_order(spec: ProblemSpec) -> SystemForm:
             (f"{roster[i + 1]} = D {roster[i]}",
              (lambda i: lambda ctx: ctx.dx(i, 0) - ctx.out(i + 1))(i))
             for i in range(k - 1))
-        exact = None
-        if spec.exact_expr is not None:
-            x0 = sp.Symbol("x0")
-            u = sp.sympify(spec.exact_expr)
-            exact = tuple(sp.diff(u, x0, i) for i in range(k))
+        slots = tuple((0, i) for i in range(k))
     else:
         roster = ("u",) + tuple(f"u_x{i}" for i in range(d))
         constraints = tuple(
             (f"u_x{i} = d u/d x{i}",
              (lambda i: lambda ctx: ctx.dx(0, i) - ctx.out(1 + i))(i))
             for i in range(d))
-        exact = None
-        if spec.exact_expr is not None:
-            u = sp.sympify(spec.exact_expr)
-            exact = (u,) + tuple(sp.diff(u, sp.Symbol(f"x{i}")) for i in range(d))
+        slots = ((0, 0),) + tuple((i, 1) for i in range(d))
 
     def evolution(ctx):
         return ctx.dt(0) - spec.rhs(ChainView(ctx, k))
@@ -232,7 +227,7 @@ def rewrite_first_order(spec: ProblemSpec) -> SystemForm:
         spec=spec, roster=roster,
         jet_orders=({0: 1, TIME: 1} if d == 1 else {**{i: 1 for i in range(d)}, TIME: 1}),
         evolution=evolution, constraints=constraints, boundary=boundary,
-        exact_outputs=exact)
+        exact_slots=slots)
 
 
 def strong_form(spec: ProblemSpec) -> SystemForm:
@@ -295,7 +290,8 @@ def beam() -> ProblemSpec:
         rhs=lambda v: -v.d(4),
         initial=lambda x: np.sin(x[:, 0]),
         boundary=BoundaryCond("dirichlet", ((0, 0.0), (2, 0.0))),
-        exact_expr="exp(-t)*sin(x0)")
+        exact_expr="exp(-t)*sin(x0)",
+        solution=lambda x, t: np.exp(-t) * np.sin(x[:, 0]))
 
 
 def _ch_ldgm_form(spec: ProblemSpec) -> SystemForm:
@@ -361,16 +357,16 @@ def allen_cahn(epsilon: float = 1.0) -> ProblemSpec:
 
 
 def mkdv() -> ProblemSpec:
-    def g(x, t):
-        return np.tanh(x[:, 0] + 2.0 * t - 1.0)
+    def u(x, t):
+        return np.tanh(2 * t + x[:, 0] - 1)
 
     return ProblemSpec(
         name="mkdv", spatial_dim=1, domain=((-2.0, 2.0),), horizon=1.0,
         pde_order=3,
         rhs=lambda v: 6.0 * v.u * v.u * v.d(1) - v.d(3),
         initial=lambda x: np.tanh(x[:, 0] - 1.0),
-        boundary=BoundaryCond("dirichlet", ((0, g),)),
-        exact_expr="tanh(x0 + 2*t - 1)")
+        boundary=BoundaryCond("dirichlet", ((0, u),)),
+        exact_expr="tanh(x0 + 2*t - 1)", solution=u)
 
 
 def heat_nd(d: int = 5) -> ProblemSpec:
@@ -380,6 +376,12 @@ def heat_nd(d: int = 5) -> ProblemSpec:
     def g(x, t):
         return np.sum(x * (1.0 - x), axis=1) * (t + 1.0)
 
+    def u(x, t):  # exact_expr's sum order, not np.sum's
+        s = x[:, 0] * (1 - x[:, 0])
+        for i in range(1, d):
+            s = s + x[:, i] * (1 - x[:, i])
+        return (t + 1) * s
+
     expr = "+".join(f"x{i}*(1-x{i})" for i in range(d))
     return ProblemSpec(
         name="heat_nd", spatial_dim=d, domain=tuple(((0.0, 1.0),) * d), horizon=1.0,
@@ -387,28 +389,42 @@ def heat_nd(d: int = 5) -> ProblemSpec:
         rhs=lambda v: v.lap() + source(v.x, v.t),
         initial=lambda x: np.sum(x * (1.0 - x), axis=1),
         boundary=BoundaryCond("dirichlet", ((0, g),)),
-        exact_expr=f"({expr})*(t + 1)",
+        exact_expr=f"({expr})*(t + 1)", solution=u,
         params={"d": d})
 
 
 def bilaplacian_ritz(d: int = 1) -> ProblemSpec:
-    """Clamped fourth-order elliptic benchmark with a manufactured solution."""
-    xs = sp.symbols(f"x0:{d}")
-    u = sp.prod([sp.sin(sp.pi * s) ** 2 for s in xs])
-    lap = lambda e: sum(sp.diff(e, s, 2) for s in xs)  # noqa: E731
-    f_expr = sp.expand(lap(lap(u)))
-    f_fn = sp.lambdify(list(xs), f_expr, "numpy")
+    """Clamped fourth-order elliptic benchmark with a manufactured solution.
+
+    u = prod_i s_i with s_i = sin^2(pi x_i) and c_i = cos^2(pi x_i).  Since
+    d^2 s_i = 2 pi^2 (c_i - s_i) and d^4 s_i = 8 pi^4 (s_i - c_i), the source is
+        f = sum_i 8 pi^4 (s_i - c_i) prod_{k != i} s_k
+            + sum_{i<j} 8 pi^4 (c_i - s_i)(c_j - s_j) prod_{k != i,j} s_k.
+    """
+    k4 = 8 * math.pi ** 4
+
+    def sines(x):
+        return [np.sin(np.pi * x[:, i]) ** 2 for i in range(d)]
 
     def source(x):
-        return np.asarray(f_fn(*[x[:, i] for i in range(d)]), dtype=np.float64)
+        s = sines(x)
+        c = [np.cos(np.pi * x[:, i]) ** 2 for i in range(d)]
+        rest = lambda *skip: math.prod(s[m] for m in range(d) if m not in skip)  # noqa: E731
+        f = 0.0
+        for i in range(d):
+            f = f + (k4 * s[i] - k4 * c[i]) * rest(i)
+            for j in range(i + 1, d):
+                f = f + k4 * (c[i] - s[i]) * (c[j] - s[j]) * rest(i, j)
+        return f
 
     return ProblemSpec(
         name="bilaplacian_ritz", spatial_dim=d, domain=tuple(((0.0, 1.0),) * d),
         horizon=None, pde_order=4, rhs=None,
         initial=None,
         boundary=BoundaryCond("dirichlet", ((0, 0.0), (1, 0.0))),
-        exact_expr=str(u),
-        params={"source": source, "source_expr": f_expr})
+        exact_expr="*".join(f"sin(pi*x{i})**2" for i in range(d)),
+        solution=lambda x, t=None: math.prod(sines(x)),
+        params={"source": source})
 
 
 _REGISTRY = {

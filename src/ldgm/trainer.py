@@ -88,6 +88,13 @@ class TrainReport:
     def final_rel_l2(self) -> float:
         return self.column("rel_l2")[-1] if self.rows else math.nan
 
+    def tail_rel_l2(self) -> tuple[float, float]:
+        """Min and median `rel_l2` over the last 10% of rows (at least one row)."""
+        if not self.rows:
+            return math.nan, math.nan
+        tail = self.column("rel_l2")[-max(1, len(self.rows) // 10):]
+        return float(np.min(tail)), float(np.median(tail))
+
     def column(self, name: str) -> list:
         """Every row's value of one column, looked up by its header name."""
         i = self.columns.index(name)
@@ -225,7 +232,7 @@ def train(spec: ProblemSpec, method: str, net_cfg: NetworkConfig,
     loss_fn = method_entry(method, spec).loss(spec, ritz_cfg)
     net = Network(net_cfg, init_xavier(net_cfg, seed))
 
-    if truth is None and spec.exact_expr is not None:
+    if truth is None and spec.solution is not None:
         truth = spec.exact
     metric = None
     if truth is not None:

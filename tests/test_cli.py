@@ -1,8 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ldgm
 from ldgm.cli import main
 from ldgm.config import ExperimentConfig
 from ldgm.errors import ConfigError
@@ -44,6 +50,11 @@ def test_run_writes_expected_artifacts(tmp_path):
     report = TrainReport.from_csv(d / "report.csv")
     assert len(report.rows) == 4  # one row per stage at the default cadence
     assert (d / "status.txt").read_text().strip() == "ok"
+    header, values = (d / "summary.csv").read_text().splitlines()
+    assert header == ("final_rel_l2,final_J_total,steps,wall_seconds,"
+                      "tail_min_rel_l2,tail_median_rel_l2")
+    tail = [float(v) for v in values.split(",")[4:]]
+    assert tail == [report.final_rel_l2] * 2   # 4 rows: the tail is the final row
 
 
 def test_unknown_key_is_rejected_by_name(tmp_path):
@@ -257,3 +268,29 @@ def test_method_on_the_wrong_kind_of_problem_aborts_with_a_status(tmp_path, meth
     assert status.startswith("abort: ConfigError: ")
     assert repr(method) in status and repr(name) in status
     assert not (d / "report.csv").exists()
+
+
+def test_training_runs_never_import_sympy(tmp_path):
+    # a closed-form problem (mkdv) and the manufactured-source Ritz problem
+    cfgs = []
+    for name, method, extra in (("mkdv", "ldgm", ""),
+                                ("bilaplacian_ritz", "ldrm", "problem.dimension=1\n")):
+        path = tmp_path / f"{name}.cfg"
+        path.write_text(TINY.replace("problem.name=beam", f"problem.name={name}")
+                        .replace("method=ldgm", f"method={method}\n{extra}")
+                        .format(stages=1, seeds="0", out=tmp_path / "runs"))
+        cfgs.append(str(path))
+    code = textwrap.dedent("""
+        import sys
+        import ldgm
+        from ldgm.cli import main
+        for cfg in sys.argv[1:]:
+            assert main(["run", "--config", cfg]) == 0, cfg
+        loaded = sorted(m for m in sys.modules if m.split(".")[0] == "sympy")
+        assert not loaded, loaded[:5]
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(ldgm.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code, *cfgs], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert len(list((tmp_path / "runs").iterdir())) == 2

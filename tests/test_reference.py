@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -113,3 +116,18 @@ def test_reference_field_csv_roundtrip(tmp_path):
     assert np.array_equal(back.values, field.values)
     assert np.array_equal(back.xs, field.xs)
     assert np.array_equal(back.ts, field.ts)
+
+
+def test_reference_csv_bytes_are_csv_writer_rows(tmp_path):
+    field = solve_ch_spectral(SpectralCHConfig(grid_size=16, dt=0.25, horizon=0.5,
+                                               epsilon=0.1))
+    field.values[1, 3] = -1.5e-300   # exponent form and sign survive the format
+    path = tmp_path / "ref.csv"
+    field.save_csv(path)
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf)
+    w.writerow(["t", "x", "u"])
+    for j, t in enumerate(field.ts):
+        for i, x in enumerate(field.xs):
+            w.writerow([repr(float(t)), repr(float(x)), repr(float(field.values[j, i]))])
+    assert path.read_bytes() == buf.getvalue().encode()

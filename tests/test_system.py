@@ -8,8 +8,9 @@ from ldgm.errors import UnavailableError
 from ldgm.network import AnalyticNetwork
 from ldgm.sampling import SamplerConfig, draw_batch
 from ldgm.loss import PointCtx, ldgm_loss
+from ldgm.metrics import evaluation_grid
 from ldgm.system import (BoundaryCond, ProblemSpec, builtin_problems, get_problem,
-                         ldgm_system, rewrite_first_order)
+                         ldgm_system, rewrite_first_order, strong_form)
 
 
 def advection() -> ProblemSpec:
@@ -20,7 +21,7 @@ def advection() -> ProblemSpec:
         rhs=lambda v: -v.d(1),
         initial=lambda x: np.sin(x[:, 0]),
         boundary=BoundaryCond("periodic"),
-        exact_expr="sin(x0 - t)")
+        exact_expr="sin(x0 - t)", solution=lambda x, t: np.sin(x[:, 0] - t))
 
 
 def kdv_like() -> ProblemSpec:
@@ -103,3 +104,75 @@ def test_ldgm_loss_components_vanish_on_exact_solution():
     lb = ldgm_loss(form, mock.bind(Tape()), batch)
     for v in (lb.J_e, lb.J_i, lb.J_b, lb.J_total):
         assert float(v.value) < 1e-9
+
+
+# -- numpy closed forms against their symbolic source ---------------------------
+
+CLOSED_FORMS = ([("beam", {}), ("mkdv", {})]
+                + [("heat_nd", {"d": d}) for d in range(1, 6)]
+                + [("bilaplacian_ritz", {"d": d}) for d in range(1, 4)])
+
+
+def _point_sets(spec, n=500, seed=5):
+    """The problem's evaluation grid, then uniform random points in its domain."""
+    grid = evaluation_grid(spec)
+    rng = np.random.default_rng(seed)
+    lo, hi = np.array(spec.domain).T
+    x = lo + (hi - lo) * rng.uniform(size=(n, spec.spatial_dim))
+    t = None if spec.stationary else spec.horizon * rng.uniform(size=n)
+    return [(grid.x, grid.t), (x, t)]
+
+
+def _lambdified(spec, expr):
+    """sympy's numpy printing of expr, called the way the problem's callables are."""
+    import sympy as sp
+    xs = sp.symbols(f"x0:{spec.spatial_dim}")
+    fn = sp.lambdify(list(xs) + ([] if spec.stationary else [sp.Symbol("t")]), expr, "numpy")
+    return lambda x, t: np.broadcast_to(
+        fn(*[x[:, i] for i in range(spec.spatial_dim)], *([] if spec.stationary else [t])),
+        (x.shape[0],))
+
+
+@pytest.mark.parametrize("name,kwargs", CLOSED_FORMS)
+def test_closed_form_equals_lambdified_exact_expr_bit_for_bit(name, kwargs):
+    spec = get_problem(name, **kwargs)
+    want = _lambdified(spec, spec.exact_expr)
+    for x, t in _point_sets(spec):
+        assert spec.exact(x, t).tobytes() == np.ascontiguousarray(want(x, t)).tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_bilaplacian_source_against_expanded_symbolic_bilaplacian(d):
+    import sympy as sp
+    spec = get_problem("bilaplacian_ritz", d=d)
+    xs = sp.symbols(f"x0:{d}")
+    lap = lambda e: sum(sp.diff(e, s, 2) for s in xs)  # noqa: E731
+    want = _lambdified(spec, sp.expand(lap(lap(sp.sympify(spec.exact_expr)))))
+    for x, _ in _point_sets(spec):
+        got, ref = spec.params["source"](x), want(x, None)
+        if d == 1:
+            assert got.tobytes() == ref.tobytes()
+        else:
+            # other summation order: gaps of 3.9e-16 (d=2) and 4.0e-16 (d=3) of max|f|
+            gap = np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+            assert gap < 8 * np.finfo(np.float64).eps
+
+
+def _old_exact_outputs(spec):
+    """The roster expressions as the rewrite built them eagerly with sympy."""
+    import sympy as sp
+    u = sp.sympify(spec.exact_expr)
+    if spec.spatial_dim == 1:
+        return tuple(sp.diff(u, sp.Symbol("x0"), i) for i in range(spec.pde_order))
+    return (u,) + tuple(sp.diff(u, sp.Symbol(f"x{i}")) for i in range(spec.spatial_dim))
+
+
+@pytest.mark.parametrize("name,kwargs", [
+    ("beam", {}), ("mkdv", {}), ("heat_nd", {"d": 1}), ("heat_nd", {"d": 5}),
+])
+def test_exact_outputs_are_the_eager_expressions(name, kwargs):
+    spec = get_problem(name, **kwargs)
+    form = rewrite_first_order(spec)
+    assert form.exact_outputs == _old_exact_outputs(spec)
+    assert form.exact_outputs is form.exact_outputs
+    assert strong_form(spec).exact_outputs is None

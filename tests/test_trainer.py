@@ -144,6 +144,18 @@ def test_report_csv_roundtrip(tmp_path):
     assert back.rows[1][0] == 10
 
 
+def test_tail_rel_l2_reads_the_last_tenth_of_the_rows():
+    rep = TrainReport()
+    assert all(math.isnan(v) for v in rep.tail_rel_l2())
+    for i, rel in enumerate([0.9, 0.5, 0.4, 0.3, 0.2, 0.1, 0.3, 0.25, 0.05, 0.6,
+                             0.5, 0.7, 0.02, 0.8, 0.9, 0.6, 0.4, 0.35, 0.3, 0.5]):
+        rep.log(5 * (i + 1), 1.0, 0.5, 0.25, 0.25, rel, 0.1 * i)
+    # 20 rows: the tail is the last 2 (0.3, 0.5); the dip to 0.02 at row 13 is not in it
+    assert rep.tail_rel_l2() == (0.3, 0.4)
+    rep.rows = rep.rows[:9]   # under 10 rows the tail is the final row alone
+    assert rep.tail_rel_l2() == (0.05, 0.05)
+
+
 def test_report_csv_rejects_wrong_header(tmp_path):
     path = tmp_path / "report.csv"
     path.write_text("step,J_total,rel_l2\n5,0.25,0.5\n")
