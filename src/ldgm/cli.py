@@ -7,6 +7,7 @@ run directory is never overwritten.  All artifacts are plain text.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 import time
@@ -26,9 +27,14 @@ def _run_dir(cfg: ExperimentConfig, out, seed: int) -> Path:
     return Path(out) / f"{name}-{cfg.method}-{cfg.content_hash()}-seed{seed}"
 
 
+@functools.lru_cache(maxsize=None)
+def _ch_field(eps: float):
+    """The spectral reference at one epsilon, solved once per process."""
+    return solve_ch_spectral(SpectralCHConfig(epsilon=eps))
+
+
 def _ch_truth(cfg: ExperimentConfig, run_dir: Path):
-    eps = float(cfg.raw["problem.epsilon"])
-    field = solve_ch_spectral(SpectralCHConfig(epsilon=eps))
+    field = _ch_field(float(cfg.raw["problem.epsilon"]))
     field.save_csv(run_dir / "reference.csv")
     return lambda x, t: field.interp(x[:, 0], t)
 

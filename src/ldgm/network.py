@@ -96,7 +96,7 @@ def _topology(cfg: NetworkConfig):
 
 
 def _layer_plan(cfg: NetworkConfig):
-    """(name, shape) pairs in serialization order."""
+    """(name, shape) pairs in serialization order; weights are 2-d, biases 1-d."""
     n = cfg.width
     trunk, branches = _topology(cfg)
     plan = []
@@ -137,18 +137,21 @@ class ParameterSet:
                 and all(np.array_equal(a, b) for a, b in zip(self.arrays, other.arrays)))
 
 
+def _zero_params(cfg: NetworkConfig) -> ParameterSet:
+    """Every parameter of the layer plan, zero."""
+    plan = _layer_plan(cfg)
+    return ParameterSet([name for name, _ in plan], [np.zeros(shape) for _, shape in plan])
+
+
 def init_xavier(cfg: NetworkConfig, seed: int) -> ParameterSet:
     """Uniform(-a, a) weights with a = sqrt(6/(fan_in+fan_out)); zero biases."""
     rng = np.random.default_rng(seed)
-    names, arrays = [], []
-    for name, shape in _layer_plan(cfg):
-        names.append(name)
-        if name.startswith("b") or "_b" in name:
-            arrays.append(np.zeros(shape))
-        else:
-            a = math.sqrt(6.0 / (shape[0] + shape[1]))
-            arrays.append(rng.uniform(-a, a, size=shape))
-    return ParameterSet(names, arrays)
+    params = _zero_params(cfg)
+    for i, w in enumerate(params.arrays):
+        if w.ndim == 2:
+            a = math.sqrt(6.0 / (w.shape[0] + w.shape[1]))
+            params.arrays[i] = rng.uniform(-a, a, size=w.shape)
+    return params
 
 
 @dataclass
@@ -416,7 +419,7 @@ def load_checkpoint(path) -> tuple[NetworkConfig, ParameterSet]:
     with open(path) as f:
         cfg = _decode_config(f.readline().strip())
         vec = np.array([float.fromhex(line.strip()) for line in f if line.strip()])
-    params = init_xavier(cfg, seed=0)
+    params = _zero_params(cfg)
     if vec.size != params.count:
         raise ShapeError(f"checkpoint holds {vec.size} values, config expects {params.count}")
     params.from_vector(vec)

@@ -2,17 +2,18 @@
 
 A ProblemSpec describes one initial boundary value problem
     u_t = F(u, Du, ..., D^k u)
-through a callable `rhs` that reads derivatives from an abstract view, so
-the same definition can be evaluated three ways: on the order-reduced
-roster (intermediate variables approximated by extra network outputs), on
-the strong form (derivatives from high-order jets), or on an analytic
-solution for exactness checks.
+through a callable `rhs` that reads derivatives from a view, so the same
+definition serves the order-reduced roster (intermediate variables
+approximated by extra network outputs), the strong form (derivatives from
+high-order jets) and an analytic solution for exactness checks.
 
-A SystemForm is one concrete rewrite: the roster of unknowns, the
-evolution and constraint residuals over the roster, the boundary
-residuals and the jet orders each point set is walked to.  The first-order
-rewrites need first derivatives of roster variables only; the strong form
-is the trivial rewrite, roster (u,) with every derivative from jets of u.
+A SystemForm is one concrete rewrite.  Its slot table names each roster
+output as a derivative of u: slot i holds the (axis, order) derivative.
+Every residual reads u's derivatives through one `DerivativeView` on that
+table: a derivative with a slot is that output, any other is the jet of
+the slot holding the nearest lower order on the same axis.  The first-order
+rewrites then need first derivatives of roster variables only; the strong
+form is the table ((0, 0),), every derivative from jets of u.
 """
 
 from __future__ import annotations
@@ -91,7 +92,7 @@ class SystemForm:
     constraints: tuple               # ((name, ctx -> residual), ...)
     boundary: Callable               # bctx -> list of residuals
     boundary_orders: dict = field(default_factory=dict)  # direction -> jet order at the boundary
-    exact_slots: tuple = ()          # per roster slot, the (axis, order) derivative of u it holds
+    slots: tuple = ()                # roster slot i holds the (axis, order) derivative of u
 
     @property
     def size(self) -> int:
@@ -100,172 +101,130 @@ class SystemForm:
     @cached_property
     def exact_outputs(self) -> Optional[tuple]:
         """sympy exprs per roster slot, derived from `spec.exact_expr` on first access."""
-        if self.spec.exact_expr is None or not self.exact_slots:
+        if self.spec.exact_expr is None or not self.slots:
             return None
         import sympy as sp
         u = sp.sympify(self.spec.exact_expr)
-        return tuple(sp.diff(u, sp.Symbol(f"x{axis}"), order) for axis, order in self.exact_slots)
+        return tuple(sp.diff(u, sp.Symbol(f"x{axis}"), order) for axis, order in self.slots)
 
 
-# -- derivative views ---------------------------------------------------------
+# -- the slot table -----------------------------------------------------------
 
 
-class ChainView:
-    """First-order roster (u, v_1, ..., v_{k-1}) with v_{i+1} = D v_i."""
-
-    def __init__(self, ctx, k: int):
-        self.ctx = ctx
-        self.k = k
-
-    @property
-    def u(self):
-        return self.ctx.out(0)
-
-    @property
-    def x(self):
-        return self.ctx.x
-
-    @property
-    def t(self):
-        return self.ctx.t
-
-    def d(self, p: int, axis: int = 0):
-        if p == 0:
-            return self.ctx.out(0)
-        if p < self.k:
-            return self.ctx.out(p)
-        if p == self.k:
-            return self.ctx.dx(self.k - 1, axis)
-        raise OrderError(f"derivative order {p} above pde order {self.k}")
-
-    def lap(self):
-        s = self.ctx.dx(1, 0)
-        for i in range(1, self.ctx.spatial_dim):
-            s = s + self.ctx.dx(1 + i, i)
-        return s
+def gradient_slots(d: int) -> tuple:
+    """Slots of the roster (u, u_x0, ..., u_x{d-1})."""
+    return ((0, 0),) + tuple((i, 1) for i in range(d))
 
 
-class StrongView:
-    """Direct view: all derivatives from jets of the single output."""
+def _source(slots, p: int, axis: int) -> tuple[int, int]:
+    """(slot, jet order) giving the p-th derivative of u along `axis`.
 
-    def __init__(self, ctx):
-        self.ctx = ctx
+    A slot holding that derivative is read as is; any other derivative is
+    the jet of the slot holding the nearest lower order on the same axis
+    (u, order 0, lies on every axis).
+    """
+    i = max((i for i, (a, q) in enumerate(slots) if q <= p and (q == 0 or a == axis)),
+            key=lambda i: slots[i][1])
+    return i, p - slots[i][1]
 
-    @property
-    def u(self):
-        return self.ctx.out(0)
 
-    @property
-    def x(self):
-        return self.ctx.x
+def slot_jet_orders(slots, needs) -> dict:
+    """direction -> jet order a walk needs to read every (order, axis) in `needs`."""
+    orders = {}
+    for p, axis in needs:
+        orders[axis] = max(orders.get(axis, 0), _source(slots, p, axis)[1])
+    return orders
 
-    @property
-    def t(self):
-        return self.ctx.t
+
+def gap(ctx, slots, i: int):
+    """Slot i's constraint: the jet of the slot one order below it on its axis, minus slot i."""
+    axis, p = slots[i]
+    return ctx.dx(_source(slots, p - 1, axis)[0], axis) - ctx.out(i)
+
+
+class DerivativeView:
+    """u and its derivatives at one point set, read through a slot table."""
+
+    def __init__(self, ctx, slots):
+        self.ctx, self.slots = ctx, slots
+        self.u, self.x, self.t = ctx.out(0), ctx.x, ctx.t
 
     def d(self, p: int, axis: int = 0):
-        return self.ctx.dx(0, axis, order=p) if p else self.ctx.out(0)
+        i, j = _source(self.slots, p, axis)
+        return self.ctx.dx(i, axis, order=j) if j else self.ctx.out(i)
 
     def lap(self):
-        s = self.ctx.dx(0, 0, order=2)
+        s = self.d(2, 0)
         for i in range(1, self.ctx.spatial_dim):
-            s = s + self.ctx.dx(0, i, order=2)
+            s = s + self.d(2, i)
         return s
 
 
 # -- rewrites -----------------------------------------------------------------
 
 
-def rewrite_first_order(spec: ProblemSpec) -> SystemForm:
-    """Roster (u, v_1..v_{k-1}); only first derivatives appear in the system."""
-    k = spec.pde_order
-    d = spec.spatial_dim
+def _form(spec: ProblemSpec, roster, slots, constraints=(), boundary=None) -> SystemForm:
+    """The form on a slot table: evolution, boundary residuals and walk orders.
+
+    A periodic boundary pairs u and each derivative of order below k along
+    every spatial axis across faces; any other boundary penalizes the
+    listed derivative orders of u against their data.  `boundary` replaces
+    the residuals, not the walk.
+    """
+    k, d = spec.pde_order, spec.spatial_dim
     if spec.stationary:
         raise OrderError("rewrites apply to evolution problems")
-    if k < 1:
-        raise OrderError("pde order must be >= 1")
-    if d > 1 and k > 2:
-        raise OrderError("first-order rewrite above order 2 is 1-d only")
-
-    if d == 1:
-        roster = ("u",) + tuple("u_" + "x" * i for i in range(1, k))
-        constraints = tuple(
-            (f"{roster[i + 1]} = D {roster[i]}",
-             (lambda i: lambda ctx: ctx.dx(i, 0) - ctx.out(i + 1))(i))
-            for i in range(k - 1))
-        slots = tuple((0, i) for i in range(k))
+    if k < 1 or (d > 1 and k > 2):
+        raise OrderError(f"pde order {k} in {d}-d: rewrites need order >= 1, and <= 2 above 1-d")
+    bc = spec.boundary
+    periodic = bc.kind == "periodic"
+    if periodic:
+        needs = [(0, 0)] + [(p, axis) for axis in range(d) for p in range(1, k)]
     else:
-        roster = ("u",) + tuple(f"u_x{i}" for i in range(d))
-        constraints = tuple(
-            (f"u_x{i} = d u/d x{i}",
-             (lambda i: lambda ctx: ctx.dx(0, i) - ctx.out(1 + i))(i))
-            for i in range(d))
-        slots = ((0, 0),) + tuple((i, 1) for i in range(d))
+        needs = [(order, 0) for order, _ in bc.targets]
+        if d > 1 and any(p for p, _ in needs):
+            raise ShapeError("derivative boundary data is 1-d only")
 
     def evolution(ctx):
-        return ctx.dt(0) - spec.rhs(ChainView(ctx, k))
+        return ctx.dt(0) - spec.rhs(DerivativeView(ctx, slots))
 
-    def slot_of_order(bctx, order):
-        if d == 1 and order < k:
-            return bctx.out(order)
-        if d > 1 and order == 0:
-            return bctx.out(0)
-        raise OrderError(f"boundary derivative order {order} has no roster slot")
-
-    bc = spec.boundary
-
-    def boundary(bctx):
-        if bc.kind == "periodic":
-            return [bctx.out(i) - bctx.mirror.out(i) for i in range(bctx.size)]
-        res = []
-        for i, (order, _) in enumerate(bc.targets):
-            g = bc.data(i, bctx.x, bctx.t)
-            res.append(slot_of_order(bctx, order) - g)
-        return res
+    def residuals(bctx):
+        here = DerivativeView(bctx, slots)
+        if periodic:
+            there = DerivativeView(bctx.mirror, slots)
+            return [here.d(p, axis) - there.d(p, axis) for p, axis in needs]
+        return [here.d(p, axis) - bc.data(i, bctx.x, bctx.t) for i, (p, axis) in enumerate(needs)]
 
     return SystemForm(
         spec=spec, roster=roster,
-        jet_orders=({0: 1, TIME: 1} if d == 1 else {**{i: 1 for i in range(d)}, TIME: 1}),
-        evolution=evolution, constraints=constraints, boundary=boundary,
-        exact_slots=slots)
+        jet_orders={**slot_jet_orders(slots, [(k, axis) for axis in range(d)]), TIME: 1},
+        evolution=evolution, constraints=constraints, boundary=boundary or residuals,
+        boundary_orders=slot_jet_orders(slots, needs), slots=slots)
+
+
+def rewrite_first_order(spec: ProblemSpec) -> SystemForm:
+    """Roster (u, v_1..v_{k-1}); only first derivatives appear in the system."""
+    k, d = spec.pde_order, spec.spatial_dim
+    if d == 1:
+        roster = ("u",) + tuple("u_" + "x" * i for i in range(1, k))
+        slots = tuple((0, i) for i in range(k))
+        names = [f"{roster[i]} = D {roster[i - 1]}" for i in range(1, k)]
+    else:
+        roster = ("u",) + tuple(f"u_x{i}" for i in range(d))
+        slots = gradient_slots(d)
+        names = [f"u_x{i} = d u/d x{i}" for i in range(d)]
+    constraints = tuple((name, lambda ctx, i=i: gap(ctx, slots, i))
+                        for i, name in enumerate(names, start=1))
+    return _form(spec, roster, slots, constraints)
 
 
 def strong_form(spec: ProblemSpec) -> SystemForm:
     """The trivial rewrite: roster (u,), the PDE residual from order-k jets of u.
 
-    Boundary points are walked once, to the largest target order (k-1 on a
-    periodic boundary, whose derivatives match across faces up to k-1); a
-    problem's `dgm_boundary` replaces the residuals, not the walk.
+    Boundary points are walked once, to the largest order the residuals
+    read; a problem's `dgm_boundary` replaces the residuals, not the walk.
     """
-    k = spec.pde_order
-    d = spec.spatial_dim
-    if spec.stationary:
-        raise OrderError("rewrites apply to evolution problems")
-    if d > 1 and k > 2:
-        raise OrderError("strong form above order 2 is 1-d only")
-    bc = spec.boundary
-    periodic = bc.kind == "periodic"
-    boundary_order = k - 1 if periodic else max(order for order, _ in bc.targets)
-
-    def boundary(bctx):
-        here = StrongView(bctx)
-        if periodic:
-            there = StrongView(bctx.mirror)
-            return [here.d(p) - there.d(p) for p in range(k)]
-        res = []
-        for i, (order, _) in enumerate(bc.targets):
-            g = bc.data(i, bctx.x, bctx.t)
-            if order and d != 1:
-                raise ShapeError("derivative boundary data is 1-d only")
-            res.append(here.d(order) - g)
-        return res
-
-    return SystemForm(
-        spec=spec, roster=("u",),
-        jet_orders=({0: k, TIME: 1} if d == 1 else {**{i: 2 for i in range(d)}, TIME: 1}),
-        evolution=lambda ctx: ctx.dt(0) - spec.rhs(StrongView(ctx)),
-        constraints=(), boundary=spec.dgm_boundary or boundary,
-        boundary_orders={0: boundary_order})
+    return _form(spec, ("u",), ((0, 0),), boundary=spec.dgm_boundary)
 
 
 def ldgm_system(spec: ProblemSpec) -> SystemForm:

@@ -294,3 +294,25 @@ def test_training_runs_never_import_sympy(tmp_path):
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert len(list((tmp_path / "runs").iterdir())) == 2
+
+
+def test_ch_reference_is_solved_once_per_epsilon(tmp_path, monkeypatch):
+    import ldgm.cli as cli
+    solves = []
+    solve = cli.solve_ch_spectral
+
+    def counted(cfg):
+        solves.append(cfg.epsilon)
+        return solve(cfg)
+
+    monkeypatch.setattr(cli, "solve_ch_spectral", counted)
+    cli._ch_field.cache_clear()
+    path = tmp_path / "ch.cfg"
+    path.write_text(TINY.replace("problem.name=beam", "problem.name=cahn_hilliard")
+                    .replace("method=ldgm", "method=dgm")
+                    .format(stages=1, seeds="0,1", out=tmp_path / "runs"))
+    assert main(["run", "--config", str(path)]) == 0
+    assert solves == [0.1]
+    written = [(d / "reference.csv").read_bytes() for d in sorted((tmp_path / "runs").iterdir())]
+    assert len(written) == 2 and written[0] == written[1]
+    cli._ch_field.cache_clear()

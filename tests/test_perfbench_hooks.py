@@ -9,7 +9,8 @@ import importlib
 import sys
 from pathlib import Path
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 
 
 def test_every_traced_hook_is_an_attribute_of_its_owner(monkeypatch):
@@ -69,3 +70,20 @@ def test_every_method_reaches_its_traced_loss_hook(monkeypatch):
         train(spec, method, default_network_config(spec, method, hidden_layers=1, width=4),
               sampler, TrainConfig(stages=1, steps_per_stage=2), seed=0)
         assert calls == {attr: 2}, method
+
+
+def test_benchmark_gate_passes_on_every_workload(monkeypatch):
+    """The benchmark's correctness gate calls the losses directly, outside `train`."""
+    from ldgm.config import ExperimentConfig
+
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    for name in ("gate", "workloads"):
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    gate = importlib.import_module("gate")
+    workloads = importlib.import_module("workloads")
+    for name, w in workloads.WORKLOADS.items():
+        cfg = ExperimentConfig.from_text(workloads.config_text(ROOT, w, 7))
+        ok, detail = gate.gradient_check(cfg, cfg.seeds[0])
+        assert ok, f"{name}: {detail}"
+    ok, detail = gate.annihilation_check()
+    assert ok, detail

@@ -1,10 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+import sympy
 
 from ldgm.autodiff import Tape
-from ldgm.errors import UnavailableError
+from ldgm.errors import ShapeError, UnavailableError
 from ldgm.network import AnalyticNetwork
 from ldgm.sampling import SamplerConfig, draw_batch
 from ldgm.loss import PointCtx, ldgm_loss
@@ -68,6 +70,17 @@ def test_registry_lists_expected_problems():
         get_problem("allen_cahn").exact([[0.0]], [0.0])
 
 
+def drift_2d() -> ProblemSpec:
+    # u_t = lap u - u_x1: the first derivative along x1, not x0, must be read
+    return ProblemSpec(
+        name="drift_2d", spatial_dim=2, domain=((0.0, 1.0), (0.0, 1.0)), horizon=1.0,
+        pde_order=2,
+        rhs=lambda v: v.lap() - v.d(1, 1),
+        initial=lambda x: x[:, 1],
+        boundary=BoundaryCond("dirichlet", ((0, lambda x, t: x[:, 1] - t),)),
+        exact_expr="x1 - t", solution=lambda x, t: x[:, 1] - t)
+
+
 def _max_system_residual(form, n_points=1000, seed=0):
     """Largest |residual| over evolution+constraints with the exact field injected."""
     spec = form.spec
@@ -89,6 +102,44 @@ def _max_system_residual(form, n_points=1000, seed=0):
 def test_exact_solutions_annihilate_both_rewrites(name, kwargs):
     spec = get_problem(name, **kwargs)
     assert _max_system_residual(rewrite_first_order(spec)) < 1e-9
+
+
+@pytest.mark.parametrize("rewrite", [rewrite_first_order, strong_form])
+def test_derivatives_are_read_along_their_own_axis(rewrite):
+    form = rewrite(drift_2d())
+    assert _max_system_residual(form) < 1e-12
+    mock = AnalyticNetwork([str(e) for e in form.exact_outputs], 2)
+    lb = ldgm_loss(form, mock.bind(Tape()), draw_batch(SamplerConfig(seed=3), form.spec, 0))
+    assert float(lb.J_total.value) < 1e-25
+
+
+@pytest.mark.parametrize("rewrite", [rewrite_first_order, strong_form])
+def test_derivative_boundary_data_above_1d_is_refused_when_the_form_is_built(rewrite):
+    spec = dataclasses.replace(drift_2d(), boundary=BoundaryCond("neumann", ((1, 0.0),)))
+    with pytest.raises(ShapeError, match="derivative boundary data is 1-d only"):
+        rewrite(spec)
+
+
+@pytest.mark.parametrize("rewrite", [rewrite_first_order, strong_form])
+def test_periodic_boundary_pairs_u_and_its_gradient_along_every_axis(rewrite):
+    two_pi = 2 * math.pi
+    spec = dataclasses.replace(drift_2d(), domain=((0.0, two_pi),) * 2,
+                               boundary=BoundaryCond("periodic"))
+    form = rewrite(spec)
+    batch = draw_batch(SamplerConfig(seed=4), spec, stage=0)
+
+    def boundary_residuals(u):
+        u = sympy.sympify(u)
+        outputs = [str(sympy.diff(u, sympy.Symbol(f"x{a}"), p)) for a, p in form.slots]
+        bound = AnalyticNetwork(outputs, 2).bind(Tape())
+        bctx = PointCtx(bound, batch.boundary_x, batch.boundary_t, form.boundary_orders, 2,
+                        mirror_x=batch.boundary_mirror_x)
+        return [np.max(np.abs(r.value)) for r in form.boundary(bctx)]
+
+    assert max(boundary_residuals("sin(x0)*cos(x1)*exp(-t)")) < 1e-12
+    # equal values on the x1 faces, but u_x1 is -2pi on one and 2pi on the other
+    gaps = boundary_residuals(f"sin(x0) + x1*(x1 - {two_pi!r})")
+    assert len(gaps) == 3 and gaps[0] < 1e-12 and gaps[1] < 1e-12 and gaps[2] > 1.0
 
 
 def test_advection_exact_annihilates_single_variable_form():
@@ -175,4 +226,4 @@ def test_exact_outputs_are_the_eager_expressions(name, kwargs):
     form = rewrite_first_order(spec)
     assert form.exact_outputs == _old_exact_outputs(spec)
     assert form.exact_outputs is form.exact_outputs
-    assert strong_form(spec).exact_outputs is None
+    assert strong_form(spec).exact_outputs == (sympy.sympify(spec.exact_expr),)
