@@ -79,9 +79,6 @@ class Tape:
     def param(self, value) -> "Var":
         return self.push("param", (), None, np.asarray(value, dtype=np.float64), is_param=True)
 
-    def __len__(self):
-        return len(self.nodes)
-
 
 def tape_of(*args: "Var") -> Tape:
     """The one tape that every operand is recorded on."""
@@ -116,9 +113,6 @@ class Var:
     @property
     def value(self) -> np.ndarray:
         return self.tape.nodes[self.idx].value
-
-    def item(self) -> float:
-        return float(self.value)
 
     @property
     def shape(self):
@@ -268,9 +262,11 @@ def taylor(x: Var, kind: str, blocks: tuple, alpha: float = 1.0) -> Var:
     sigmoid: y - y^2, elu where z0 <= 0: alpha * exp(z0), then g_m = y_m).
     Every step runs on a whole block in the operation order of the scalar
     recurrence, so each slot gets the bits of the per-direction
-    computation.  elu is the identity where z0 > 0; relu carries order-1
-    slots only (its higher orders do not exist, and the network refuses
-    them).
+    computation.  elu's jet is one-sided: the identity's where z0 > 0 and
+    alpha * expm1's elsewhere, z0 == 0 included, as its value and slope are.
+    Off z0 == 0 that is the exact jet (elu is analytic there) at any alpha
+    and order.  relu carries order-1 slots only (its higher orders do not
+    exist, and the network refuses them).
     """
     xv = x.value
     if not blocks:

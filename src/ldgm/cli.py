@@ -34,7 +34,7 @@ def _ch_field(eps: float):
 
 
 def _ch_truth(cfg: ExperimentConfig, run_dir: Path):
-    field = _ch_field(float(cfg.raw["problem.epsilon"]))
+    field = _ch_field(cfg.values["problem.epsilon"])
     field.save_csv(run_dir / "reference.csv")
     return lambda x, t: field.interp(x[:, 0], t)
 
@@ -103,10 +103,10 @@ def cmd_sweep(args) -> int:
     if axis not in NUMERIC_KEYS:
         raise ConfigError([axis], f"sweep axis must be a numeric config key, got {axis!r}")
     values = [v for v in args.values.split(",") if v.strip() != ""]
+    cfgs = [base.override(axis, v) for v in values]  # every value parses before any run
     out = args.out or base.out_dir
     rows = []
-    for v in values:
-        cfg = base.override(axis, v)
+    for v, cfg in zip(values, cfgs):
         seed = cfg.seeds[0]
         try:
             run_dir, status = run_single(cfg, seed, out)

@@ -1,59 +1,78 @@
 """Flat key=value experiment configs with section prefixes.
 
 The format is one `section.key=value` per line, '#' comments allowed.
-Unknown keys are rejected outright, and every run echoes its fully
-resolved config so results stay re-derivable.
+Each value is parsed at load by its key's parser (an unknown key or a
+malformed value is a ConfigError naming it), and every run echoes its
+fully resolved config so results stay re-derivable.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .autodiff import ACTIVATION_KINDS
 from .errors import ConfigError
 from .network import DecoupledSpec, NetworkConfig
 from .ritz import RitzConfig
 from .sampling import SamplerConfig
-from .system import ProblemSpec, get_problem
-from .trainer import TrainConfig, default_network_config, method_entry
+from .system import _REGISTRY, ProblemSpec, get_problem
+from .trainer import METHODS, TrainConfig, default_network_config
 
-_DEFAULTS = {
-    "problem.name": "beam",
-    "problem.epsilon": "0.1",
-    "problem.dimension": "5",
-    "method": "ldgm",
-    "network.hidden_layers": "3",
-    "network.width": "50",
-    "network.activation": "tanh",
-    "network.output_activation": "identity",
-    "network.elu_alpha": "1.0",
-    "network.trunk_depth": "",
-    "network.branch_depth": "",
-    "network.groups": "",
-    "sampler.interior": "200",
-    "sampler.initial": "50",
-    "sampler.boundary": "50",
-    "sampler.seed": "0",
-    "train.learning_rate": "0.001",
-    "train.stages": "1000",
-    "train.steps_per_stage": "5",
-    "train.beta1": "0.9",
-    "train.beta2": "0.999",
-    "train.epsilon": "1e-8",
-    "train.schedule": "",
-    "train.log_every": "1",
-    "ritz.penalty": "500.0",
-    "ritz.interior": "400",
-    "ritz.boundary": "100",
-    "seeds": "0",
-    "out": "runs",
+# a parser is (convert, what it accepts); convert raises ValueError on a malformed value
+_INT = (int, "an integer")
+_FLOAT = (float, "a number")
+_OPT_INT = (lambda v: int(v) if v else None, "empty or an integer")
+
+
+def _one_of(*names):
+    def convert(v):
+        if v not in names:
+            raise ValueError(v)
+        return v
+    return convert, f"one of {names}"
+
+
+def _groups(v):
+    return tuple(tuple(int(i) for i in g.split("-")) for g in v.split("|")) if v else ()
+
+
+# key -> (default, parser); the defaults are the strings a resolved config echoes
+_KEYS = {
+    "problem.name": ("beam", _one_of(*_REGISTRY)),
+    "problem.epsilon": ("0.1", _FLOAT),
+    "problem.dimension": ("5", _INT),
+    "method": ("ldgm", _one_of(*METHODS)),
+    "network.hidden_layers": ("3", _INT),
+    "network.width": ("50", _INT),
+    "network.activation": ("tanh", _one_of(*ACTIVATION_KINDS)),
+    "network.output_activation": ("identity", _one_of(*ACTIVATION_KINDS)),
+    "network.elu_alpha": ("1.0", _FLOAT),
+    "network.trunk_depth": ("", _OPT_INT),
+    "network.branch_depth": ("", _OPT_INT),
+    "network.groups": ("", (_groups, "empty or groups like 0-1|2-3")),
+    "sampler.interior": ("200", _INT),
+    "sampler.initial": ("50", _INT),
+    "sampler.boundary": ("50", _INT),
+    "sampler.seed": ("0", _INT),
+    "train.learning_rate": ("0.001", _FLOAT),
+    "train.stages": ("1000", _INT),
+    "train.steps_per_stage": ("5", _INT),
+    "train.beta1": ("0.9", _FLOAT),
+    "train.beta2": ("0.999", _FLOAT),
+    "train.epsilon": ("1e-8", _FLOAT),
+    "train.schedule": ("", _one_of("", "piecewise_log")),
+    "train.log_every": ("1", _INT),
+    "ritz.penalty": ("500.0", _FLOAT),
+    "ritz.interior": ("400", _INT),
+    "ritz.boundary": ("100", _INT),
+    "seeds": ("0", (lambda v: [int(s) for s in v.split(",") if s.strip() != ""],
+                    "comma-separated integers")),
+    "out": ("runs", (str, "text")),
 }
 
-NUMERIC_KEYS = {k for k in _DEFAULTS
-                if k.split(".")[-1] not in ("name", "activation", "output_activation",
-                                            "groups", "schedule") and k not in ("method", "seeds", "out")}
+NUMERIC_KEYS = {k for k, (_, parser) in _KEYS.items() if parser in (_INT, _FLOAT, _OPT_INT)}
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -69,28 +88,38 @@ def parse_config_text(text: str) -> dict[str, str]:
     return out
 
 
-def validate_keys(raw: dict[str, str]) -> None:
-    bad = sorted(k for k in raw if k not in _DEFAULTS)
+def parse_values(raw: dict[str, str]) -> dict:
+    """Every value of `raw` through its key's parser; a malformed one is a ConfigError."""
+    bad = sorted(k for k in raw if k not in _KEYS)
     if bad:
         raise ConfigError(bad)
-    if "method" in raw:
-        method_entry(raw["method"])
-    for key in ("network.activation", "network.output_activation"):
-        if key in raw and raw[key] not in ACTIVATION_KINDS:
-            raise ConfigError([key], f"{key} must be one of {ACTIVATION_KINDS}")
+    values = {}
+    for key, v in raw.items():
+        convert, what = _KEYS[key][1]
+        try:
+            values[key] = convert(v)
+        except ValueError:
+            raise ConfigError([key], f"{key} must be {what}, got {v!r}") from None
+    if values.get("network.groups") and None in (values.get("network.trunk_depth"),
+                                                 values.get("network.branch_depth")):
+        raise ConfigError(["network.trunk_depth", "network.branch_depth"],
+                          "network.groups needs network.trunk_depth and network.branch_depth")
+    return values
 
 
 @dataclass
 class ExperimentConfig:
+    """A resolved config: `raw` holds every key's string, `values` its parsed value."""
+
     raw: dict[str, str]
+    values: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.values = parse_values(self.raw)
 
     @classmethod
     def from_text(cls, text: str) -> "ExperimentConfig":
-        raw = parse_config_text(text)
-        validate_keys(raw)
-        merged = dict(_DEFAULTS)
-        merged.update(raw)
-        return cls(merged)
+        return cls({k: default for k, (default, _) in _KEYS.items()} | parse_config_text(text))
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -98,73 +127,61 @@ class ExperimentConfig:
             return cls.from_text(f.read())
 
     def override(self, key: str, value) -> "ExperimentConfig":
-        if key not in _DEFAULTS:
-            raise ConfigError([key])
-        raw = dict(self.raw)
-        raw[key] = str(value)
-        return ExperimentConfig(raw)
+        return ExperimentConfig(self.raw | {key: str(value)})
 
     # -- resolved views -----------------------------------------------------
 
     @property
     def method(self) -> str:
-        return self.raw["method"]
+        return self.values["method"]
 
     @property
     def seeds(self) -> list[int]:
-        return [int(s) for s in self.raw["seeds"].split(",") if s.strip() != ""]
+        return self.values["seeds"]
 
     @property
     def out_dir(self) -> str:
-        return self.raw["out"]
+        return self.values["out"]
 
     def problem(self) -> ProblemSpec:
-        name = self.raw["problem.name"]
+        name = self.values["problem.name"]
         if name in ("cahn_hilliard", "allen_cahn"):
-            return get_problem(name, epsilon=float(self.raw["problem.epsilon"]))
+            return get_problem(name, epsilon=self.values["problem.epsilon"])
         if name in ("heat_nd", "bilaplacian_ritz"):
-            return get_problem(name, d=int(self.raw["problem.dimension"]))
+            return get_problem(name, d=self.values["problem.dimension"])
         return get_problem(name)
 
     def network(self, spec: ProblemSpec) -> NetworkConfig:
+        v = self.values
         decoupled = None
-        if self.raw["network.groups"]:
-            groups = tuple(tuple(int(i) for i in g.split("-"))
-                           for g in self.raw["network.groups"].split("|"))
-            decoupled = DecoupledSpec(int(self.raw["network.trunk_depth"]),
-                                      int(self.raw["network.branch_depth"]), groups)
-        net = default_network_config(spec, self.method,
-                                     hidden_layers=int(self.raw["network.hidden_layers"]),
-                                     width=int(self.raw["network.width"]),
-                                     activation=self.raw["network.activation"],
-                                     decoupled=decoupled)
-        return dataclasses.replace(net, output_activation=self.raw["network.output_activation"],
-                                   elu_alpha=float(self.raw["network.elu_alpha"]))
+        if v["network.groups"]:
+            decoupled = DecoupledSpec(v["network.trunk_depth"], v["network.branch_depth"],
+                                      v["network.groups"])
+        net = default_network_config(spec, self.method, hidden_layers=v["network.hidden_layers"],
+                                     width=v["network.width"],
+                                     activation=v["network.activation"], decoupled=decoupled)
+        return dataclasses.replace(net, output_activation=v["network.output_activation"],
+                                   elu_alpha=v["network.elu_alpha"])
 
     def sampler(self) -> SamplerConfig:
-        if method_entry(self.method).variational:
+        if METHODS[self.method].variational:
             return self.ritz().sampler()
-        return SamplerConfig(
-            interior=int(self.raw["sampler.interior"]),
-            initial=int(self.raw["sampler.initial"]),
-            boundary=int(self.raw["sampler.boundary"]),
-            seed=int(self.raw["sampler.seed"]))
+        v = self.values
+        return SamplerConfig(interior=v["sampler.interior"], initial=v["sampler.initial"],
+                             boundary=v["sampler.boundary"], seed=v["sampler.seed"])
 
     def train(self) -> TrainConfig:
+        v = self.values
         return TrainConfig(
-            learning_rate=float(self.raw["train.learning_rate"]),
-            stages=int(self.raw["train.stages"]),
-            steps_per_stage=int(self.raw["train.steps_per_stage"]),
-            beta1=float(self.raw["train.beta1"]),
-            beta2=float(self.raw["train.beta2"]),
-            epsilon=float(self.raw["train.epsilon"]),
-            schedule=self.raw["train.schedule"] or None,
-            log_every=int(self.raw["train.log_every"]))
+            learning_rate=v["train.learning_rate"], stages=v["train.stages"],
+            steps_per_stage=v["train.steps_per_stage"], beta1=v["train.beta1"],
+            beta2=v["train.beta2"], epsilon=v["train.epsilon"],
+            schedule=v["train.schedule"] or None, log_every=v["train.log_every"])
 
     def ritz(self) -> RitzConfig:
-        return RitzConfig(penalty=float(self.raw["ritz.penalty"]),
-                          interior=int(self.raw["ritz.interior"]),
-                          boundary=int(self.raw["ritz.boundary"]))
+        v = self.values
+        return RitzConfig(penalty=v["ritz.penalty"], interior=v["ritz.interior"],
+                          boundary=v["ritz.boundary"])
 
     def resolved_text(self) -> str:
         return "\n".join(f"{k}={self.raw[k]}" for k in sorted(self.raw)) + "\n"

@@ -29,7 +29,6 @@ class LossBreakdown:
     J_b: Var
     J_total: Var
     constraint_terms: dict
-    weights: tuple[float, float, float]
 
 
 def _mse(v: Var) -> Var:
@@ -102,7 +101,7 @@ def ldgm_loss(system: SystemForm, bound, batch: SampleBatch) -> LossBreakdown:
 
     w_e, w_i, w_b = spec.loss_weights
     total = w_e * J_e + w_i * J_i + w_b * J_b
-    return LossBreakdown(J_e, J_i, J_b, total, constraint_terms, spec.loss_weights)
+    return LossBreakdown(J_e, J_i, J_b, total, constraint_terms)
 
 
 def dgm_loss(spec: ProblemSpec, bound, batch: SampleBatch) -> LossBreakdown:

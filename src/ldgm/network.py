@@ -26,9 +26,6 @@ from .errors import ConfigError, ShapeError, SmoothnessError, UnsupportedOrderEr
 
 TIME = "t"
 
-# kink margin below which elu points count as sitting on the corner
-_KINK_MARGIN = 1e-8
-
 
 @dataclass(frozen=True)
 class DecoupledSpec:
@@ -217,14 +214,9 @@ class BoundNetwork:
         """
         if kind == "identity":
             return h
-        alpha = self.config.elu_alpha
-        order = len(blocks)
-        if kind == "relu" and order >= 2:
+        if kind == "relu" and len(blocks) >= 2:
             raise SmoothnessError("relu supports jet order <= 1")
-        if kind == "elu" and (order >= 2 or (order and alpha != 1.0)):
-            if np.any(np.abs(h.value[0]) < _KINK_MARGIN):
-                raise SmoothnessError(f"elu jet of order {order} evaluated at the kink")
-        return ad.taylor(h, kind, blocks, alpha)
+        return ad.taylor(h, kind, blocks, self.config.elu_alpha)
 
     def forward_jets(self, x, t=None, orders: dict | None = None) -> NetworkOutput:
         """Jets for several directions in one pass over a shared primal chain.

@@ -82,7 +82,7 @@ def _energy(spec: ProblemSpec, bound, batch: SampleBatch, cfg: RitzConfig,
     J_b = ad.mean(p * p + dn * dn) * surface
 
     lam = cfg.penalty
-    return LossBreakdown(J_e, bound.tape.const(0.0), J_b, J_e + lam * J_b, {}, (1.0, 0.0, lam))
+    return LossBreakdown(J_e, bound.tape.const(0.0), J_b, J_e + lam * J_b, {})
 
 
 def ldrm_loss(spec: ProblemSpec, bound, batch: SampleBatch,

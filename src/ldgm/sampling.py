@@ -33,7 +33,6 @@ class SampleBatch:
     boundary_x: np.ndarray
     boundary_t: Optional[np.ndarray]
     boundary_axis: np.ndarray
-    boundary_side: np.ndarray
     boundary_mirror_x: np.ndarray
 
 
@@ -75,4 +74,4 @@ def draw_batch(cfg: SamplerConfig, spec: ProblemSpec, stage: int) -> SampleBatch
     boundary_t = None if horizon is None else horizon * rng.uniform(size=cfg.boundary)
 
     return SampleBatch(interior_x, interior_t, initial_x, boundary_x, boundary_t,
-                       axis, side, boundary_mirror_x)
+                       axis, boundary_mirror_x)

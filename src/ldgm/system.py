@@ -26,8 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import OrderError, ShapeError, UnavailableError
-
-TIME = "t"
+from .network import TIME
 
 
 @dataclass(frozen=True)

@@ -121,8 +121,7 @@ class TrainReport:
 
 
 def train_loop(net: Network, draw, loss_fn, cfg: TrainConfig,
-               metric: Optional[Callable] = None,
-               callback: Optional[Callable] = None) -> tuple[TrainReport, ParameterSet]:
+               metric: Optional[Callable] = None) -> tuple[TrainReport, ParameterSet]:
     """Generic engine behind `train`.
 
     draw(stage) -> batch; loss_fn(bound_net, batch) -> LossBreakdown;
@@ -151,8 +150,6 @@ def train_loop(net: Network, draw, loss_fn, cfg: TrainConfig,
             report.log(state.step, float(last.J_total.value), float(last.J_e.value),
                        float(last.J_i.value), float(last.J_b.value), rel,
                        time.perf_counter() - t0)
-            if callback is not None:
-                callback(stage, report)
     return report, net.params
 
 
@@ -218,7 +215,7 @@ def default_network_config(spec: ProblemSpec, method: str,
 
 def train(spec: ProblemSpec, method: str, net_cfg: NetworkConfig,
           sampler_cfg: SamplerConfig, train_cfg: TrainConfig, seed: int = 0,
-          truth: Optional[Callable] = None, eval_grid=None,
+          truth: Optional[Callable] = None,
           ritz_cfg: RitzConfig = RitzConfig()) -> tuple[TrainReport, ParameterSet]:
     """Run the nested stage/step loop for one residual method.
 
@@ -236,7 +233,7 @@ def train(spec: ProblemSpec, method: str, net_cfg: NetworkConfig,
         truth = spec.exact
     metric = None
     if truth is not None:
-        grid = eval_grid if eval_grid is not None else metrics.evaluation_grid(spec)
+        grid = metrics.evaluation_grid(spec)
         truth_vals = truth(grid.x, grid.t)
         metric = lambda n: metrics.network_relative_l2(n, grid, truth_vals)  # noqa: E731
 

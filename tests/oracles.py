@@ -15,7 +15,7 @@ import numpy as np
 
 from ldgm import autodiff as ad
 from ldgm.errors import SmoothnessError, UnavailableError
-from ldgm.network import _KINK_MARGIN, _topology
+from ldgm.network import _topology
 
 # step sizes tuned per order for Richardson-extrapolated central stencils
 _FD_STEPS = {1: 1e-5, 2: 5e-4, 3: 8e-3, 4: 4e-2}
@@ -292,13 +292,8 @@ def apply_activation(x, kind: str, alpha: float = 1.0):
     if kind == "sigmoid":
         return _compose(x, (ad.tanh(x0 * 0.5) + 1.0) * 0.5, _DERIVATIVE_SERIES["sigmoid"])
     if kind == "elu":
-        if k >= 2 or (k >= 1 and alpha != 1.0):
-            if np.any(np.abs(x0.value) < _KINK_MARGIN):
-                raise SmoothnessError(
-                    f"elu jet of order {k} evaluated at the kink (|x| < {_KINK_MARGIN:g})")
-        # the exp side: y = alpha * expm1(x), and y' = alpha * exp(x) = y + alpha
-        slope = exp(x0) * alpha
-        neg = _compose(x, expm1(x0) * alpha, lambda m, ys: slope if m == 0 else ys[m])
+        # one-sided: the identity where z0 > 0, the exp side elsewhere (z0 == 0 too)
+        neg = elu_exp_side(x, alpha)
         return Jet([where(x0.value > 0, p, n) for p, n in zip(x.coeffs, neg.coeffs)])
     if kind == "relu":
         if k >= 2:
@@ -308,6 +303,17 @@ def apply_activation(x, kind: str, alpha: float = 1.0):
         mask = (x0.value > 0).astype(np.float64)
         return Jet([relu(x0), x.coeffs[1] * mask])
     raise ValueError(f"unknown activation kind {kind!r}")
+
+
+def elu_exp_side(x, alpha: float = 1.0) -> Jet:
+    """The jet of alpha * expm1 at x: elu's branch where z0 <= 0.
+
+    y' = alpha * exp(x) = y + alpha, so the derivative series after its
+    first term is y itself.
+    """
+    x0 = x.coeffs[0]
+    slope = exp(x0) * alpha
+    return _compose(x, expm1(x0) * alpha, lambda m, ys: slope if m == 0 else ys[m])
 
 
 def apply_sin(x) -> Jet:

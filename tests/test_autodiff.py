@@ -332,11 +332,12 @@ def test_relu_jet_forbidden_above_order1():
     assert np.allclose(out.coeffs[1].value, [1.0, 0.0])
 
 
-def test_elu_jet_order2_errors_at_kink_only():
+def test_elu_jet_order2_takes_the_left_branch_at_the_kink():
     tape = Tape()
-    at_kink = jet_lift(tape.input(np.array([0.5, 0.0])), 1.0, 2)
-    with pytest.raises(SmoothnessError):
-        apply_activation(at_kink, "elu")
+    at_kink = apply_activation(jet_lift(tape.input(np.array([0.5, 0.0])), 1.0, 2), "elu")
+    # z0 == 0 is the exp side: elu(0), exp(0), exp(0)/2
+    assert [float(c.value[1]) for c in at_kink.coeffs] == [0.0, 1.0, 0.5]
+    assert [float(c.value[0]) for c in at_kink.coeffs] == [0.5, 1.0, 0.0]
     away = jet_lift(tape.input(np.array([0.5, -0.4])), 1.0, 2)
     out = apply_activation(away, "elu")
     # second derivative: 0 on the positive branch, e^x on the negative one

@@ -120,6 +120,10 @@ def test_sweep_rejects_non_numeric_axis(tmp_path):
     cfg_path, out = write_cfg(tmp_path)
     assert main(["sweep", "--config", str(cfg_path), "--axis", "problem.name",
                  "--values", "beam"]) == 2
+    # a malformed value is rejected before any value runs
+    assert main(["sweep", "--config", str(cfg_path), "--axis", "network.width",
+                 "--values", "4,abc"]) == 2
+    assert not Path(out).exists()
 
 
 def test_reference_and_compare(tmp_path):
@@ -202,6 +206,35 @@ def test_unknown_activation_is_rejected_at_load(tmp_path):
         assert e.value.bad_keys == [key]
         assert main(["run", "--config", str(path)]) == 2
         assert not (tmp_path / "runs").exists()
+
+
+CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.cfg"))
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
+def test_every_shipped_config_resolves_its_views(path):
+    cfg = ExperimentConfig.from_file(path)
+    spec = cfg.problem()
+    net = cfg.network(spec)
+    assert net.input_dim == spec.spatial_dim + (0 if spec.stationary else 1)
+    assert cfg.sampler().interior > 0 and cfg.train().stages > 0 and cfg.ritz().penalty > 0
+    assert cfg.seeds and ExperimentConfig.from_text(cfg.resolved_text()) == cfg
+
+
+@pytest.mark.parametrize("key,value", [
+    ("train.stages", "abc"), ("problem.name", "nope"), ("network.width", "2.5"), ("seeds", "a"),
+    ("train.schedule", "cosine"), ("network.groups", "0-x"),
+])
+def test_malformed_value_is_rejected_at_load(tmp_path, key, value):
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"problem.name=beam\n{key}={value}\nout={tmp_path / 'runs'}\n")
+    with pytest.raises(ConfigError) as e:
+        ExperimentConfig.from_file(path)
+    assert e.value.bad_keys == [key] and key in str(e.value)
+    with pytest.raises(ConfigError):
+        ExperimentConfig.from_text("").override(key, value)
+    assert main(["run", "--config", str(path)]) == 2
+    assert not (tmp_path / "runs").exists()
 
 
 def test_checkpoint_artifact_roundtrips(tmp_path):

@@ -50,7 +50,7 @@ def test_ch_equation_loss_has_four_summands():
     net = small_net(spec, form.size)
     batch = draw_batch(SamplerConfig(seed=0), spec, stage=0)
     lb = ldgm_loss(form, net.bind(Tape()), batch)
-    assert len(lb.constraint_terms) == 3  # evolution + 3 constraints
+    assert len(lb.constraint_terms) == 3  # the 3 constraints; J_e adds the evolution residual
 
 
 def test_zero_boundary_weight_ignores_boundary_batch():

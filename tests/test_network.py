@@ -7,7 +7,8 @@ from ldgm.errors import ConfigError, ShapeError, SmoothnessError, UnsupportedOrd
 from ldgm.network import (TIME, AnalyticNetwork, DecoupledSpec, Network, NetworkConfig,
                           init_xavier, load_checkpoint, save_checkpoint)
 
-from oracles import central_gradient, nested_derivative, network_jets, relative, replay
+from oracles import (central_gradient, elu_exp_side, jet_lift, nested_derivative, network_jets,
+                     relative, replay)
 
 
 def beam_like_config():
@@ -157,9 +158,30 @@ def test_jet_walk_enforces_activation_smoothness():
     params.arrays[params.names.index("b_in")] = np.array([-0.3, 0.1])
     bound = Network(elu, params).bind(Tape())
     assert bound.forward_jets(np.array([[0.5]]), np.array([0.0]), {0: 2}).jets[0][0].order == 2
-    # the first unit's preactivation is x - 0.3: zero at x = 0.3
-    with pytest.raises(SmoothnessError, match="kink"):
-        bound.forward_jets(x, t, {0: 2})
+    # the first unit's preactivation is x - 0.3: zero at x = 0.3, where the
+    # jet is the exp side's: elu(0), exp(0), exp(0)/2 (the identity's is 0, 1, 0)
+    bound.forward_jets(x, t, {0: 2})
+    act = [n for n in bound.tape.nodes if n.op == "taylor"][-1]
+    assert act.value[:, 0, 0].tolist() == [0.0, 1.0, 0.5]
+
+
+@pytest.mark.parametrize("z0", [-1e-12, 0.0, 1e-12])
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("alpha", [1.0, 0.7])
+def test_elu_jet_at_the_kink_is_the_matching_sides_jet(alpha, order, z0):
+    # one unit whose preactivation at (x, t) = (0, 0) is its bias z0, read out as is
+    cfg = NetworkConfig(input_dim=2, hidden_layers=1, width=1, output_dim=1,
+                        hidden_activation="elu", elu_alpha=alpha)
+    params = init_xavier(cfg, 0)
+    for name, a in (("w_in", [[1.0], [0.0]]), ("b_in", [z0]), ("w_out", [[1.0]]), ("b_out", [0.0])):
+        params.arrays[params.names.index(name)] = np.array(a)
+    bound = Network(cfg, params).bind(Tape())
+    jet = bound.forward_jets(np.zeros((1, 1)), np.zeros(1), {0: order}).jets[0][0]
+    z = jet_lift(Tape().input(np.array([z0])), 1.0, order)
+    side = z if z0 > 0 else elu_exp_side(z, alpha)
+    got = [float(c.value[0]) for c in jet.coeffs]
+    want = [float(c.value[0]) for c in side.coeffs]
+    assert np.allclose(got, want, rtol=1e-14, atol=0), (got, want)
 
 
 def test_unknown_activation_is_rejected():
