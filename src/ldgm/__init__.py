@@ -7,8 +7,8 @@ baselines, built on a self-contained tape/jet autodiff engine.
 from .autodiff import Jet, Tape, Var, backward
 from .loss import LossBreakdown, dgm_loss, ldgm_loss
 from .metrics import derivative_scale_diagnostic, evaluation_grid, relative_l2
-from .network import (AnalyticNetwork, DecoupledSpec, Network, NetworkConfig,
-                      ParameterSet, init_xavier, load_checkpoint, save_checkpoint)
+from .network import (AnalyticNetwork, Network, NetworkConfig, ParameterSet, init_xavier,
+                      load_checkpoint, save_checkpoint)
 from .reference import ReferenceField, SpectralCHConfig, fft, ifft, solve_ch_spectral
 from .ritz import RitzConfig, drm_loss, ldrm_loss
 from .sampling import SampleBatch, SamplerConfig, draw_batch

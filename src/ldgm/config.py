@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .autodiff import ACTIVATION_KINDS
 from .errors import ConfigError
-from .network import DecoupledSpec, NetworkConfig
+from .network import NetworkConfig
 from .ritz import RitzConfig
 from .sampling import SamplerConfig
 from .system import _REGISTRY, ProblemSpec, get_problem
@@ -23,19 +23,24 @@ from .trainer import METHODS, TrainConfig, default_network_config
 # a parser is (convert, what it accepts); convert raises ValueError on a malformed value
 _INT = (int, "an integer")
 _FLOAT = (float, "a number")
-_OPT_INT = (lambda v: int(v) if v else None, "empty or an integer")
+
+
+def _checked(parse, ok, what):
+    """A parser whose parsed value must also satisfy `ok`."""
+    def convert(v):
+        value = parse(v)
+        if not ok(value):
+            raise ValueError(v)
+        return value
+    return convert, what
 
 
 def _one_of(*names):
-    def convert(v):
-        if v not in names:
-            raise ValueError(v)
-        return v
-    return convert, f"one of {names}"
+    return _checked(str, names.__contains__, f"one of {names}")
 
 
-def _groups(v):
-    return tuple(tuple(int(i) for i in g.split("-")) for g in v.split("|")) if v else ()
+def _at_least(lo):
+    return _checked(int, lambda n: n >= lo, f"an integer >= {lo}")
 
 
 # key -> (default, parser); the defaults are the strings a resolved config echoes
@@ -49,30 +54,29 @@ _KEYS = {
     "network.activation": ("tanh", _one_of(*ACTIVATION_KINDS)),
     "network.output_activation": ("identity", _one_of(*ACTIVATION_KINDS)),
     "network.elu_alpha": ("1.0", _FLOAT),
-    "network.trunk_depth": ("", _OPT_INT),
-    "network.branch_depth": ("", _OPT_INT),
-    "network.groups": ("", (_groups, "empty or groups like 0-1|2-3")),
     "sampler.interior": ("200", _INT),
     "sampler.initial": ("50", _INT),
     "sampler.boundary": ("50", _INT),
     "sampler.seed": ("0", _INT),
     "train.learning_rate": ("0.001", _FLOAT),
-    "train.stages": ("1000", _INT),
-    "train.steps_per_stage": ("5", _INT),
+    "train.stages": ("1000", _at_least(0)),
+    "train.steps_per_stage": ("5", _at_least(1)),
     "train.beta1": ("0.9", _FLOAT),
     "train.beta2": ("0.999", _FLOAT),
     "train.epsilon": ("1e-8", _FLOAT),
     "train.schedule": ("", _one_of("", "piecewise_log")),
-    "train.log_every": ("1", _INT),
+    "train.log_every": ("1", _at_least(1)),
     "ritz.penalty": ("500.0", _FLOAT),
     "ritz.interior": ("400", _INT),
     "ritz.boundary": ("100", _INT),
-    "seeds": ("0", (lambda v: [int(s) for s in v.split(",") if s.strip() != ""],
-                    "comma-separated integers")),
+    "seeds": ("0", _checked(lambda v: [int(s) for s in v.split(",") if s.strip() != ""], bool,
+                            "one or more comma-separated integers")),
     "out": ("runs", (str, "text")),
 }
 
-NUMERIC_KEYS = {k for k, (_, parser) in _KEYS.items() if parser in (_INT, _FLOAT, _OPT_INT)}
+# the keys whose values are numbers: those a sweep may vary
+NUMERIC_KEYS = {k for k, (default, (convert, _)) in _KEYS.items()
+                if isinstance(convert(default), (int, float))}
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -100,10 +104,6 @@ def parse_values(raw: dict[str, str]) -> dict:
             values[key] = convert(v)
         except ValueError:
             raise ConfigError([key], f"{key} must be {what}, got {v!r}") from None
-    if values.get("network.groups") and None in (values.get("network.trunk_depth"),
-                                                 values.get("network.branch_depth")):
-        raise ConfigError(["network.trunk_depth", "network.branch_depth"],
-                          "network.groups needs network.trunk_depth and network.branch_depth")
     return values
 
 
@@ -153,13 +153,8 @@ class ExperimentConfig:
 
     def network(self, spec: ProblemSpec) -> NetworkConfig:
         v = self.values
-        decoupled = None
-        if v["network.groups"]:
-            decoupled = DecoupledSpec(v["network.trunk_depth"], v["network.branch_depth"],
-                                      v["network.groups"])
         net = default_network_config(spec, self.method, hidden_layers=v["network.hidden_layers"],
-                                     width=v["network.width"],
-                                     activation=v["network.activation"], decoupled=decoupled)
+                                     width=v["network.width"], activation=v["network.activation"])
         return dataclasses.replace(net, output_activation=v["network.output_activation"],
                                    elu_alpha=v["network.elu_alpha"])
 

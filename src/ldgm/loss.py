@@ -5,7 +5,7 @@ the network, whether the form is an order-reduced rewrite (extra outputs,
 low-order jets) or the strong form (one output, jets up to the PDE
 order).  Each point set is walked once, to the jet orders its residuals
 need.  Every term is a mean of squares over its batch, so totals are
-batch-size invariant and weighted exactly as configured.
+batch-size invariant, and the total is their plain sum J_e + J_i + J_b.
 """
 
 from __future__ import annotations
@@ -99,9 +99,7 @@ def ldgm_loss(system: SystemForm, bound, batch: SampleBatch) -> LossBreakdown:
     for r in residuals[1:]:
         J_b = J_b + _mse(r)
 
-    w_e, w_i, w_b = spec.loss_weights
-    total = w_e * J_e + w_i * J_i + w_b * J_b
-    return LossBreakdown(J_e, J_i, J_b, total, constraint_terms)
+    return LossBreakdown(J_e, J_i, J_b, J_e + J_i + J_b, constraint_terms)
 
 
 def dgm_loss(spec: ProblemSpec, bound, batch: SampleBatch) -> LossBreakdown:

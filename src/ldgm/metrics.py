@@ -148,15 +148,9 @@ def derivative_scale_diagnostic(net: Optional[Network] = None, seed: int = 0,
     return report
 
 
-def write_table(path, header, rows, delimiter=",") -> None:
-    """CSV or whitespace-separated table (gnuplot-friendly with ' ')."""
+def write_table(path, header, rows) -> None:
+    """A CSV table: the header row, then one row per entry."""
     with open(path, "w", newline="") as f:
-        if delimiter == ",":
-            w = csv.writer(f)
-            w.writerow(header)
-            w.writerows(rows)
-        else:
-            f.write("# " + delimiter.join(str(h) for h in header) + "\n")
-            for row in rows:
-                f.write(delimiter.join(repr(v) if isinstance(v, float) else str(v)
-                                       for v in row) + "\n")
+        w = csv.writer(f)
+        w.writerow(header)
+        w.writerows(rows)

@@ -1,11 +1,11 @@
 """Feedforward multi-output networks with jet-lifted evaluation.
 
-A network maps (x, t) -> m outputs through an input affine layer, L-1
-hidden affine layers (L tanh/elu applications total) and a linear output
-head, optionally split into a shared trunk plus per-group branches so that
-groups of outputs stop sharing late-layer parameters.
+A network maps (x, t) -> m outputs through one chain: an input affine
+layer, L-1 hidden affine layers (L tanh/elu applications total) and a
+linear head, then one output activation over the whole head.  Every output
+shares every layer; `_layer_plan` is the chain's one table.
 
-Evaluation is one walk over that topology.  With input directions each
+Evaluation is one walk down that chain.  With input directions each
 layer carries one jet stack, the shared primal plus every direction's
 truncated Taylor coefficients, through one affine node and one Taylor-mode
 activation node.  A plain forward pass is the walk with no directions: each
@@ -28,82 +28,34 @@ TIME = "t"
 
 
 @dataclass(frozen=True)
-class DecoupledSpec:
-    """Trunk/branch split: branch groups partition the output indices."""
-
-    trunk_depth: int = 2
-    branch_depth: int = 1
-    groups: tuple[tuple[int, ...], ...] = ()
-
-
-@dataclass(frozen=True)
 class NetworkConfig:
     input_dim: int
     hidden_layers: int
     width: int
     output_dim: int
     hidden_activation: str = "tanh"
-    output_activation: str | tuple[str, ...] = "identity"
+    output_activation: str = "identity"
     elu_alpha: float = 1.0
-    decoupled: DecoupledSpec | None = None
 
     def __post_init__(self):
-        oa = self.output_activation
-        for name, kinds in (("hidden_activation", [self.hidden_activation]),
-                            ("output_activation", [oa] if isinstance(oa, str) else oa)):
-            bad = [k for k in kinds if k not in ACTIVATION_KINDS]
-            if bad:
-                raise ConfigError([name], f"{name} {bad[0]!r} is not one of {ACTIVATION_KINDS}")
+        for name in ("hidden_activation", "output_activation"):
+            kind = getattr(self, name)
+            if kind not in ACTIVATION_KINDS:
+                raise ConfigError([name], f"{name} {kind!r} is not one of {ACTIVATION_KINDS}")
         if self.hidden_layers < 1 or self.width < 1 or self.output_dim < 1:
             raise ShapeError("hidden_layers, width and output_dim must all be >= 1")
-        if not isinstance(oa, str) and len(oa) != self.output_dim:
-            raise ConfigError(["output_activation"],
-                              f"output_activation lists {len(oa)} activations "
-                              f"for {self.output_dim} outputs")
-        if self.decoupled is not None:
-            d = self.decoupled
-            seen = sorted(i for g in d.groups for i in g)
-            if seen != list(range(self.output_dim)):
-                raise ShapeError("decoupled groups must partition the output indices")
-            if d.trunk_depth + d.branch_depth != self.hidden_layers:
-                raise ShapeError("trunk_depth + branch_depth must equal hidden_layers")
-
-    def out_activation(self, j: int) -> str:
-        oa = self.output_activation
-        return oa if isinstance(oa, str) else oa[j]
-
-
-def _topology(cfg: NetworkConfig):
-    """The layer walk as (weight, bias) name pairs.
-
-    Returns the trunk pairs, then one (hidden pairs, head pair, output
-    indices) entry per output group; an undivided network is one group with
-    no branch layers.  Parameter names and their order come from here alone.
-    """
-    trunk = [("w_in", "b_in")]
-    dec = cfg.decoupled
-    if dec is None:
-        trunk += [(f"w_h{i}", f"b_h{i}") for i in range(1, cfg.hidden_layers)]
-        return trunk, [([], ("w_out", "b_out"), tuple(range(cfg.output_dim)))]
-    trunk += [(f"w_h{i}", f"b_h{i}") for i in range(1, dec.trunk_depth)]
-    branches = [([(f"g{gi}_w{i}", f"g{gi}_b{i}") for i in range(dec.branch_depth)],
-                 (f"g{gi}_w_out", f"g{gi}_b_out"), group)
-                for gi, group in enumerate(dec.groups)]
-    return trunk, branches
 
 
 def _layer_plan(cfg: NetworkConfig):
-    """(name, shape) pairs in serialization order; weights are 2-d, biases 1-d."""
-    n = cfg.width
-    trunk, branches = _topology(cfg)
-    plan = []
-    for i, (w, b) in enumerate(trunk):
-        plan += [(w, (cfg.input_dim if i == 0 else n, n)), (b, (n,))]
-    for hidden, (w, b), group in branches:
-        for hw, hb in hidden:
-            plan += [(hw, (n, n)), (hb, (n,))]
-        plan += [(w, (n, len(group))), (b, (len(group),))]
-    return plan
+    """The chain in walk order: one (weight, bias, (fan_in, fan_out)) per affine layer.
+
+    The input layer, the L-1 hidden layers, then the head.  Parameter names,
+    their order and their shapes come from here alone.
+    """
+    names = [("w_in", "b_in")] + [(f"w_h{i}", f"b_h{i}") for i in range(1, cfg.hidden_layers)]
+    dims = [cfg.input_dim] + [cfg.width] * cfg.hidden_layers + [cfg.output_dim]
+    return [(w, b, (dims[i], dims[i + 1]))
+            for i, (w, b) in enumerate(names + [("w_out", "b_out")])]
 
 
 class ParameterSet:
@@ -136,8 +88,11 @@ class ParameterSet:
 
 def _zero_params(cfg: NetworkConfig) -> ParameterSet:
     """Every parameter of the layer plan, zero."""
-    plan = _layer_plan(cfg)
-    return ParameterSet([name for name, _ in plan], [np.zeros(shape) for _, shape in plan])
+    names, arrays = [], []
+    for w, b, (fan_in, fan_out) in _layer_plan(cfg):
+        names += [w, b]
+        arrays += [np.zeros((fan_in, fan_out)), np.zeros(fan_out)]
+    return ParameterSet(names, arrays)
 
 
 def init_xavier(cfg: NetworkConfig, seed: int) -> ParameterSet:
@@ -256,27 +211,13 @@ class BoundNetwork:
         xin = self.tape.input(X)
 
         cfg = self.config
-        act = cfg.hidden_activation
-        trunk, branches = _topology(cfg)
+        *hidden, (w, b, _) = _layer_plan(cfg)
         h = xin
-        for w, b in trunk:
-            h = self._act(ad.affine(h, self.vars[w], self.vars[b]), act, blocks)
-        values = [None] * cfg.output_dim
-        heads = [None] * cfg.output_dim  # per output: (jet stack or values, column)
+        for hw, hb, _ in hidden:
+            h = self._act(ad.affine(h, self.vars[hw], self.vars[hb]), cfg.hidden_activation, blocks)
+        y = self._act(ad.affine(h, self.vars[w], self.vars[b]), cfg.output_activation, blocks)
         rows = (0, slice(None)) if blocks else (slice(None),)  # where the values sit
-        for hidden, (w, b), group in branches:
-            hb = h
-            for hw, hbias in hidden:
-                hb = self._act(ad.affine(hb, self.vars[hw], self.vars[hbias]), act, blocks)
-            y = ad.affine(hb, self.vars[w], self.vars[b])
-            for jj, j in enumerate(group):
-                kind = cfg.out_activation(j)
-                heads[j] = (y, jj)
-                if kind != "identity":
-                    one = ad.take(y, (Ellipsis, slice(jj, jj + 1)))
-                    heads[j] = (self._act(one, kind, blocks), 0)
-                stack, col = heads[j]
-                values[j] = ad.take(stack, rows + (col,))
+        values = [ad.take(y, rows + (j,)) for j in range(cfg.output_dim)]
 
         result = NetworkOutput(values=values, input_node=xin)
         for dd, od in orders.items():
@@ -285,9 +226,9 @@ class BoundNetwork:
                 continue
             r = ranked.index(dd)
             result.jets[dd] = [
-                Jet([v] + [ad.take(stack, (starts[k - 1] + r, slice(None), col))
+                Jet([v] + [ad.take(y, (starts[k - 1] + r, slice(None), j))
                            for k in range(1, od + 1)])
-                for v, (stack, col) in zip(values, heads)]
+                for j, v in enumerate(values)]
         return result
 
     def forward_with_derivatives(self, x, t=None, directions=(), order: int = 1) -> NetworkOutput:
@@ -369,34 +310,31 @@ class BoundAnalytic:
 # -- checkpoint io ----------------------------------------------------------
 
 
+# the header's fields in written order, each with its parser
+_HEADER = {"input_dim": int, "hidden_layers": int, "width": int, "output_dim": int,
+           "hidden_activation": str, "output_activation": str, "elu_alpha": float}
+
+
 def _encode_config(cfg: NetworkConfig) -> str:
-    oa = cfg.output_activation
-    oa = oa if isinstance(oa, str) else ",".join(oa)
-    parts = [f"input_dim={cfg.input_dim}", f"hidden_layers={cfg.hidden_layers}",
-             f"width={cfg.width}", f"output_dim={cfg.output_dim}",
-             f"hidden_activation={cfg.hidden_activation}", f"output_activation={oa}",
-             f"elu_alpha={cfg.elu_alpha!r}"]
-    if cfg.decoupled is not None:
-        d = cfg.decoupled
-        groups = "|".join("-".join(str(i) for i in g) for g in d.groups)
-        parts.append(f"decoupled={d.trunk_depth}:{d.branch_depth}:{groups}")
-    return " ".join(parts)
+    return " ".join(f"{k}={getattr(cfg, k)}" for k in _HEADER)
 
 
 def _decode_config(header: str) -> NetworkConfig:
-    kv = dict(item.split("=", 1) for item in header.split())
-    oa = kv["output_activation"]
-    dec = None
-    if "decoupled" in kv:
-        trunk, branch, groups = kv["decoupled"].split(":")
-        dec = DecoupledSpec(int(trunk), int(branch),
-                            tuple(tuple(int(i) for i in g.split("-")) for g in groups.split("|")))
-    return NetworkConfig(
-        input_dim=int(kv["input_dim"]), hidden_layers=int(kv["hidden_layers"]),
-        width=int(kv["width"]), output_dim=int(kv["output_dim"]),
-        hidden_activation=kv["hidden_activation"],
-        output_activation=oa if "," not in oa else tuple(oa.split(",")),
-        elu_alpha=float(kv["elu_alpha"]), decoupled=dec)
+    """The config a header holds; a field missing, unknown or malformed is a ConfigError."""
+    kv = dict(item.partition("=")[::2] for item in header.split())
+    missing = [k for k in _HEADER if k not in kv]
+    if missing:
+        raise ConfigError(missing, f"checkpoint header lacks {', '.join(missing)}")
+    unknown = [k for k in kv if k not in _HEADER]
+    if unknown:
+        raise ConfigError(unknown, f"checkpoint header has unknown field {', '.join(unknown)}")
+    fields = {}
+    for k, parse in _HEADER.items():
+        try:
+            fields[k] = parse(kv[k])
+        except ValueError:
+            raise ConfigError([k], f"checkpoint header field {k}={kv[k]!r} is malformed") from None
+    return NetworkConfig(**fields)
 
 
 def save_checkpoint(path, cfg: NetworkConfig, params: ParameterSet) -> None:

@@ -60,7 +60,6 @@ class ProblemSpec:
     boundary: Optional[BoundaryCond]
     exact_expr: Optional[object] = None   # symbolic source of `solution` (sympy syntax)
     solution: Optional[Callable] = None   # numpy closed form u(x, t) of exact_expr
-    loss_weights: tuple[float, float, float] = (1.0, 1.0, 1.0)
     params: dict = field(default_factory=dict)
     ldgm_form: Optional[Callable] = None      # override for the trained first-order system
     dgm_boundary: Optional[Callable] = None   # override for strong-form boundary residuals

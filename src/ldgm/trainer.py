@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import ritz
+from . import metrics, ritz
 from .autodiff import Tape, backward
 from .errors import ConfigError, LdgmError, NonFiniteLossError
 from .loss import dgm_loss, ldgm_loss
@@ -101,11 +101,7 @@ class TrainReport:
         return [row[i] for row in self.rows]
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(self.columns)
-            for row in self.rows:
-                w.writerow(row)
+        metrics.write_table(path, self.columns, self.rows)
 
     @classmethod
     def from_csv(cls, path) -> "TrainReport":
@@ -204,13 +200,12 @@ def method_entry(method: str, spec: Optional[ProblemSpec] = None) -> Method:
 
 
 def default_network_config(spec: ProblemSpec, method: str,
-                           hidden_layers=3, width=50, activation="tanh",
-                           decoupled=None) -> NetworkConfig:
+                           hidden_layers=3, width=50, activation="tanh") -> NetworkConfig:
     return NetworkConfig(
         input_dim=spec.spatial_dim + (0 if spec.stationary else 1),
         hidden_layers=hidden_layers, width=width,
         output_dim=method_entry(method, spec).outputs(spec),
-        hidden_activation=activation, decoupled=decoupled)
+        hidden_activation=activation)
 
 
 def train(spec: ProblemSpec, method: str, net_cfg: NetworkConfig,
@@ -224,8 +219,6 @@ def train(spec: ProblemSpec, method: str, net_cfg: NetworkConfig,
     its points from `sampler_cfg`; only the variational losses read
     `ritz_cfg`, and only its penalty.
     """
-    from . import metrics
-
     loss_fn = method_entry(method, spec).loss(spec, ritz_cfg)
     net = Network(net_cfg, init_xavier(net_cfg, seed))
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from ldgm import autodiff as ad
 from ldgm.errors import SmoothnessError, UnavailableError
-from ldgm.network import _topology
+from ldgm.network import _layer_plan
 
 # step sizes tuned per order for Richardson-extrapolated central stencils
 _FD_STEPS = {1: 1e-5, 2: 5e-4, 3: 8e-3, 4: 4e-2}
@@ -358,28 +358,18 @@ def network_jets(net, x, t, orders: dict):
     def affine(h, w, b):
         return Jet([ad.affine(h.coeffs[0], p[w], p[b])] + [matmul(c, p[w]) for c in h.coeffs[1:]])
 
-    def layer(h, w, b):
-        return apply_activation(affine(h, w, b), cfg.hidden_activation, cfg.elu_alpha)
-
-    trunk, branches = _topology(cfg)
+    *hidden, (w_out, b_out, _) = _layer_plan(cfg)
     jets = {}
     for dd, order in orders.items():
         seed = np.zeros_like(X)
         seed[:, X.shape[1] - 1 if dd == "t" else dd] = 1.0
         coeffs = [xin, tape.const(seed)] + [tape.const(np.zeros_like(X)) for _ in range(order - 1)]
         h = Jet(coeffs[:order + 1])
-        for w, b in trunk:
-            h = layer(h, w, b)
-        outs = [None] * cfg.output_dim
-        for hidden, (w, b), group in branches:
-            hb = h
-            for hw, hbias in hidden:
-                hb = layer(hb, hw, hbias)
-            y = affine(hb, w, b)
-            for jj, j in enumerate(group):
-                outs[j] = apply_activation(Jet([ad.take(c, (slice(None), jj)) for c in y.coeffs]),
-                                           cfg.out_activation(j), cfg.elu_alpha)
-        jets[dd] = outs
+        for w, b, _ in hidden:
+            h = apply_activation(affine(h, w, b), cfg.hidden_activation, cfg.elu_alpha)
+        y = apply_activation(affine(h, w_out, b_out), cfg.output_activation, cfg.elu_alpha)
+        jets[dd] = [Jet([ad.take(c, (slice(None), j)) for c in y.coeffs])
+                    for j in range(cfg.output_dim)]
     return jets
 
 

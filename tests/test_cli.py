@@ -12,6 +12,7 @@ import ldgm
 from ldgm.cli import main
 from ldgm.config import ExperimentConfig
 from ldgm.errors import ConfigError
+from ldgm.network import init_xavier, load_checkpoint, save_checkpoint
 from ldgm.trainer import TrainReport
 
 TINY = """
@@ -212,18 +213,23 @@ CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.cf
 
 
 @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
-def test_every_shipped_config_resolves_its_views(path):
+def test_every_shipped_config_resolves_its_views(path, tmp_path):
     cfg = ExperimentConfig.from_file(path)
     spec = cfg.problem()
     net = cfg.network(spec)
     assert net.input_dim == spec.spatial_dim + (0 if spec.stationary else 1)
     assert cfg.sampler().interior > 0 and cfg.train().stages > 0 and cfg.ritz().penalty > 0
     assert cfg.seeds and ExperimentConfig.from_text(cfg.resolved_text()) == cfg
+    # the checkpoint header carries every field of the network config
+    save_checkpoint(tmp_path / "net.ckpt", net, init_xavier(net, 0))
+    assert load_checkpoint(tmp_path / "net.ckpt")[0] == net
 
 
 @pytest.mark.parametrize("key,value", [
     ("train.stages", "abc"), ("problem.name", "nope"), ("network.width", "2.5"), ("seeds", "a"),
-    ("train.schedule", "cosine"), ("network.groups", "0-x"),
+    ("train.schedule", "cosine"),
+    # counts that would crash or silently empty a run
+    ("train.log_every", "0"), ("train.steps_per_stage", "0"), ("train.stages", "-1"), ("seeds", ""),
 ])
 def test_malformed_value_is_rejected_at_load(tmp_path, key, value):
     path = tmp_path / "bad.cfg"
@@ -241,7 +247,6 @@ def test_checkpoint_artifact_roundtrips(tmp_path):
     cfg_path, out = write_cfg(tmp_path, stages=2)
     main(["run", "--config", str(cfg_path)])
     d = next((tmp_path / "runs").iterdir())
-    from ldgm.network import load_checkpoint
     cfg, params = load_checkpoint(d / "params.ckpt")
     assert cfg.output_dim == 4  # beam roster size
     assert np.all(np.isfinite(params.to_vector()))

@@ -92,9 +92,4 @@ def test_write_table_formats(tmp_path):
     rows = [(1, 0.5), (2, 0.25)]
     csv_path = tmp_path / "t.csv"
     write_table(csv_path, ("order", "err"), rows)
-    assert csv_path.read_text().splitlines()[0] == "order,err"
-    dat_path = tmp_path / "t.dat"
-    write_table(dat_path, ("order", "err"), rows, delimiter=" ")
-    lines = dat_path.read_text().splitlines()
-    assert lines[0].startswith("#")
-    assert lines[1] == "1 0.5"
+    assert csv_path.read_text().splitlines() == ["order,err", "1,0.5", "2,0.25"]

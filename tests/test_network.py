@@ -4,8 +4,8 @@ import pytest
 from ldgm import autodiff as ad
 from ldgm.autodiff import Tape, backward
 from ldgm.errors import ConfigError, ShapeError, SmoothnessError, UnsupportedOrderError
-from ldgm.network import (TIME, AnalyticNetwork, DecoupledSpec, Network, NetworkConfig,
-                          init_xavier, load_checkpoint, save_checkpoint)
+from ldgm.network import (TIME, AnalyticNetwork, Network, NetworkConfig, init_xavier,
+                          load_checkpoint, save_checkpoint)
 
 from oracles import (central_gradient, elu_exp_side, jet_lift, nested_derivative, network_jets,
                      relative, replay)
@@ -112,11 +112,7 @@ def test_mixed_mode_agreement_jet_vs_reverse():
     pytest.param(NetworkConfig(input_dim=2, hidden_layers=2, width=6, output_dim=1,
                                hidden_activation="elu"), 13, id="elu"),
     pytest.param(NetworkConfig(input_dim=2, hidden_layers=2, width=6, output_dim=3,
-                               output_activation=("tanh", "sigmoid", "identity")), 11,
-                 id="tuple_output_activation"),
-    pytest.param(NetworkConfig(input_dim=2, hidden_layers=3, width=6, output_dim=3,
-                               decoupled=DecoupledSpec(2, 1, ((0, 2), (1,)))), 11,
-                 id="decoupled"),
+                               output_activation="sigmoid"), 11, id="sigmoid_head"),
 ])
 def test_jet_derivatives_match_fd_through_network(cfg, seed):
     params = init_xavier(cfg, seed=seed)
@@ -190,7 +186,7 @@ def test_unknown_activation_is_rejected():
                       hidden_activation="gelu")
     with pytest.raises(ConfigError, match="softplus"):
         NetworkConfig(input_dim=2, hidden_layers=1, width=4, output_dim=2,
-                      output_activation=("identity", "softplus"))
+                      output_activation="softplus")
 
 
 def test_constant_network_has_zero_derivatives():
@@ -209,29 +205,6 @@ def test_constant_network_has_zero_derivatives():
             assert np.all(c.value == 0.0)
 
 
-def test_decoupled_outputs_have_private_branch_parameters():
-    dec = DecoupledSpec(trunk_depth=2, branch_depth=1, groups=((0, 1), (2,)))
-    cfg = NetworkConfig(input_dim=2, hidden_layers=3, width=6, output_dim=3, decoupled=dec)
-    params = init_xavier(cfg, seed=9)
-    net = Network(cfg, params)
-    tape = Tape()
-    bound = net.bind(tape)
-    out = bound.forward(np.array([[0.2], [0.6]]), np.array([0.1, 0.4]))
-    from ldgm import autodiff as ad
-    g = backward(tape, ad.mean(out.values[0]))
-    for name, var in bound.vars.items():
-        if name.startswith("g1_"):
-            assert np.all(g[var.idx] == 0.0), name
-        if name.startswith(("w_in", "g0_")):
-            assert np.any(g[var.idx] != 0.0), name
-
-
-def test_decoupled_group_validation():
-    with pytest.raises(ShapeError):
-        NetworkConfig(input_dim=2, hidden_layers=3, width=4, output_dim=3,
-                      decoupled=DecoupledSpec(groups=((0, 1),)))
-
-
 def test_shape_and_order_errors():
     cfg = NetworkConfig(input_dim=2, hidden_layers=1, width=4, output_dim=1)
     net = Network(cfg, init_xavier(cfg, seed=0))
@@ -248,7 +221,7 @@ def test_shape_and_order_errors():
 
 def test_checkpoint_roundtrip_is_bit_exact(tmp_path):
     cfg = NetworkConfig(input_dim=2, hidden_layers=2, width=7, output_dim=3,
-                        output_activation=("identity", "tanh", "identity"))
+                        output_activation="tanh")
     params = init_xavier(cfg, seed=13)
     path = tmp_path / "net.ckpt"
     save_checkpoint(path, cfg, params)
@@ -280,8 +253,7 @@ FUSED_NETS = {
     "elu": dict(hidden_activation="elu"),
     "elu_alpha07": dict(hidden_activation="elu", elu_alpha=0.7),
     "relu": dict(hidden_activation="relu"),
-    "tuple_output_activation": dict(output_activation=("sigmoid", "identity", "tanh")),
-    "decoupled": dict(decoupled=DecoupledSpec(2, 1, ((0, 2), (1,)))),
+    "sigmoid_head": dict(output_activation="sigmoid"),
 }
 
 
@@ -302,8 +274,7 @@ def fused_case(name, seed=4):
     pytest.param("sigmoid", {0: 2, 1: 3, TIME: 1}, id="sigmoid-mixed"),
     pytest.param("elu", {0: 1, 1: 1, TIME: 1}, id="elu-mixed"),
     pytest.param("relu", {0: 1, TIME: 1}, id="relu-mixed"),
-    pytest.param("tuple_output_activation", {0: 3, TIME: 2}, id="tuple_output_activation-mixed"),
-    pytest.param("decoupled", {1: 2, 0: 4, TIME: 1}, id="decoupled-mixed"),
+    pytest.param("sigmoid_head", {0: 3, TIME: 2}, id="sigmoid_head-mixed"),
 ])
 def test_fused_jets_match_the_scalar_oracle(name, orders):
     net, x, t = fused_case(name)
@@ -323,11 +294,8 @@ def test_fused_jets_match_the_scalar_oracle(name, orders):
 
 @pytest.mark.parametrize("name", list(FUSED_NETS))
 def test_plain_walk_values_are_the_jet_walks_slot_zero(name):
-    # a 3x10 net (4x10 when decoupled) at 64 points, bit for bit
-    extra = dict(FUSED_NETS[name], hidden_layers=3)
-    if "decoupled" in extra:
-        extra.update(hidden_layers=4, decoupled=DecoupledSpec(3, 1, ((0, 2), (1,))))
-    cfg = NetworkConfig(input_dim=3, width=10, output_dim=3, **extra)
+    # a 3x10 net at 64 points, bit for bit
+    cfg = NetworkConfig(input_dim=3, hidden_layers=3, width=10, output_dim=3, **FUSED_NETS[name])
     rng = np.random.default_rng(13)
     x, t = rng.uniform(-1, 1, size=(64, 2)), rng.uniform(0, 1, size=64)
     bound = Network(cfg, init_xavier(cfg, 13)).bind(Tape())
@@ -344,8 +312,7 @@ def test_plain_walk_values_are_the_jet_walks_slot_zero(name):
     ("elu", {0: 2, TIME: 1}),
     ("elu_alpha07", {0: 1, 1: 1}),
     ("relu", {0: 1, TIME: 1}),
-    ("tuple_output_activation", {0: 2, TIME: 1}),
-    ("decoupled", {0: 2, 1: 1}),
+    ("sigmoid_head", {0: 2, TIME: 1}),
     # an order-0 direction is the value alone: the walk with no coefficient slots
     *[pytest.param(name, {0: 0}, id=f"{name}-plain") for name in FUSED_NETS],
 ])
@@ -399,8 +366,9 @@ def test_fused_jet_tape_replays_bit_exactly(name):
 def test_jet_tape_size_does_not_grow_with_order():
     x, t = np.array([[0.3], [0.7]]), np.array([0.2, 0.5])
 
-    def nodes(depth, order):
-        cfg = NetworkConfig(input_dim=2, hidden_layers=depth, width=4, output_dim=2)
+    def nodes(depth, order, head="identity"):
+        cfg = NetworkConfig(input_dim=2, hidden_layers=depth, width=4, output_dim=2,
+                            output_activation=head)
         tape = Tape()
         Network(cfg, init_xavier(cfg, 0)).bind(tape).forward_jets(x, t, {0: order, TIME: 1})
         ops = [n.op for n in tape.nodes]
@@ -411,6 +379,8 @@ def test_jet_tape_size_does_not_grow_with_order():
     assert nodes(3, 1) == nodes(3, 4) == nodes(3, ad.JET_ORDER_CAP)
     # a layer adds its two parameters, one affine node and one activation node
     assert nodes(4, 4) - nodes(3, 4) == nodes(5, 4) - nodes(4, 4) == 4
+    # a non-identity head is one activation node over every output
+    assert nodes(3, 4, "sigmoid") - nodes(3, 4) == 1
 
 
 def test_order_zero_direction_is_the_value_alone():
@@ -427,17 +397,15 @@ def test_order_zero_direction_is_the_value_alone():
         bound.forward_jets(x, t, {0: -1})
 
 
-def test_output_activation_tuple_must_match_output_dim(tmp_path):
-    with pytest.raises(ConfigError, match="2 activations for 3 outputs"):
-        NetworkConfig(input_dim=2, hidden_layers=1, width=4, output_dim=3,
-                      output_activation=("identity", "tanh"))
-    # a checkpoint header with the same mismatch is refused when it loads
-    cfg = NetworkConfig(input_dim=2, hidden_layers=1, width=4, output_dim=2,
-                        output_activation=("identity", "tanh"))
+def test_checkpoint_header_must_be_read_fully(tmp_path):
+    cfg = NetworkConfig(input_dim=2, hidden_layers=1, width=4, output_dim=2)
     path = tmp_path / "net.ckpt"
     save_checkpoint(path, cfg, init_xavier(cfg, 0))
-    text = path.read_text().replace("output_activation=identity,tanh",
-                                    "output_activation=identity,tanh,tanh", 1)
-    path.write_text(text)
-    with pytest.raises(ConfigError, match="3 activations for 2 outputs"):
-        load_checkpoint(path)
+    header, body = path.read_text().split("\n", 1)
+    for bad, key in ((header.replace(" width=4", ""), "width"),
+                     (header + " decoupled=2:1:0|1", "decoupled"),
+                     (header.replace("elu_alpha=1.0", "elu_alpha=one"), "elu_alpha")):
+        path.write_text(bad + "\n" + body)
+        with pytest.raises(ConfigError, match=key) as e:
+            load_checkpoint(path)
+        assert e.value.bad_keys == [key]
