@@ -10,9 +10,13 @@ network computes them (see `network`), and because each coefficient is
 itself a tape node, any derivative a jet produces remains differentiable
 with respect to the parameters (one reverse pass suffices).
 
-Every tape op is one entry of the op table `OPS`: the function that records
-the op sits next to its reverse, and `backward` looks up one reverse per
-node.  The tests register a few ops of their own in the same table.
+Every tape op is one entry of the op table `OPS`: its forward, which
+computes a node's value from its inputs' values, and its reverse.  The
+functions that record an op compute its value through that forward, and a
+`Schedule` compiled from a recorded tape reruns the same forwards at new
+parameter values and runs the one reverse sweep; `backward` is a schedule
+built and swept once.  The tests register a few ops of their own in the
+same table.
 
 The network computes jets on jet stacks: one array whose slot 0 is a value
 and whose further slots are the Taylor coefficients of every direction.
@@ -35,22 +39,28 @@ JET_ORDER_CAP = 6
 
 ACTIVATION_KINDS = ("tanh", "sigmoid", "elu", "identity", "relu")
 
-# op -> reverse(node, g, xs), or None for a leaf: given the node's adjoint g
-# and its input values xs, a reverse returns one adjoint per input.  `backward`
-# sums a broadcast adjoint down to its input's shape, and adds an adjoint
-# given as (index, a) at input[index] only.
+# op -> (forward(node, xs), reverse(node, g, xs)), or None for a leaf.  Given
+# the input values xs, a forward returns the node's value and may keep what
+# its reverse reads in node.saved.  Given the node's adjoint g, a reverse
+# returns one adjoint per input; the sweep sums a broadcast adjoint down to
+# its input's shape, and adds an adjoint given as (index, a) at input[index]
+# only.
 OPS: dict = {"const": None, "input": None, "param": None}
 
 
 class Node:
-    __slots__ = ("op", "inputs", "aux", "value", "is_param")
+    __slots__ = ("op", "inputs", "aux", "value", "saved")
 
-    def __init__(self, op, inputs, aux, value, is_param=False):
+    def __init__(self, op, inputs, aux, value):
         self.op = op
         self.inputs = inputs
         self.aux = aux
         self.value = value
-        self.is_param = is_param
+        self.saved = None
+
+    @property
+    def is_param(self) -> bool:
+        return self.op == "param"
 
 
 class Tape:
@@ -64,10 +74,18 @@ class Tape:
     def __init__(self):
         self.nodes: list[Node] = []
 
-    def push(self, op, inputs, aux, value, is_param=False) -> "Var":
-        """Record one node of `op` reading the node ids `inputs`."""
-        self.nodes.append(Node(op, inputs, aux, value, is_param))
+    def push(self, op, inputs, aux, value) -> "Var":
+        """Append one node of `op` reading the node ids `inputs`, with its value given."""
+        self.nodes.append(Node(op, inputs, aux, value))
         return Var(self, len(self.nodes) - 1)
+
+    def record(self, op, inputs, aux=None) -> "Var":
+        """Append one node of `op`, its value computed by the op's forward."""
+        nodes = self.nodes
+        node = Node(op, inputs, aux, None)
+        node.value = OPS[op][0](node, [nodes[k].value for k in inputs])
+        nodes.append(node)
+        return Var(self, len(nodes) - 1)
 
     def const(self, value) -> "Var":
         return self.push("const", (), None, np.asarray(value, dtype=np.float64))
@@ -77,7 +95,7 @@ class Tape:
         return self.push("input", (), None, np.asarray(value, dtype=np.float64))
 
     def param(self, value) -> "Var":
-        return self.push("param", (), None, np.asarray(value, dtype=np.float64), is_param=True)
+        return self.push("param", (), None, np.asarray(value, dtype=np.float64))
 
 
 def tape_of(*args: "Var") -> Tape:
@@ -120,31 +138,29 @@ class Var:
 
     # -- arithmetic ------------------------------------------------------
 
-    def _binary(self, op, other, fn):
+    def _binary(self, op, other):
         t = self.tape
         if isinstance(other, Var):
             if other.tape is not t:
                 raise InvalidNodeError("operands recorded on different tapes")
-            return t.push(op, (self.idx, other.idx), None, fn(self.value, other.value))
-        c = np.asarray(other, dtype=np.float64)
-        return t.push(op + "c", (self.idx,), c, fn(self.value, c))
+            return t.record(op, (self.idx, other.idx))
+        return t.record(op + "c", (self.idx,), np.asarray(other, dtype=np.float64))
 
     def __add__(self, other):
-        return self._binary("add", other, np.add)
+        return self._binary("add", other)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, Var):
-            return self._binary("sub", other, np.subtract)
+            return self._binary("sub", other)
         return self.__add__(-np.asarray(other, dtype=np.float64))
 
     def __rsub__(self, other):
-        c = np.asarray(other, dtype=np.float64)
-        return self.tape.push("rsubc", (self.idx,), c, c - self.value)
+        return self.tape.record("rsubc", (self.idx,), np.asarray(other, dtype=np.float64))
 
     def __mul__(self, other):
-        return self._binary("mul", other, np.multiply)
+        return self._binary("mul", other)
 
     __rmul__ = __mul__
 
@@ -153,34 +169,37 @@ class Var:
         return self.__mul__(1.0 / np.asarray(other, dtype=np.float64))
 
     def __neg__(self):
-        return self.tape.push("neg", (self.idx,), None, -self.value)
+        return self.tape.record("neg", (self.idx,))
 
 
-# the reverses of Var's arithmetic
+# Var's arithmetic; a constant operand is the node's aux
 OPS.update({
-    "add": lambda node, g, xs: (g, g),
-    "sub": lambda node, g, xs: (g, -g),
-    "mul": lambda node, g, xs: (g * xs[1], g * xs[0]),
-    "addc": lambda node, g, xs: (g,),
-    "rsubc": lambda node, g, xs: (-g,),
-    "mulc": lambda node, g, xs: (g * node.aux,),
-    "neg": lambda node, g, xs: (-g,),
+    "add": (lambda node, xs: np.add(xs[0], xs[1]), lambda node, g, xs: (g, g)),
+    "sub": (lambda node, xs: np.subtract(xs[0], xs[1]), lambda node, g, xs: (g, -g)),
+    "mul": (lambda node, xs: np.multiply(xs[0], xs[1]),
+            lambda node, g, xs: (g * xs[1], g * xs[0])),
+    "addc": (lambda node, xs: np.add(xs[0], node.aux), lambda node, g, xs: (g,)),
+    "rsubc": (lambda node, xs: node.aux - xs[0], lambda node, g, xs: (-g,)),
+    "mulc": (lambda node, xs: np.multiply(xs[0], node.aux),
+             lambda node, g, xs: (g * node.aux,)),
+    "neg": (lambda node, xs: -xs[0], lambda node, g, xs: (-g,)),
 })
 
 
 def mean(x: Var) -> Var:
-    return x.tape.push("mean", (x.idx,), None, np.asarray(np.mean(x.value)))
+    return x.tape.record("mean", (x.idx,))
 
 
-OPS["mean"] = lambda node, g, xs: (np.broadcast_to(g / xs[0].size, xs[0].shape),)
+OPS["mean"] = (lambda node, xs: np.asarray(np.mean(xs[0])),
+               lambda node, g, xs: (np.broadcast_to(g / xs[0].size, xs[0].shape),))
 
 
 def take(y: Var, index) -> Var:
     """y[index] for a basic (slicing) index, e.g. one column or one coefficient of a jet stack."""
-    return y.tape.push("take", (y.idx,), index, y.value[index])
+    return y.tape.record("take", (y.idx,), index)
 
 
-OPS["take"] = lambda node, g, xs: ((node.aux, g),)
+OPS["take"] = (lambda node, xs: xs[0][node.aux], lambda node, g, xs: ((node.aux, g),))
 
 
 def _matmul_vjp(a: np.ndarray, b: np.ndarray, g: np.ndarray):
@@ -198,16 +217,21 @@ def affine(x: Var, w: Var, b: Var) -> Var:
     coefficients.  The product runs slice by slice (each slice gives the
     bits of the 2-d product) and only the value slot is shifted by b.
     """
-    tape = tape_of(x, w, b)
-    if x.value.ndim == 2:
-        return tape.push("affine", (x.idx, w.idx, b.idx), None, x.value @ w.value + b.value)
-    v = np.matmul(x.value, w.value)
-    v[0] += b.value
-    return tape.push("affine", (x.idx, w.idx, b.idx), None, v)
+    return tape_of(x, w, b).record("affine", (x.idx, w.idx, b.idx))
+
+
+def _affine(node, xs):
+    x, w, b = xs
+    if x.ndim == 2:
+        return x @ w + b
+    v = np.matmul(x, w)
+    v[0] += b
+    return v
 
 
 # a jet stack's bias shifts its value slot only
-OPS["affine"] = lambda node, g, xs: (*_matmul_vjp(xs[0], xs[1], g), g if g.ndim == 2 else g[0])
+OPS["affine"] = (_affine, lambda node, g, xs: (*_matmul_vjp(xs[0], xs[1], g),
+                                               g if g.ndim == 2 else g[0]))
 
 
 # -- activations --------------------------------------------------------------
@@ -245,7 +269,7 @@ def _slope(kind: str, z: np.ndarray, y: np.ndarray, alpha: float) -> np.ndarray:
 
 def tanh(x: Var) -> Var:
     """A plain tanh node (the network records `taylor` instead)."""
-    return x.tape.push("tanh", (x.idx,), ("tanh", (), 1.0, None), _value("tanh", x.value, 1.0))
+    return x.tape.record("tanh", (x.idx,), ("tanh", (), 1.0))
 
 
 def taylor(x: Var, kind: str, blocks: tuple, alpha: float = 1.0) -> Var:
@@ -268,27 +292,34 @@ def taylor(x: Var, kind: str, blocks: tuple, alpha: float = 1.0) -> Var:
     and order.  relu carries order-1 slots only (its higher orders do not
     exist, and the network refuses them).
     """
-    xv = x.value
+    return x.tape.record("taylor", (x.idx,), (kind, tuple(blocks), float(alpha)))
+
+
+def _taylor(node, xs):
+    """The forward of `taylor`; keeps the derivative series (elu: and its side masks)."""
+    kind, blocks, alpha = node.aux
+    xv = xs[0]
     if not blocks:
-        return x.tape.push("taylor", (x.idx,), (kind, (), alpha, None), _value(kind, xv, alpha))
+        return _value(kind, xv, alpha)
     z0 = xv[0]
     y = np.empty_like(xv)
     y[0] = _value(kind, z0, alpha)
     g0 = _slope(kind, z0, y[0], alpha)
     if kind == "relu":
         np.multiply(xv[1:], g0, out=y[1:])
-        saved = g0
-    else:
-        # elu's exp side has elu' = y + alpha: its series after g0 is y itself
-        saved = _series(xv, y, g0, blocks, "exp" if kind == "elu" else kind)
-        if kind == "elu":
-            # a new array: the series keeps views of the exp side's coefficients;
-            # the reverse takes the sides as float masks
-            pos = z0 > 0
-            y = np.where(pos, xv, y)
-            pos = pos.astype(np.float64)
-            saved = (saved, pos, 1.0 - pos)
-    return x.tape.push("taylor", (x.idx,), (kind, tuple(blocks), float(alpha), saved), y)
+        node.saved = g0
+        return y
+    # elu's exp side has elu' = y + alpha: its series after g0 is y itself
+    saved = _series(xv, y, g0, blocks, "exp" if kind == "elu" else kind)
+    if kind == "elu":
+        # a new array: the series keeps views of the exp side's coefficients;
+        # the reverse takes the sides as float masks
+        pos = z0 > 0
+        y = np.where(pos, xv, y)
+        pos = pos.astype(np.float64)
+        saved = (saved, pos, 1.0 - pos)
+    node.saved = saved
+    return y
 
 
 def block_starts(blocks) -> list[int]:
@@ -399,7 +430,8 @@ def _series_vjp(x, y, gs, yb, blocks, kind):
 
 
 def _taylor_vjp(node, g, xs):
-    kind, blocks, alpha, saved = node.aux
+    kind, blocks, alpha = node.aux
+    saved = node.saved
     xv = xs[0]
     if not blocks:
         return (g * _slope(kind, xv, node.value, alpha),)
@@ -430,67 +462,113 @@ def _taylor_vjp(node, g, xs):
     return (xb,)
 
 
-OPS["taylor"] = OPS["tanh"] = _taylor_vjp
+OPS["taylor"] = OPS["tanh"] = (_taylor, _taylor_vjp)
 
 
 # -- reverse mode ---------------------------------------------------------
 
 
-def backward(tape: Tape, output: Var, wrt=None) -> dict[int, np.ndarray]:
-    """Adjoints of `output` for every parameter node (plus any `wrt` vars).
+class Schedule:
+    """The part of a recorded tape that one output depends on, ready to rerun.
 
-    Shared subexpressions accumulate by summation in a fixed reverse order,
-    so two identical calls produce bit-identical gradients.  Nodes with no
-    path to the output get an explicit zero gradient.
+    Compiling keeps, in tape order, every node with a path to the output,
+    each with its op's forward and reverse; nodes with no such path are
+    dropped and keep their recorded values.  `replay` rebinds the parameter
+    leaves and reruns the forwards, `gradients` runs the reverse sweep over
+    the nodes' current values.  A rerun is the recording at the new
+    parameters, bit for bit, as long as the recorded computation does not
+    branch on values; no op does (elu's side is a mask inside `taylor`, and
+    relu's order limit depends on the config alone).
     """
-    if output.tape is not tape or not (0 <= output.idx < len(tape.nodes)):
-        raise InvalidNodeError("output is not a node on this tape")
 
-    nodes = tape.nodes
-    adj: list = [None] * (output.idx + 1)
-    adj[output.idx] = np.ones_like(nodes[output.idx].value)
-
-    owned: set[int] = set()  # adjoints this sweep allocated itself (safe to update in place)
-
-    for i in range(output.idx, -1, -1):
-        g = adj[i]
-        if g is None:
-            continue
-        node = nodes[i]
-        try:
-            reverse = OPS[node.op]
-        except KeyError:
-            raise InvalidNodeError(f"tape op {node.op!r} has no reverse in the op table") from None
-        if reverse is None:
-            continue
-        ins = node.inputs
-        xs = [nodes[k].value for k in ins]
-        for j, x, gj in zip(ins, xs, reverse(node, g, xs)):
-            a = adj[j]
-            if type(gj) is tuple:
-                # reads of parts of node j scatter into one buffer owned by this sweep
-                if j not in owned:
-                    adj[j] = np.zeros_like(x) if a is None else a.copy()
-                    owned.add(j)
-                index, gj = gj
-                adj[j][index] += gj
+    def __init__(self, tape: Tape, output: Var):
+        if output.tape is not tape or not (0 <= output.idx < len(tape.nodes)):
+            raise InvalidNodeError("output is not a node on this tape")
+        nodes = tape.nodes
+        self.tape = tape
+        self.output = output.idx
+        live = [False] * (output.idx + 1)
+        live[output.idx] = True
+        steps = []
+        for i in range(output.idx, -1, -1):
+            if not live[i]:
                 continue
-            if gj.shape != x.shape:
-                gj = _unbroadcast(gj, x.shape)
-            adj[j] = gj if a is None else a + gj
+            node = nodes[i]
+            entry = OPS.get(node.op, (None, None))
+            if entry is None:  # a leaf
+                continue
+            forward, reverse = entry
+            for part, fn in (("reverse", reverse), ("forward", forward)):
+                if fn is None:
+                    raise InvalidNodeError(f"tape op {node.op!r} has no {part} in the op table")
+            for k in node.inputs:
+                live[k] = True
+            steps.append((node, node.inputs, forward, reverse, i))
+        steps.reverse()
+        self.steps = steps
+        self.params = [i for i, node in enumerate(nodes) if node.is_param]
 
-    out: dict[int, np.ndarray] = {}
-    for i, node in enumerate(nodes):
-        if node.is_param:
-            g = adj[i] if i <= output.idx else None
-            out[i] = g if g is not None else np.zeros_like(node.value)
-    if wrt is not None:
+    def replay(self, arrays) -> None:
+        """Rebind the parameter leaves, one array each in tape order, and rerun the forwards."""
+        nodes = self.tape.nodes
+        if len(arrays) != len(self.params):
+            raise InvalidNodeError(f"{len(arrays)} arrays for {len(self.params)} parameter leaves")
+        for i, a in zip(self.params, arrays):
+            nodes[i].value = np.asarray(a, dtype=np.float64)
+        for node, ins, forward, _, _ in self.steps:
+            node.value = node.saved = None  # the old arrays' memory can take the new ones
+            node.value = forward(node, [nodes[k].value for k in ins])
+
+    def gradients(self, wrt=None) -> dict[int, np.ndarray]:
+        """Adjoints of the output for every parameter node (plus any `wrt` vars).
+
+        Shared subexpressions accumulate by summation in a fixed reverse order,
+        so two identical sweeps produce bit-identical gradients.  Nodes with no
+        path to the output get an explicit zero gradient.
+        """
+        wrt = list(wrt or ())
+        if any(v.tape is not self.tape for v in wrt):
+            raise InvalidNodeError("wrt var is not on this tape")
+        keep = {v.idx for v in wrt}
+        nodes = self.tape.nodes
+        adj: list = [None] * (self.output + 1)
+        adj[self.output] = np.ones_like(nodes[self.output].value)
+
+        owned: set[int] = set()  # adjoints this sweep allocated itself (safe to update in place)
+
+        for node, ins, _, reverse, i in reversed(self.steps):
+            xs = [nodes[k].value for k in ins]
+            g = adj[i]
+            if i not in keep:
+                adj[i] = None  # spent: the sweep holds only the adjoints still to be read
+            for j, x, gj in zip(ins, xs, reverse(node, g, xs)):
+                a = adj[j]
+                if type(gj) is tuple:
+                    # reads of parts of node j scatter into one buffer owned by this sweep
+                    if j not in owned:
+                        adj[j] = np.zeros_like(x) if a is None else a.copy()
+                        owned.add(j)
+                    index, gj = gj
+                    adj[j][index] += gj
+                    continue
+                if gj.shape != x.shape:
+                    gj = _unbroadcast(gj, x.shape)
+                adj[j] = gj if a is None else a + gj
+
+        out: dict[int, np.ndarray] = {}
+        for i in self.params:
+            g = adj[i] if i <= self.output else None
+            out[i] = g if g is not None else np.zeros_like(nodes[i].value)
         for v in wrt:
-            if v.tape is not tape:
-                raise InvalidNodeError("wrt var is not on this tape")
-            g = adj[v.idx] if v.idx <= output.idx else None
+            g = adj[v.idx] if v.idx <= self.output else None
             out[v.idx] = g if g is not None else np.zeros_like(v.value)
-    return out
+        return out
+
+
+def backward(tape: Tape, output: Var, wrt=None) -> dict[int, np.ndarray]:
+    """Adjoints of `output` for every parameter node (plus any `wrt` vars):
+    the reverse sweep of a schedule compiled for this one call."""
+    return Schedule(tape, output).gradients(wrt)
 
 
 # -- Taylor jets ---------------------------------------------------------

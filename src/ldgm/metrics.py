@@ -105,13 +105,16 @@ def fit_sine_network(width: int = 32, hidden_layers: int = 3, seed: int = 0,
     xs = np.linspace(-1.0, 1.0, n_train).reshape(-1, 1)
     target = np.sin(np.pi * xs[:, 0])
     state = AdamState(net.params)
-    from .autodiff import backward
+    # one batch for every step: record the loss once, replay it at each new point
+    tape = Tape()
+    bound = net.bind(tape)
+    r = bound.forward(xs).values[0] - target
+    loss = ad.mean(r * r)
+    schedule = ad.Schedule(tape, loss)
     for step in range(steps):
-        tape = Tape()
-        bound = net.bind(tape)
-        r = bound.forward(xs).values[0] - target
-        loss = ad.mean(r * r)
-        grads = backward(tape, loss)
+        if step:
+            schedule.replay(net.params.arrays)
+        grads = schedule.gradients()
         adam_step(net.params, [grads[v.idx] for v in bound.param_vars], state, lr)
         if step % 100 == 0 and math.sqrt(float(loss.value)) / math.sqrt(0.5) < stop_below:
             break

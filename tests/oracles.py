@@ -5,10 +5,10 @@ FFT machinery: plain finite differences, naive DFT summation, and a dense
 linear-algebra time stepper, so the main implementations are checked
 against genuinely separate code paths.  The jet section is the exception:
 it records on the package's tape (with the ops only the tests use, which
-register their reverses in the package's op table), but it is a second,
-scalar implementation of the truncated-Taylor algebra and recurrences (and
-a second interpreter of the tape), written apart from the network's own
-jet walk so that each checks the other.
+register their forwards and reverses in the package's op table), but it
+is a second, scalar implementation of the truncated-Taylor algebra and
+recurrences (and a second interpreter of the tape), written apart from
+the network's own jet walk so that each checks the other.
 """
 
 import numpy as np
@@ -108,9 +108,9 @@ def exact_solution(spec, x, t) -> np.ndarray:
 
 
 # -- ops only the tests record --------------------------------------------------
-# Each puts its reverse in the package's op table, so `ad.backward`
-# differentiates it like the package's own ops; `replay` recomputes the
-# unary ones from _FORWARD.
+# Each puts its forward and reverse in the package's op table, so the tape
+# records, replays and differentiates it like the package's own ops;
+# `replay` below recomputes the unary ones from _FORWARD.
 
 
 _FORWARD = {}
@@ -118,9 +118,10 @@ _FORWARD = {}
 
 def _unary(op, forward, reverse):
     """Tape op `op` of one var; reverse(g, x, y) gives the adjoint of x."""
-    ad.OPS[op] = lambda node, g, xs: (reverse(g, xs[0], node.value),)
+    ad.OPS[op] = (lambda node, xs: forward(xs[0]),
+                  lambda node, g, xs: (reverse(g, xs[0], node.value),))
     _FORWARD[op] = forward
-    return lambda x: x.tape.push(op, (x.idx,), None, forward(x.value))
+    return lambda x: x.tape.record(op, (x.idx,))
 
 
 exp = _unary("exp", np.exp, lambda g, x, y: g * y)
@@ -134,36 +135,39 @@ total = _unary("sum", lambda x: np.asarray(np.sum(x)), lambda g, x, y: np.broadc
 
 
 def div(a, b):
-    return ad.tape_of(a, b).push("div", (a.idx, b.idx), None, a.value / b.value)
+    return ad.tape_of(a, b).record("div", (a.idx, b.idx))
 
 
 def rdiv(c, x):
     """c / x for a constant c."""
-    c = np.asarray(c, dtype=np.float64)
-    return x.tape.push("rdivc", (x.idx,), c, c / x.value)
+    return x.tape.record("rdivc", (x.idx,), np.asarray(c, dtype=np.float64))
 
 
 def power(x, p):
     """x ** p for a constant p."""
-    return x.tape.push("powc", (x.idx,), float(p), x.value ** float(p))
+    return x.tape.record("powc", (x.idx,), float(p))
 
 
 def where(mask, a, b):
     """Elementwise select with a constant (non-differentiated) mask."""
-    mask = np.asarray(mask, dtype=bool)
-    return ad.tape_of(a, b).push("where", (a.idx, b.idx), mask, np.where(mask, a.value, b.value))
+    return ad.tape_of(a, b).record("where", (a.idx, b.idx), np.asarray(mask, dtype=bool))
 
 
 def matmul(a, b):
-    return ad.tape_of(a, b).push("matmul", (a.idx, b.idx), None, a.value @ b.value)
+    return ad.tape_of(a, b).record("matmul", (a.idx, b.idx))
 
 
 ad.OPS.update({
-    "div": lambda node, g, xs: (g / xs[1], -g * xs[0] / (xs[1] * xs[1])),
-    "rdivc": lambda node, g, xs: (-g * node.aux / (xs[0] * xs[0]),),
-    "powc": lambda node, g, xs: (g * node.aux * xs[0] ** (node.aux - 1.0),),
-    "where": lambda node, g, xs: (g * node.aux, g * ~node.aux),
-    "matmul": lambda node, g, xs: ad._matmul_vjp(xs[0], xs[1], g),
+    "div": (lambda node, xs: xs[0] / xs[1],
+            lambda node, g, xs: (g / xs[1], -g * xs[0] / (xs[1] * xs[1]))),
+    "rdivc": (lambda node, xs: node.aux / xs[0],
+              lambda node, g, xs: (-g * node.aux / (xs[0] * xs[0]),)),
+    "powc": (lambda node, xs: xs[0] ** node.aux,
+             lambda node, g, xs: (g * node.aux * xs[0] ** (node.aux - 1.0),)),
+    "where": (lambda node, xs: np.where(node.aux, xs[0], xs[1]),
+              lambda node, g, xs: (g * node.aux, g * ~node.aux)),
+    "matmul": (lambda node, xs: xs[0] @ xs[1],
+               lambda node, g, xs: ad._matmul_vjp(xs[0], xs[1], g)),
 })
 
 
@@ -402,10 +406,26 @@ def _taylor_values(xv, kind, blocks, alpha):
     return np.where(z0 > 0, xv, out) if kind == "elu" else out
 
 
-def replay(tape) -> bool:
-    """Recompute every node from the record; True iff all values match bit-for-bit."""
+def live_mask(tape, output) -> list[bool]:
+    """Which nodes of the tape the output depends on (the output itself included)."""
+    live = [False] * len(tape.nodes)
+    live[output.idx] = True
+    for i in range(output.idx, -1, -1):
+        if live[i]:
+            for k in tape.nodes[i].inputs:
+                live[k] = True
+    return live
+
+
+def replay(tape, output=None) -> bool:
+    """Recompute every node from the record; True iff all values match bit-for-bit.
+
+    Given an output var, only the nodes it depends on are compared: after a
+    `Schedule.replay` the others keep the values of the recording.
+    """
+    live = [True] * len(tape.nodes) if output is None else live_mask(tape, output)
     vals: list[np.ndarray] = []
-    for node in tape.nodes:
+    for node, is_live in zip(tape.nodes, live):
         op, ins, aux = node.op, node.inputs, node.aux
         if op in ("const", "input", "param"):
             v = node.value
@@ -454,6 +474,6 @@ def replay(tape) -> bool:
             raise NotImplementedError(op)
         vals.append(v)
         a, b = np.asarray(v), node.value
-        if a.shape != b.shape or a.tobytes() != b.tobytes():
+        if is_live and (a.shape != b.shape or a.tobytes() != b.tobytes()):
             return False
     return True

@@ -68,7 +68,7 @@ def test_every_method_reaches_its_traced_loss_hook(monkeypatch):
         sampler = (RitzConfig(interior=6, boundary=4).sampler() if METHODS[method].variational
                    else SamplerConfig(interior=6, initial=4, boundary=4))
         train(spec, method, default_network_config(spec, method, hidden_layers=1, width=4),
-              sampler, TrainConfig(stages=1, steps_per_stage=2), seed=0)
+              sampler, TrainConfig(stages=2, steps_per_stage=2), seed=0)
         assert calls == {attr: 2}, method
 
 
