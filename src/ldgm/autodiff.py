@@ -43,8 +43,7 @@ ACTIVATION_KINDS = ("tanh", "sigmoid", "elu", "identity", "relu")
 # the input values xs, a forward returns the node's value and may keep what
 # its reverse reads in node.saved.  Given the node's adjoint g, a reverse
 # returns one adjoint per input; the sweep sums a broadcast adjoint down to
-# its input's shape, and adds an adjoint given as (index, a) at input[index]
-# only.
+# its input's shape and adds it to the input's adjoint.
 OPS: dict = {"const": None, "input": None, "param": None}
 
 
@@ -199,7 +198,13 @@ def take(y: Var, index) -> Var:
     return y.tape.record("take", (y.idx,), index)
 
 
-OPS["take"] = (lambda node, xs: xs[0][node.aux], lambda node, g, xs: ((node.aux, g),))
+def _take_vjp(node, g, xs):
+    a = np.zeros(xs[0].shape)
+    a[node.aux] = g
+    return (a,)
+
+
+OPS["take"] = (lambda node, xs: xs[0][node.aux], _take_vjp)
 
 
 def _matmul_vjp(a: np.ndarray, b: np.ndarray, g: np.ndarray):
@@ -534,25 +539,15 @@ class Schedule:
         adj: list = [None] * (self.output + 1)
         adj[self.output] = np.ones_like(nodes[self.output].value)
 
-        owned: set[int] = set()  # adjoints this sweep allocated itself (safe to update in place)
-
         for node, ins, _, reverse, i in reversed(self.steps):
             xs = [nodes[k].value for k in ins]
             g = adj[i]
             if i not in keep:
                 adj[i] = None  # spent: the sweep holds only the adjoints still to be read
             for j, x, gj in zip(ins, xs, reverse(node, g, xs)):
-                a = adj[j]
-                if type(gj) is tuple:
-                    # reads of parts of node j scatter into one buffer owned by this sweep
-                    if j not in owned:
-                        adj[j] = np.zeros_like(x) if a is None else a.copy()
-                        owned.add(j)
-                    index, gj = gj
-                    adj[j][index] += gj
-                    continue
                 if gj.shape != x.shape:
                     gj = _unbroadcast(gj, x.shape)
+                a = adj[j]
                 adj[j] = gj if a is None else a + gj
 
         out: dict[int, np.ndarray] = {}

@@ -81,7 +81,8 @@ def _run_seed_job(args):
 
 def cmd_run(args) -> int:
     cfg = ExperimentConfig.from_file(args.config)
-    seeds = [args.seed] if args.seed is not None else cfg.seeds
+    # --seed goes through the seeds key's parser, so a bad seed fails before any run
+    seeds = cfg.override("seeds", args.seed).seeds if args.seed is not None else cfg.seeds
     out = args.out or cfg.out_dir
     jobs = [(cfg.raw, s, out) for s in seeds]
     if args.jobs > 1 and len(jobs) > 1:

@@ -21,7 +21,6 @@ from .system import _REGISTRY, ProblemSpec, get_problem
 from .trainer import METHODS, TrainConfig, default_network_config
 
 # a parser is (convert, what it accepts); convert raises ValueError on a malformed value
-_INT = (int, "an integer")
 _FLOAT = (float, "a number")
 
 
@@ -47,17 +46,17 @@ def _at_least(lo):
 _KEYS = {
     "problem.name": ("beam", _one_of(*_REGISTRY)),
     "problem.epsilon": ("0.1", _FLOAT),
-    "problem.dimension": ("5", _INT),
+    "problem.dimension": ("5", _at_least(1)),
     "method": ("ldgm", _one_of(*METHODS)),
-    "network.hidden_layers": ("3", _INT),
-    "network.width": ("50", _INT),
+    "network.hidden_layers": ("3", _at_least(1)),
+    "network.width": ("50", _at_least(1)),
     "network.activation": ("tanh", _one_of(*ACTIVATION_KINDS)),
     "network.output_activation": ("identity", _one_of(*ACTIVATION_KINDS)),
     "network.elu_alpha": ("1.0", _FLOAT),
-    "sampler.interior": ("200", _INT),
-    "sampler.initial": ("50", _INT),
-    "sampler.boundary": ("50", _INT),
-    "sampler.seed": ("0", _INT),
+    "sampler.interior": ("200", _at_least(1)),
+    "sampler.initial": ("50", _at_least(1)),
+    "sampler.boundary": ("50", _at_least(1)),
+    "sampler.seed": ("0", _at_least(0)),
     "train.learning_rate": ("0.001", _FLOAT),
     "train.stages": ("1000", _at_least(0)),
     "train.steps_per_stage": ("5", _at_least(1)),
@@ -67,10 +66,11 @@ _KEYS = {
     "train.schedule": ("", _one_of("", "piecewise_log")),
     "train.log_every": ("1", _at_least(1)),
     "ritz.penalty": ("500.0", _FLOAT),
-    "ritz.interior": ("400", _INT),
-    "ritz.boundary": ("100", _INT),
-    "seeds": ("0", _checked(lambda v: [int(s) for s in v.split(",") if s.strip() != ""], bool,
-                            "one or more comma-separated integers")),
+    "ritz.interior": ("400", _at_least(1)),
+    "ritz.boundary": ("100", _at_least(1)),
+    "seeds": ("0", _checked(lambda v: [int(s) for s in v.split(",") if s.strip() != ""],
+                            lambda seeds: seeds and min(seeds) >= 0,
+                            "one or more comma-separated integers >= 0")),
     "out": ("runs", (str, "text")),
 }
 

@@ -16,8 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Var
-from .errors import ShapeError, UnsupportedOrderError
-from .network import TIME
+from .errors import ShapeError
 from .sampling import SampleBatch
 from .system import ProblemSpec, SystemForm, strong_form
 
@@ -35,66 +34,29 @@ def _mse(v: Var) -> Var:
     return ad.mean(v * v)
 
 
-class PointCtx:
-    """Network outputs and their jets at one point set, from one walk.
-
-    `orders` maps direction (spatial axis or TIME) to the jet order the
-    residuals read there.  With `mirror_x` (a periodic boundary) the
-    context also holds `.mirror`, the same walk at the mirror points.
-    """
-
-    def __init__(self, bound, x, t, orders, spatial_dim, mirror_x=None):
-        walk = bound.forward_jets(x, t, orders)
-        self.values = walk.values
-        self.jets = walk.jets
-        self.x = x
-        self.t = t
-        self.spatial_dim = spatial_dim
-        self.mirror = (None if mirror_x is None
-                       else PointCtx(bound, mirror_x, t, orders, spatial_dim))
-
-    @property
-    def size(self):
-        return len(self.values)
-
-    def out(self, i) -> Var:
-        return self.values[i]
-
-    def dt(self, i) -> Var:
-        return self.jets[TIME][i].coeffs[1]
-
-    def dx(self, i, axis=0, order=1) -> Var:
-        jet = self.jets[axis][i]
-        if jet.order < order:
-            raise UnsupportedOrderError(
-                f"direction {axis} was expanded to order {jet.order}, need {order}")
-        return jet.derivative(order)
-
-
 def ldgm_loss(system: SystemForm, bound, batch: SampleBatch) -> LossBreakdown:
     """Mean-square system residuals: evolution + constraints, initial, boundary."""
     spec = system.spec
-    d = spec.spatial_dim
     if bound.output_dim != system.size:
         raise ShapeError(
             f"network has {bound.output_dim} outputs, roster needs {system.size}")
 
-    ctx = PointCtx(bound, batch.interior_x, batch.interior_t, system.jet_orders, d)
+    walk = bound.forward_jets(batch.interior_x, batch.interior_t, system.jet_orders)
     constraint_terms = {}
-    J_e = _mse(system.evolution(ctx))
+    J_e = _mse(system.evolution(walk))
     for name, fn in system.constraints:
-        term = _mse(fn(ctx))
+        term = _mse(fn(walk))
         constraint_terms[name] = term
         J_e = J_e + term
 
     u0 = spec.initial(batch.initial_x)
-    ictx = PointCtx(bound, batch.initial_x, np.zeros(len(batch.initial_x)), {}, d)
-    J_i = _mse(ictx.out(0) - u0)
+    J_i = _mse(bound.forward_jets(batch.initial_x, np.zeros(len(batch.initial_x))).out(0) - u0)
 
-    periodic = spec.boundary.kind == "periodic"
-    bctx = PointCtx(bound, batch.boundary_x, batch.boundary_t, system.boundary_orders, d,
-                    mirror_x=batch.boundary_mirror_x if periodic else None)
-    residuals = system.boundary(bctx)
+    orders = system.boundary_orders
+    bwalk = bound.forward_jets(batch.boundary_x, batch.boundary_t, orders)
+    if spec.boundary.kind == "periodic":
+        bwalk.mirror = bound.forward_jets(batch.boundary_mirror_x, batch.boundary_t, orders)
+    residuals = system.boundary(bwalk)
     J_b = _mse(residuals[0])
     for r in residuals[1:]:
         J_b = J_b + _mse(r)

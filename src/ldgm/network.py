@@ -108,9 +108,36 @@ def init_xavier(cfg: NetworkConfig, seed: int) -> ParameterSet:
 
 @dataclass
 class NetworkOutput:
+    """One walk: its points, the outputs there and their jets, as tape nodes.
+
+    `jets` maps each walked direction (spatial axis or TIME) to one jet per
+    output.  A periodic boundary's walk also holds `mirror`, the same walk
+    at the mirror points.
+    """
+
+    x: np.ndarray                   # (P, d) spatial points
+    t: np.ndarray | None            # (P,) times, or None for a stationary network
     values: list[Var]
     jets: dict[object, list[Jet]] = field(default_factory=dict)
     input_node: Var | None = None   # the inputs, or with jets the seeded input stack
+    mirror: NetworkOutput | None = None
+
+    @property
+    def spatial_dim(self) -> int:
+        return self.x.shape[1]
+
+    def out(self, i) -> Var:
+        return self.values[i]
+
+    def dt(self, i) -> Var:
+        return self.jets[TIME][i].coeffs[1]
+
+    def dx(self, i, axis=0, order=1) -> Var:
+        jet = self.jets[axis][i]
+        if jet.order < order:
+            raise UnsupportedOrderError(
+                f"direction {axis} was expanded to order {jet.order}, need {order}")
+        return jet.derivative(order)
 
 
 class Network:
@@ -143,7 +170,6 @@ class BoundNetwork:
 
     def _stack_inputs(self, x, t):
         cfg = self.config
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         d = x.shape[1]
         if t is None:
             if cfg.input_dim != d:
@@ -190,6 +216,7 @@ class BoundNetwork:
                 raise UnsupportedOrderError(f"jet order {od} is negative")
             if od > ad.JET_ORDER_CAP:
                 raise UnsupportedOrderError(f"jet order {od} exceeds cap {ad.JET_ORDER_CAP}")
+        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         X = self._stack_inputs(x, t)
         if TIME in orders and t is None:
             raise ShapeError("time direction requested for a stationary network")
@@ -219,7 +246,7 @@ class BoundNetwork:
         rows = (0, slice(None)) if blocks else (slice(None),)  # where the values sit
         values = [ad.take(y, rows + (j,)) for j in range(cfg.output_dim)]
 
-        result = NetworkOutput(values=values, input_node=xin)
+        result = NetworkOutput(x, t, values, input_node=xin)
         for dd, od in orders.items():
             if od == 0:
                 result.jets[dd] = [Jet([v]) for v in values]
@@ -265,7 +292,6 @@ class AnalyticNetwork:
         return self._fns[key]
 
     def _eval(self, i, direction, order, x, t):
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         args = [x[:, a] for a in range(self.spatial_dim)]
         if self.with_time:
             args.append(np.asarray(t, dtype=np.float64).reshape(-1))
@@ -286,19 +312,20 @@ class BoundAnalytic:
         return self.net.output_dim
 
     def forward(self, x, t=None) -> NetworkOutput:
-        vals = [self.tape.const(self.net._eval(i, 0, 0, x, t))
-                for i in range(self.net.output_dim)]
-        return NetworkOutput(values=vals)
+        return self.forward_jets(x, t)
 
     def forward_with_derivatives(self, x, t=None, directions=(), order: int = 1) -> NetworkOutput:
         return self.forward_jets(x, t, {dd: order for dd in directions})
 
     def forward_jets(self, x, t=None, orders: dict | None = None) -> NetworkOutput:
-        out = self.forward(x, t)
+        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        values = [self.tape.const(self.net._eval(i, 0, 0, x, t))
+                  for i in range(self.net.output_dim)]
+        out = NetworkOutput(x, t, values)
         for dd, order in (orders or {}).items():
             jets = []
             for i in range(self.net.output_dim):
-                coeffs = [out.values[i]]
+                coeffs = [values[i]]
                 for j in range(1, order + 1):
                     arr = self.net._eval(i, dd, j, x, t) / math.factorial(j)
                     coeffs.append(self.tape.const(arr))

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ShapeError
-from .loss import LossBreakdown, PointCtx
+from .loss import LossBreakdown
 from .sampling import SampleBatch, SamplerConfig
 from .sampling import draw_batch  # noqa: F401  (perfbench/spans.py wraps ldgm.ritz.draw_batch)
 from .system import DerivativeView, ProblemSpec, gap, gradient_slots, slot_jet_orders
@@ -59,18 +59,18 @@ def _energy(spec: ProblemSpec, bound, batch: SampleBatch, cfg: RitzConfig,
     f = spec.params["source"](batch.interior_x)
     volume, surface = _measures(spec)
 
-    ctx = PointCtx(bound, batch.interior_x, None,
-                   slot_jet_orders(slots, [(2, i) for i in range(d)]), d)
-    lap = DerivativeView(ctx, slots).lap()
-    integrand = 0.5 * lap * lap - ctx.out(0) * f
+    walk = bound.forward_jets(batch.interior_x, None,
+                              slot_jet_orders(slots, [(2, i) for i in range(d)]))
+    lap = DerivativeView(walk, slots).lap()
+    integrand = 0.5 * lap * lap - walk.out(0) * f
     for i in range(1, len(slots)):
-        g = gap(ctx, slots, i)
+        g = gap(walk, slots, i)
         integrand = integrand + g * g
     J_e = ad.mean(integrand) * volume
 
-    bctx = PointCtx(bound, batch.boundary_x, None,
-                    slot_jet_orders(slots, [(1, i) for i in range(d)]), d)
-    view = DerivativeView(bctx, slots)
+    bwalk = bound.forward_jets(batch.boundary_x, None,
+                               slot_jet_orders(slots, [(1, i) for i in range(d)]))
+    view = DerivativeView(bwalk, slots)
     dn = view.d(1, 0)
     if d > 1:
         # pick each point's normal derivative by masking on its face axis
@@ -78,7 +78,7 @@ def _energy(spec: ProblemSpec, bound, batch: SampleBatch, cfg: RitzConfig,
         dn = dn * (axes == 0).astype(np.float64)
         for i in range(1, d):
             dn = dn + view.d(1, i) * (axes == i).astype(np.float64)
-    p = bctx.out(0)
+    p = bwalk.out(0)
     J_b = ad.mean(p * p + dn * dn) * surface
 
     lam = cfg.penalty

@@ -9,7 +9,8 @@ high-order jets) and an analytic solution for exactness checks.
 
 A SystemForm is one concrete rewrite.  Its slot table names each roster
 output as a derivative of u: slot i holds the (axis, order) derivative.
-Every residual reads u's derivatives through one `DerivativeView` on that
+Every residual reads a walk through the `network.NetworkOutput` that the
+walk returned, and u's derivatives through one `DerivativeView` on that
 table: a derivative with a slot is that output, any other is the jet of
 the slot holding the nearest lower order on the same axis.  The first-order
 rewrites then need first derivatives of roster variables only; the strong
@@ -86,9 +87,9 @@ class SystemForm:
     spec: ProblemSpec
     roster: tuple[str, ...]
     jet_orders: dict                 # direction -> jet order needed at interior points
-    evolution: Callable              # ctx -> residual
-    constraints: tuple               # ((name, ctx -> residual), ...)
-    boundary: Callable               # bctx -> list of residuals
+    evolution: Callable              # interior walk (a NetworkOutput) -> residual
+    constraints: tuple               # ((name, walk -> residual), ...)
+    boundary: Callable               # boundary walk -> list of residuals
     boundary_orders: dict = field(default_factory=dict)  # direction -> jet order at the boundary
     slots: tuple = ()                # roster slot i holds the (axis, order) derivative of u
 
@@ -134,26 +135,26 @@ def slot_jet_orders(slots, needs) -> dict:
     return orders
 
 
-def gap(ctx, slots, i: int):
+def gap(walk, slots, i: int):
     """Slot i's constraint: the jet of the slot one order below it on its axis, minus slot i."""
     axis, p = slots[i]
-    return ctx.dx(_source(slots, p - 1, axis)[0], axis) - ctx.out(i)
+    return walk.dx(_source(slots, p - 1, axis)[0], axis) - walk.out(i)
 
 
 class DerivativeView:
     """u and its derivatives at one point set, read through a slot table."""
 
-    def __init__(self, ctx, slots):
-        self.ctx, self.slots = ctx, slots
-        self.u, self.x, self.t = ctx.out(0), ctx.x, ctx.t
+    def __init__(self, walk, slots):
+        self.walk, self.slots = walk, slots
+        self.u, self.x, self.t = walk.out(0), walk.x, walk.t
 
     def d(self, p: int, axis: int = 0):
         i, j = _source(self.slots, p, axis)
-        return self.ctx.dx(i, axis, order=j) if j else self.ctx.out(i)
+        return self.walk.dx(i, axis, order=j) if j else self.walk.out(i)
 
     def lap(self):
         s = self.d(2, 0)
-        for i in range(1, self.ctx.spatial_dim):
+        for i in range(1, self.walk.spatial_dim):
             s = s + self.d(2, i)
         return s
 
@@ -183,15 +184,15 @@ def _form(spec: ProblemSpec, roster, slots, constraints=(), boundary=None) -> Sy
         if d > 1 and any(p for p, _ in needs):
             raise ShapeError("derivative boundary data is 1-d only")
 
-    def evolution(ctx):
-        return ctx.dt(0) - spec.rhs(DerivativeView(ctx, slots))
+    def evolution(walk):
+        return walk.dt(0) - spec.rhs(DerivativeView(walk, slots))
 
-    def residuals(bctx):
-        here = DerivativeView(bctx, slots)
+    def residuals(bwalk):
+        here = DerivativeView(bwalk, slots)
         if periodic:
-            there = DerivativeView(bctx.mirror, slots)
+            there = DerivativeView(bwalk.mirror, slots)
             return [here.d(p, axis) - there.d(p, axis) for p, axis in needs]
-        return [here.d(p, axis) - bc.data(i, bctx.x, bctx.t) for i, (p, axis) in enumerate(needs)]
+        return [here.d(p, axis) - bc.data(i, here.x, here.t) for i, (p, axis) in enumerate(needs)]
 
     return SystemForm(
         spec=spec, roster=roster,
@@ -211,7 +212,7 @@ def rewrite_first_order(spec: ProblemSpec) -> SystemForm:
         roster = ("u",) + tuple(f"u_x{i}" for i in range(d))
         slots = gradient_slots(d)
         names = [f"u_x{i} = d u/d x{i}" for i in range(d)]
-    constraints = tuple((name, lambda ctx, i=i: gap(ctx, slots, i))
+    constraints = tuple((name, lambda walk, i=i: gap(walk, slots, i))
                         for i, name in enumerate(names, start=1))
     return _form(spec, roster, slots, constraints)
 
@@ -254,19 +255,19 @@ def beam() -> ProblemSpec:
 def _ch_ldgm_form(spec: ProblemSpec) -> SystemForm:
     eps = spec.params["epsilon"]
 
-    def evolution(ctx):
-        return ctx.dt(0) - ctx.dx(3, 0)
+    def evolution(walk):
+        return walk.dt(0) - walk.dx(3, 0)
 
     constraints = (
         ("phi + eps*(u_x)_x + f(u)",
-         lambda ctx: ctx.out(2) + eps * ctx.dx(1, 0) + _fcubic(ctx.out(0))),
-        ("u_x = (u)_x", lambda ctx: ctx.out(1) - ctx.dx(0, 0)),
-        ("phi_x = (phi)_x", lambda ctx: ctx.out(3) - ctx.dx(2, 0)),
+         lambda walk: walk.out(2) + eps * walk.dx(1, 0) + _fcubic(walk.out(0))),
+        ("u_x = (u)_x", lambda walk: walk.out(1) - walk.dx(0, 0)),
+        ("phi_x = (phi)_x", lambda walk: walk.out(3) - walk.dx(2, 0)),
     )
 
-    def boundary(bctx):
+    def boundary(bwalk):
         # flux-free walls penalize the derivative variables themselves
-        return [bctx.out(1), bctx.out(3)]
+        return [bwalk.out(1), bwalk.out(3)]
 
     return SystemForm(spec=spec, roster=("u", "u_x", "phi", "phi_x"),
                       jet_orders={0: 1, TIME: 1},
@@ -276,10 +277,10 @@ def _ch_ldgm_form(spec: ProblemSpec) -> SystemForm:
 def _ch_dgm_boundary(spec: ProblemSpec):
     eps = spec.params["epsilon"]
 
-    def boundary(bctx):
-        u = bctx.out(0)
-        d1 = bctx.dx(0, 0, order=1)
-        d3 = bctx.dx(0, 0, order=3)
+    def boundary(bwalk):
+        u = bwalk.out(0)
+        d1 = bwalk.dx(0, 0, order=1)
+        d3 = bwalk.dx(0, 0, order=3)
         # phi_x with phi = -eps*u_xx - f(u)
         phi_x = -eps * d3 - (1.0 - 3.0 * u * u) * d1
         return [d1, phi_x]

@@ -138,6 +138,32 @@ def test_unreachable_parameter_gets_zero_gradient():
     assert g[q.idx] == 0.0
 
 
+def test_overlapping_reads_of_one_node_sum_their_adjoints():
+    """Two overlapping slices of one node, and one entry read twice: each entry's
+    adjoint is the sum over the reads that touch it; an entry no read touches gets 0."""
+    p0 = np.random.default_rng(5).normal(size=(5, 3))
+
+    def run(v):
+        tape = Tape()
+        p = tape.param(v.reshape(5, 3))
+        y = p * 3.0
+        a, b = ad.take(y, (slice(0, 3),)), ad.take(y, (slice(1, 4),))
+        s, r = ad.take(y, (2, 1)), ad.take(y, (2, 1))
+        return ad.mean(a * a) + ad.mean(b * b * b) + s * r, tape, p
+
+    out, tape, p = run(p0.ravel())
+    got = backward(tape, out)[p.idx]
+    y = 3.0 * p0
+    want = np.zeros_like(y)
+    want[0:3] += 2.0 * y[0:3] / 9
+    want[1:4] += 3.0 * y[1:4] ** 2 / 9
+    want[2, 1] += 2.0 * y[2, 1]
+    assert relative(got, 3.0 * want) < 1e-14
+    assert np.all(got[4] == 0.0)
+    fd = central_gradient(lambda v: float(run(v)[0].value), p0.ravel())
+    assert relative(got, fd) < 1e-8
+
+
 def test_backward_rejects_foreign_output():
     t1, t2 = Tape(), Tape()
     p = t1.param(1.0)

@@ -230,6 +230,11 @@ def test_every_shipped_config_resolves_its_views(path, tmp_path):
     ("train.schedule", "cosine"),
     # counts that would crash or silently empty a run
     ("train.log_every", "0"), ("train.steps_per_stage", "0"), ("train.stages", "-1"), ("seeds", ""),
+    # values that would die inside the run with a raw numpy error
+    ("seeds", "-1"), ("seeds", "0,-2"), ("sampler.seed", "-3"),
+    ("sampler.interior", "-1"), ("sampler.initial", "0"), ("sampler.boundary", "-2"),
+    ("ritz.interior", "-1"), ("ritz.boundary", "0"), ("problem.dimension", "0"),
+    ("network.hidden_layers", "0"), ("network.width", "0"),
 ])
 def test_malformed_value_is_rejected_at_load(tmp_path, key, value):
     path = tmp_path / "bad.cfg"
@@ -241,6 +246,13 @@ def test_malformed_value_is_rejected_at_load(tmp_path, key, value):
         ExperimentConfig.from_text("").override(key, value)
     assert main(["run", "--config", str(path)]) == 2
     assert not (tmp_path / "runs").exists()
+
+
+def test_negative_seed_flag_is_rejected_before_any_run(tmp_path, capsys):
+    path, out = write_cfg(tmp_path)
+    assert main(["run", "--config", str(path), "--seed", "-1"]) == 2
+    assert "seeds" in capsys.readouterr().err
+    assert not Path(out).exists()
 
 
 def test_checkpoint_artifact_roundtrips(tmp_path):

@@ -9,7 +9,7 @@ from ldgm.autodiff import Tape
 from ldgm.errors import ShapeError, UnavailableError
 from ldgm.network import AnalyticNetwork
 from ldgm.sampling import SamplerConfig, draw_batch
-from ldgm.loss import PointCtx, ldgm_loss
+from ldgm.loss import ldgm_loss
 from ldgm.metrics import evaluation_grid
 from ldgm.system import (BoundaryCond, ProblemSpec, builtin_problems, get_problem,
                          ldgm_system, rewrite_first_order, strong_form)
@@ -88,11 +88,10 @@ def _max_system_residual(form, n_points=1000, seed=0):
     mock = AnalyticNetwork([str(e) for e in form.exact_outputs], spec.spatial_dim)
     cfg = SamplerConfig(interior=n_points, initial=10, boundary=10, seed=seed)
     batch = draw_batch(cfg, spec, stage=0)
-    ctx = PointCtx(mock.bind(Tape()), batch.interior_x, batch.interior_t,
-                   form.jet_orders, spec.spatial_dim)
-    worst = np.max(np.abs(form.evolution(ctx).value))
+    walk = mock.bind(Tape()).forward_jets(batch.interior_x, batch.interior_t, form.jet_orders)
+    worst = np.max(np.abs(form.evolution(walk).value))
     for _, fn in form.constraints:
-        worst = max(worst, np.max(np.abs(fn(ctx).value)))
+        worst = max(worst, np.max(np.abs(fn(walk).value)))
     return worst
 
 
@@ -132,9 +131,10 @@ def test_periodic_boundary_pairs_u_and_its_gradient_along_every_axis(rewrite):
         u = sympy.sympify(u)
         outputs = [str(sympy.diff(u, sympy.Symbol(f"x{a}"), p)) for a, p in form.slots]
         bound = AnalyticNetwork(outputs, 2).bind(Tape())
-        bctx = PointCtx(bound, batch.boundary_x, batch.boundary_t, form.boundary_orders, 2,
-                        mirror_x=batch.boundary_mirror_x)
-        return [np.max(np.abs(r.value)) for r in form.boundary(bctx)]
+        bwalk = bound.forward_jets(batch.boundary_x, batch.boundary_t, form.boundary_orders)
+        bwalk.mirror = bound.forward_jets(batch.boundary_mirror_x, batch.boundary_t,
+                                          form.boundary_orders)
+        return [np.max(np.abs(r.value)) for r in form.boundary(bwalk)]
 
     assert max(boundary_residuals("sin(x0)*cos(x1)*exp(-t)")) < 1e-12
     # equal values on the x1 faces, but u_x1 is -2pi on one and 2pi on the other
