@@ -12,11 +12,10 @@ with respect to the parameters (one reverse pass suffices).
 
 Every tape op is one entry of the op table `OPS`: its forward, which
 computes a node's value from its inputs' values, and its reverse.  The
-functions that record an op compute its value through that forward, and a
-`Schedule` compiled from a recorded tape reruns the same forwards at new
-parameter values and runs the one reverse sweep; `backward` is a schedule
-built and swept once.  The tests register a few ops of their own in the
-same table.
+functions that record an op compute its value through that forward,
+`Tape.replay` reruns the same forwards in tape order at new parameter
+values, and `backward` runs the reverses from the output down.  The tests
+register a few ops of their own in the same table.
 
 The network computes jets on jet stacks: one array whose slot 0 is a value
 and whose further slots are the Taylor coefficients of every direction.
@@ -57,44 +56,68 @@ class Node:
         self.value = value
         self.saved = None
 
-    @property
-    def is_param(self) -> bool:
-        return self.op == "param"
-
 
 class Tape:
     """Append-only record of a computation.
 
     Node ids are topologically ordered by construction: an operation can
-    only reference nodes that already exist.  A tape is single-writer;
-    concurrent evaluation uses one tape per worker.
+    only reference nodes that already exist.  So the tape is its own
+    schedule: `replay` reruns it forwards and `backward` sweeps it in
+    reverse.  A tape is single-writer; concurrent evaluation uses one tape
+    per worker.
     """
 
     def __init__(self):
         self.nodes: list[Node] = []
+        self.params: list[int] = []  # the parameter leaves' ids, in tape order
 
-    def push(self, op, inputs, aux, value) -> "Var":
-        """Append one node of `op` reading the node ids `inputs`, with its value given."""
-        self.nodes.append(Node(op, inputs, aux, value))
+    def push(self, op, value) -> "Var":
+        """Append one leaf of `op`, holding `value`."""
+        self.nodes.append(Node(op, (), None, np.asarray(value, dtype=np.float64)))
         return Var(self, len(self.nodes) - 1)
 
     def record(self, op, inputs, aux=None) -> "Var":
         """Append one node of `op`, its value computed by the op's forward."""
+        fns = OPS.get(op) or (None, None)
+        if None in fns:
+            part = "forward" if fns[0] is None else "reverse"
+            raise InvalidNodeError(f"tape op {op!r} has no {part} in the op table")
         nodes = self.nodes
         node = Node(op, inputs, aux, None)
-        node.value = OPS[op][0](node, [nodes[k].value for k in inputs])
+        node.value = fns[0](node, [nodes[k].value for k in inputs])
         nodes.append(node)
         return Var(self, len(nodes) - 1)
 
     def const(self, value) -> "Var":
-        return self.push("const", (), None, np.asarray(value, dtype=np.float64))
+        return self.push("const", value)
 
     def input(self, value) -> "Var":
         """A leaf that is differentiable but not a parameter (e.g. x, t)."""
-        return self.push("input", (), None, np.asarray(value, dtype=np.float64))
+        return self.push("input", value)
 
     def param(self, value) -> "Var":
-        return self.push("param", (), None, np.asarray(value, dtype=np.float64))
+        v = self.push("param", value)
+        self.params.append(v.idx)
+        return v
+
+    def replay(self, arrays) -> None:
+        """Rebind the parameter leaves, one array each in tape order, and rerun every forward.
+
+        The rerun is the recording at the new parameters, bit for bit, as
+        long as the recorded computation does not branch on values; no op
+        does (elu's side is a mask inside `taylor`, and relu's order limit
+        depends on the config alone).
+        """
+        nodes = self.nodes
+        if len(arrays) != len(self.params):
+            raise InvalidNodeError(f"{len(arrays)} arrays for {len(self.params)} parameter leaves")
+        for i, a in zip(self.params, arrays):
+            nodes[i].value = np.asarray(a, dtype=np.float64)
+        for node in nodes:
+            fns = OPS[node.op]
+            if fns is not None:
+                node.value = node.saved = None  # the old arrays' memory can take the new ones
+                node.value = fns[0](node, [nodes[k].value for k in node.inputs])
 
 
 def tape_of(*args: "Var") -> Tape:
@@ -473,97 +496,47 @@ OPS["taylor"] = OPS["tanh"] = (_taylor, _taylor_vjp)
 # -- reverse mode ---------------------------------------------------------
 
 
-class Schedule:
-    """The part of a recorded tape that one output depends on, ready to rerun.
-
-    Compiling keeps, in tape order, every node with a path to the output,
-    each with its op's forward and reverse; nodes with no such path are
-    dropped and keep their recorded values.  `replay` rebinds the parameter
-    leaves and reruns the forwards, `gradients` runs the reverse sweep over
-    the nodes' current values.  A rerun is the recording at the new
-    parameters, bit for bit, as long as the recorded computation does not
-    branch on values; no op does (elu's side is a mask inside `taylor`, and
-    relu's order limit depends on the config alone).
-    """
-
-    def __init__(self, tape: Tape, output: Var):
-        if output.tape is not tape or not (0 <= output.idx < len(tape.nodes)):
-            raise InvalidNodeError("output is not a node on this tape")
-        nodes = tape.nodes
-        self.tape = tape
-        self.output = output.idx
-        live = [False] * (output.idx + 1)
-        live[output.idx] = True
-        steps = []
-        for i in range(output.idx, -1, -1):
-            if not live[i]:
-                continue
-            node = nodes[i]
-            entry = OPS.get(node.op, (None, None))
-            if entry is None:  # a leaf
-                continue
-            forward, reverse = entry
-            for part, fn in (("reverse", reverse), ("forward", forward)):
-                if fn is None:
-                    raise InvalidNodeError(f"tape op {node.op!r} has no {part} in the op table")
-            for k in node.inputs:
-                live[k] = True
-            steps.append((node, node.inputs, forward, reverse, i))
-        steps.reverse()
-        self.steps = steps
-        self.params = [i for i, node in enumerate(nodes) if node.is_param]
-
-    def replay(self, arrays) -> None:
-        """Rebind the parameter leaves, one array each in tape order, and rerun the forwards."""
-        nodes = self.tape.nodes
-        if len(arrays) != len(self.params):
-            raise InvalidNodeError(f"{len(arrays)} arrays for {len(self.params)} parameter leaves")
-        for i, a in zip(self.params, arrays):
-            nodes[i].value = np.asarray(a, dtype=np.float64)
-        for node, ins, forward, _, _ in self.steps:
-            node.value = node.saved = None  # the old arrays' memory can take the new ones
-            node.value = forward(node, [nodes[k].value for k in ins])
-
-    def gradients(self, wrt=None) -> dict[int, np.ndarray]:
-        """Adjoints of the output for every parameter node (plus any `wrt` vars).
-
-        Shared subexpressions accumulate by summation in a fixed reverse order,
-        so two identical sweeps produce bit-identical gradients.  Nodes with no
-        path to the output get an explicit zero gradient.
-        """
-        wrt = list(wrt or ())
-        if any(v.tape is not self.tape for v in wrt):
-            raise InvalidNodeError("wrt var is not on this tape")
-        keep = {v.idx for v in wrt}
-        nodes = self.tape.nodes
-        adj: list = [None] * (self.output + 1)
-        adj[self.output] = np.ones_like(nodes[self.output].value)
-
-        for node, ins, _, reverse, i in reversed(self.steps):
-            xs = [nodes[k].value for k in ins]
-            g = adj[i]
-            if i not in keep:
-                adj[i] = None  # spent: the sweep holds only the adjoints still to be read
-            for j, x, gj in zip(ins, xs, reverse(node, g, xs)):
-                if gj.shape != x.shape:
-                    gj = _unbroadcast(gj, x.shape)
-                a = adj[j]
-                adj[j] = gj if a is None else a + gj
-
-        out: dict[int, np.ndarray] = {}
-        for i in self.params:
-            g = adj[i] if i <= self.output else None
-            out[i] = g if g is not None else np.zeros_like(nodes[i].value)
-        for v in wrt:
-            g = adj[v.idx] if v.idx <= self.output else None
-            out[v.idx] = g if g is not None else np.zeros_like(v.value)
-        return out
-
-
 def backward(tape: Tape, output: Var, wrt=None) -> dict[int, np.ndarray]:
-    """Adjoints of `output` for every parameter node (plus any `wrt` vars):
-    the reverse sweep of a schedule compiled for this one call."""
-    return Schedule(tape, output).gradients(wrt)
+    """Adjoints of `output` for every parameter node (plus any `wrt` vars).
+
+    The sweep walks the tape back from the output and runs the reverse of
+    each node that holds an adjoint; a node with no path to the output never
+    gets one.  Shared subexpressions accumulate by summation in this fixed
+    order, so two identical sweeps produce bit-identical gradients.  A
+    parameter or `wrt` var with no path to the output gets an explicit zero.
+    """
+    if output.tape is not tape or not (0 <= output.idx < len(tape.nodes)):
+        raise InvalidNodeError("output is not a node on this tape")
+    wrt = list(wrt or ())
+    if any(v.tape is not tape for v in wrt):
+        raise InvalidNodeError("wrt var is not on this tape")
+    keep = {v.idx for v in wrt}
+    nodes = tape.nodes
+    top = output.idx
+    adj: list = [None] * (top + 1)
+    adj[top] = np.ones_like(nodes[top].value)
+
+    for i in range(top, -1, -1):
+        g = adj[i]
+        node = nodes[i]
+        fns = OPS[node.op]
+        if g is None or fns is None:
+            continue
+        if i not in keep:
+            adj[i] = None  # spent: the sweep holds only the adjoints still to be read
+        ins = node.inputs
+        xs = [nodes[k].value for k in ins]
+        for j, x, gj in zip(ins, xs, fns[1](node, g, xs)):
+            if gj.shape != x.shape:
+                gj = _unbroadcast(gj, x.shape)
+            a = adj[j]
+            adj[j] = gj if a is None else a + gj
+
+    out: dict[int, np.ndarray] = {}
+    for i in tape.params + [v.idx for v in wrt]:
+        g = adj[i] if i <= top else None
+        out[i] = g if g is not None else np.zeros_like(nodes[i].value)
+    return out
 
 
 # -- Taylor jets ---------------------------------------------------------

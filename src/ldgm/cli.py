@@ -127,6 +127,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
+    if args.seed < 0:
+        raise ConfigError(["--seed"], f"--seed must be an integer >= 0, got {args.seed}")
     report = derivative_scale_diagnostic(seed=args.seed)
     if report.skipped:
         print(f"diagnostic skipped: fit rel_l2={report.fit_rel_l2:.3g} above threshold")
@@ -214,7 +216,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except LdgmError as e:
+    except (LdgmError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -109,11 +109,10 @@ def fit_sine_network(seed: int = 0) -> Network:
     bound = net.bind(tape)
     r = bound.forward(xs).out(0) - target
     loss = ad.mean(r * r)
-    schedule = ad.Schedule(tape, loss)
     for step in range(4000):
         if step:
-            schedule.replay(net.params.arrays)
-        grads = schedule.gradients()
+            tape.replay(net.params.arrays)
+        grads = ad.backward(tape, loss)
         adam_step(net.params, [grads[v.idx] for v in bound.param_vars], state, 2e-3)
         if step % 100 == 0 and math.sqrt(float(loss.value)) / math.sqrt(0.5) < 5e-3:
             break

@@ -12,12 +12,13 @@ the scheme conserves mass exactly.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import InstabilityError, SizeError
+from .errors import ConfigError, InstabilityError, SizeError
 
 
 # -- transform ------------------------------------------------------------------
@@ -53,9 +54,13 @@ class SpectralCHConfig:
 
     def __post_init__(self):
         _check_pow2(self.grid_size)
+        for key, v in (("dt", self.dt), ("horizon", self.horizon)):
+            if not 0.0 < v < math.inf:
+                raise ConfigError([key], f"{key} must be positive and finite, got {v}")
         steps = self.horizon / self.dt
         if abs(steps - round(steps)) > 1e-9:
-            raise ValueError("horizon must be an integral number of time steps")
+            raise ConfigError(["horizon", "dt"], f"horizon {self.horizon} is not a whole "
+                                                 f"number of time steps of dt {self.dt}")
 
     @property
     def n_steps(self) -> int:

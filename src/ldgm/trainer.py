@@ -21,7 +21,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import metrics, ritz
-from .autodiff import Schedule, Tape, backward
+from .autodiff import Tape, backward
 from .errors import ConfigError, LdgmError, NonFiniteLossError
 from .loss import dgm_loss, ldgm_loss
 from .network import Network, NetworkConfig, ParameterSet, init_xavier
@@ -122,26 +122,21 @@ class TrainReport:
 def _run_stage(net: Network, batch, loss_fn, cfg: TrainConfig, state: AdamState) -> tuple:
     """One stage's Adam steps on one batch; the last step's J_total, J_e, J_i, J_b.
 
-    Step 1 records the loss on a fresh tape and differentiates it with
-    `backward`.  The tape is then compiled into a `Schedule`, and the other
-    steps replay it at the parameters Adam produced, since only those differ
-    within a stage.  The tape is freed on return, before the next stage
-    records its own.
+    The loss is recorded once, on a fresh tape, and every step after the
+    first replays that tape at the parameters Adam produced, since only
+    those differ within a stage.  Each step then differentiates it with
+    `backward`.  The tape is freed on return, before the next stage records
+    its own.
     """
+    tape = Tape()
+    bound = net.bind(tape)
+    lb = loss_fn(bound, batch)
     for k in range(cfg.steps_per_stage):
-        if k == 0:
-            tape = Tape()
-            bound = net.bind(tape)
-            lb = loss_fn(bound, batch)
-        else:
-            schedule.replay(net.params.arrays)
+        if k:
+            tape.replay(net.params.arrays)
         if not math.isfinite(float(lb.J_total.value)):
             raise NonFiniteLossError(state.step + 1, "loss")
-        if k == 0:
-            grads_by_id = backward(tape, lb.J_total)
-            schedule = Schedule(tape, lb.J_total)
-        else:
-            grads_by_id = schedule.gradients()
+        grads_by_id = backward(tape, lb.J_total)
         grads = [grads_by_id[v.idx] for v in bound.param_vars]
         adam_step(net.params, grads, state, cfg.rate_at(state.step + 1),
                   cfg.beta1, cfg.beta2, cfg.epsilon)

@@ -406,26 +406,10 @@ def _taylor_values(xv, kind, blocks, alpha):
     return np.where(z0 > 0, xv, out) if kind == "elu" else out
 
 
-def live_mask(tape, output) -> list[bool]:
-    """Which nodes of the tape the output depends on (the output itself included)."""
-    live = [False] * len(tape.nodes)
-    live[output.idx] = True
-    for i in range(output.idx, -1, -1):
-        if live[i]:
-            for k in tape.nodes[i].inputs:
-                live[k] = True
-    return live
-
-
-def replay(tape, output=None) -> bool:
-    """Recompute every node from the record; True iff all values match bit-for-bit.
-
-    Given an output var, only the nodes it depends on are compared: after a
-    `Schedule.replay` the others keep the values of the recording.
-    """
-    live = [True] * len(tape.nodes) if output is None else live_mask(tape, output)
+def replay(tape) -> bool:
+    """Recompute every node from the record; True iff all values match bit-for-bit."""
     vals: list[np.ndarray] = []
-    for node, is_live in zip(tape.nodes, live):
+    for node in tape.nodes:
         op, ins, aux = node.op, node.inputs, node.aux
         if op in ("const", "input", "param"):
             v = node.value
@@ -474,6 +458,6 @@ def replay(tape, output=None) -> bool:
             raise NotImplementedError(op)
         vals.append(v)
         a, b = np.asarray(v), node.value
-        if is_live and (a.shape != b.shape or a.tobytes() != b.tobytes()):
+        if a.shape != b.shape or a.tobytes() != b.tobytes():
             return False
     return True

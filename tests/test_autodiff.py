@@ -171,12 +171,14 @@ def test_backward_rejects_foreign_output():
         backward(t2, p)
 
 
-def test_op_without_a_reverse_is_an_invalid_node():
+def test_op_without_a_reverse_is_an_invalid_node(monkeypatch):
+    monkeypatch.setitem(ad.OPS, "cube", (lambda node, xs: xs[0] ** 3, None))
     tape = Tape()
     p = tape.param(2.0)
-    y = tape.push("cube", (p.idx,), None, p.value ** 3)
-    with pytest.raises(InvalidNodeError, match="'cube'"):
-        backward(tape, y)
+    with pytest.raises(InvalidNodeError, match="'cube' has no reverse"):
+        tape.record("cube", (p.idx,))
+    with pytest.raises(InvalidNodeError, match="'square' has no forward"):
+        tape.record("square", (p.idx,))
 
 
 # ops that only the tests record; tests/oracles.py registers them

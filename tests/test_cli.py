@@ -366,3 +366,31 @@ def test_ch_reference_is_solved_once_per_epsilon(tmp_path, monkeypatch):
     written = [(d / "reference.csv").read_bytes() for d in sorted((tmp_path / "runs").iterdir())]
     assert len(written) == 2 and written[0] == written[1]
     cli._ch_field.cache_clear()
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["diagnose", "--seed", "-1"], "--seed"),
+    (["reference", "--dt", "0"], "dt"),
+    (["reference", "--dt", "0.3"], "dt"),
+    (["reference", "--horizon", "-1"], "horizon"),
+])
+def test_bad_diagnose_and_reference_flags_are_config_errors(tmp_path, capsys, argv, flag):
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and flag in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--config", "{missing}"],
+    ["sweep", "--config", "{missing}", "--axis", "network.width", "--values", "4"],
+    ["compare", "{missing}", "{missing}"],
+])
+def test_a_missing_input_file_is_one_error_line(tmp_path, capsys, argv):
+    missing = str(tmp_path / "missing.cfg")
+    assert main([a.format(missing=missing) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and missing in err
+    assert err.count("\n") == 1

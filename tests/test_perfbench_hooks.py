@@ -87,3 +87,35 @@ def test_benchmark_gate_passes_on_every_workload(monkeypatch):
         assert ok, f"{name}: {detail}"
     ok, detail = gate.annihilation_check()
     assert ok, detail
+
+
+def test_every_step_calls_the_traced_backward_on_its_stage_tape(monkeypatch):
+    """The tracer reads the tape from `trainer.backward`'s first call of a run and
+    opens a step at `bind`; every step of a stage sweeps that stage's one tape."""
+    from ldgm import trainer
+    from ldgm.sampling import SamplerConfig
+    from ldgm.system import get_problem
+
+    events = []
+    real_backward, real_adam = trainer.backward, trainer.adam_step
+
+    def backward(tape, output, *args, **kwargs):
+        events.append(("backward", tape))
+        return real_backward(tape, output, *args, **kwargs)
+
+    def adam_step(*args, **kwargs):
+        events.append(("adam", None))
+        return real_adam(*args, **kwargs)
+
+    monkeypatch.setattr(trainer, "backward", backward)
+    monkeypatch.setattr(trainer, "adam_step", adam_step)
+    spec = get_problem("beam")
+    trainer.train(spec, "ldgm", trainer.default_network_config(spec, "ldgm", hidden_layers=1,
+                                                               width=4),
+                  SamplerConfig(interior=6, initial=4, boundary=4),
+                  trainer.TrainConfig(stages=2, steps_per_stage=3), seed=0)
+    assert [kind for kind, _ in events] == ["backward", "adam"] * 6
+    tapes = [tape for kind, tape in events if kind == "backward"]
+    assert all(t is tapes[0] for t in tapes[:3])
+    assert all(t is tapes[3] for t in tapes[3:])
+    assert tapes[0] is not tapes[3]

@@ -1,7 +1,7 @@
-"""A compiled schedule replayed at new parameters is the recording there, bit for bit.
+"""A tape replayed at new parameters is the recording there, bit for bit.
 
 Within a training stage the batch is fixed, so `trainer.train_loop` records
-each stage's first step and replays the others through `autodiff.Schedule`.
+each stage's loss once and replays the tape for every later step.
 """
 
 import dataclasses
@@ -20,7 +20,7 @@ from ldgm.system import get_problem
 from ldgm.trainer import (METHODS, AdamState, TrainConfig, adam_step,
                           default_network_config, train)
 
-from oracles import live_mask, replay
+from oracles import replay
 
 _PROBLEM = {"ldgm": ("beam", {}), "dgm": ("beam", {}),
             "ldrm": ("bilaplacian_ritz", {"d": 1}), "drm": ("bilaplacian_ritz", {"d": 1})}
@@ -53,41 +53,40 @@ def _bits(a):
 
 
 def _step_and_replay(net, loss_of, lr):
-    """Record at p0 and compile, take one Adam step to p1, replay there."""
+    """Record at p0, take one Adam step to p1, replay there."""
     tape, out = _record(net, loss_of)
-    schedule = ad.Schedule(tape, out)
-    grads = schedule.gradients()
+    grads = ad.backward(tape, out)
     state = AdamState(net.params)
-    adam_step(net.params, [grads[i] for i in schedule.params], state, lr)
+    adam_step(net.params, [grads[i] for i in tape.params], state, lr)
     recorded = [node.value for node in tape.nodes]
-    schedule.replay(net.params.arrays)
-    return tape, out, schedule, recorded
+    tape.replay(net.params.arrays)
+    return tape, out, recorded
 
 
-def _assert_matches_a_fresh_recording(net, loss_of, tape, out, schedule):
+def _assert_matches_a_fresh_recording(net, loss_of, tape, out):
+    """Every node, including those with no path to the output, since replay reruns them all."""
     fresh, fresh_out = _record(net, loss_of)
     assert [n.op for n in fresh.nodes] == [n.op for n in tape.nodes]
-    for i, is_live in enumerate(live_mask(tape, out)):
-        if is_live:
-            assert _bits(tape.nodes[i].value) == _bits(fresh.nodes[i].value), (i, tape.nodes[i].op)
-    got, want = schedule.gradients(), ad.backward(fresh, fresh_out)
+    for i, (node, want) in enumerate(zip(tape.nodes, fresh.nodes)):
+        assert _bits(node.value) == _bits(want.value), (i, node.op)
+    got, want = ad.backward(tape, out), ad.backward(fresh, fresh_out)
     assert got.keys() == want.keys()
     for i in want:
         assert _bits(got[i]) == _bits(want[i]), i
-    assert replay(tape, out)
+    assert replay(tape)
 
 
 @pytest.mark.parametrize("method,hidden,head", CASES)
 def test_replay_equals_a_fresh_recording_at_the_new_parameters(method, hidden, head):
     net, loss_of = _setup(method, hidden, head)
-    tape, out, schedule, recorded = _step_and_replay(net, loss_of, lr=1e-2)
+    tape, out, recorded = _step_and_replay(net, loss_of, lr=1e-2)
     assert _bits(out.value) != _bits(recorded[out.idx])  # the replay moved the loss
-    _assert_matches_a_fresh_recording(net, loss_of, tape, out, schedule)
+    _assert_matches_a_fresh_recording(net, loss_of, tape, out)
 
 
 def test_replay_recomputes_elu_masks_where_a_preactivation_changes_sign():
     net, loss_of = _setup("ldgm", "elu", "identity")
-    tape, out, schedule, recorded = _step_and_replay(net, loss_of, lr=0.3)
+    tape, out, recorded = _step_and_replay(net, loss_of, lr=0.3)
     flipped = 0
     for node in tape.nodes:
         if node.op == "taylor" and node.aux[0] == "elu":
@@ -97,16 +96,27 @@ def test_replay_recomputes_elu_masks_where_a_preactivation_changes_sign():
                 before, after = before[0], after[0]
             flipped += int(np.sum((before > 0) != (after > 0)))
     assert flipped > 0, "no elu preactivation changed sign; the case checks nothing"
-    _assert_matches_a_fresh_recording(net, loss_of, tape, out, schedule)
+    _assert_matches_a_fresh_recording(net, loss_of, tape, out)
 
 
-def test_schedule_rejects_an_op_without_a_forward(monkeypatch):
+def test_record_rejects_an_op_without_a_forward(monkeypatch):
     monkeypatch.setitem(ad.OPS, "cube", (None, lambda node, g, xs: (3.0 * g * xs[0] ** 2,)))
     tape = ad.Tape()
     p = tape.param(2.0)
-    y = tape.push("cube", (p.idx,), None, p.value ** 3)
     with pytest.raises(InvalidNodeError, match="'cube' has no forward"):
-        ad.Schedule(tape, y)
+        tape.record("cube", (p.idx,))
+    assert len(tape.nodes) == 1
+
+
+def test_replay_rejects_a_wrong_number_of_arrays():
+    tape = ad.Tape()
+    p, q = tape.param(2.0), tape.param(3.0)
+    y = p * q
+    with pytest.raises(InvalidNodeError, match="1 arrays for 2 parameter leaves"):
+        tape.replay([np.array(5.0)])
+    assert float(y.value) == 6.0
+    tape.replay([np.array(5.0), np.array(3.0)])
+    assert float(y.value) == 15.0
 
 
 def _nan_after_first_step(monkeypatch):
