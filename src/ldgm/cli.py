@@ -156,8 +156,13 @@ def cmd_reference(args) -> int:
 def cmd_compare(args) -> int:
     a = TrainReport.from_csv(args.report_a)
     b = TrainReport.from_csv(args.report_b)
-    rows = list(zip(a.column("step"), a.column("rel_l2"), b.column("rel_l2"),
-                    a.column("seconds"), b.column("seconds")))
+    # one row per step both reports logged
+    b_at = {step: (rel, sec) for step, rel, sec in
+            zip(b.column("step"), b.column("rel_l2"), b.column("seconds"))}
+    rows = [(step, rel, b_at[step][0], sec, b_at[step][1]) for step, rel, sec in
+            zip(a.column("step"), a.column("rel_l2"), a.column("seconds")) if step in b_at]
+    if not rows:
+        raise LdgmError(f"{args.report_a} and {args.report_b} share no logged step")
     header = ("step", "rel_l2_a", "rel_l2_b", "seconds_a", "seconds_b")
     if args.out:
         write_table(args.out, header, rows)
@@ -201,7 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--out", default="runs/reference.csv")
     f.set_defaults(fn=cmd_reference)
 
-    c = sub.add_parser("compare", help="side-by-side error/time table from two reports")
+    c = sub.add_parser("compare",
+                       help="side-by-side error/time table at the steps two reports share")
     c.add_argument("report_a")
     c.add_argument("report_b")
     c.add_argument("--out", default=None)

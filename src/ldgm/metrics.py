@@ -62,15 +62,25 @@ def relative_l2(candidate, truth) -> float:
     return float(np.linalg.norm(c - u) / denom)
 
 
+# A grid of up to WHOLE_GRID points (a 1-d grid has 2816) is walked whole, as
+# the recorded walk did: its products keep that walk's row counts, and so its
+# bits, and its layer arrays (ch_dgm's 1.1 MB) still raise glibc's heap
+# thresholds above a training step's churn; in 1024-point chunks ch_dgm's
+# steps faulted about 320 pages each and ran 10% slower.  A larger grid
+# (heat5d's 110000 points at width 100) goes in EVAL_CHUNK-point chunks, whose
+# 800 KB arrays stay on the heap where 4096-point ones are mapped and faulted
+# in on every call; heat5d's values keep the bits of its 8192-point chunks.
+WHOLE_GRID = 8192
+EVAL_CHUNK = 1024
+
+
 def network_values(net: Network, grid: EvaluationGrid) -> np.ndarray:
-    """Plain forward evaluation of output 0 (u) over the grid, in chunks of 8192 points."""
-    vals = []
-    chunk = 8192
-    for s in range(0, grid.x.shape[0], chunk):
-        out = net.bind(Tape()).forward(grid.x[s:s + chunk],
-                                       None if grid.t is None else grid.t[s:s + chunk])
-        vals.append(out.out(0).value)
-    return np.concatenate(vals)
+    """Output 0 (u) over the grid, by the tape-free walk `net.evaluate`, chunk by chunk."""
+    n = grid.x.shape[0]
+    chunk = n if n <= WHOLE_GRID else EVAL_CHUNK
+    return np.concatenate([
+        net.evaluate(grid.x[s:s + chunk], None if grid.t is None else grid.t[s:s + chunk])[:, 0]
+        for s in range(0, n, chunk)])
 
 
 def network_relative_l2(net: Network, grid: EvaluationGrid, truth_vals) -> float:

@@ -10,7 +10,9 @@ layer carries one jet stack, the shared primal plus every direction's
 truncated Taylor coefficients, through one affine node and one Taylor-mode
 activation node.  A plain forward pass is the walk with no directions: each
 layer then carries the values alone, and its activation is the same
-`taylor` node with no coefficient blocks.
+`taylor` node with no coefficient blocks.  `Network.evaluate` runs that
+plain walk's functions on arrays, with no tape, for values no gradient
+will be taken of.
 """
 
 from __future__ import annotations
@@ -140,6 +142,25 @@ class NetworkOutput:
         return jet.derivative(order)
 
 
+def _points(x) -> np.ndarray:
+    return np.atleast_2d(np.asarray(x, dtype=np.float64))
+
+
+def _stack_inputs(cfg: NetworkConfig, x: np.ndarray, t) -> np.ndarray:
+    """The network's input columns: the spatial points, then the times if it has any."""
+    d = x.shape[1]
+    if t is None:
+        if cfg.input_dim != d:
+            raise ShapeError(f"expected input_dim {cfg.input_dim}, got {d} (no time)")
+        return x
+    t = np.asarray(t, dtype=np.float64).reshape(-1)
+    if cfg.input_dim != d + 1:
+        raise ShapeError(f"expected input_dim {cfg.input_dim}, got {d}+time")
+    if t.shape[0] != x.shape[0]:
+        raise ShapeError("x and t batch sizes differ")
+    return np.column_stack([x, t])
+
+
 class Network:
     def __init__(self, config: NetworkConfig, params: ParameterSet):
         self.config = config
@@ -151,6 +172,25 @@ class Network:
 
     def bind(self, tape: Tape) -> "BoundNetwork":
         return BoundNetwork(self, tape)
+
+    def evaluate(self, x, t=None) -> np.ndarray:
+        """The head's values, (P, output_dim), by a walk over plain arrays.
+
+        Each layer runs the functions its recorded nodes run (`affine`, then
+        the activation's value), so the values have the bits of
+        `bind(tape).forward(x, t)`.  Nothing is recorded, and each layer's
+        array is dropped once the next layer has read it.
+        """
+        cfg = self.config
+        arrays = dict(zip(self.params.names, self.params.arrays))
+        plan = _layer_plan(cfg)
+        kinds = [cfg.hidden_activation] * (len(plan) - 1) + [cfg.output_activation]
+        h = _stack_inputs(cfg, _points(x), t)
+        for (w, b, _), kind in zip(plan, kinds):
+            h = ad._affine(None, (h, arrays[w], arrays[b]))
+            if kind != "identity":
+                h = ad._value(kind, h, cfg.elu_alpha)
+        return h
 
 
 class BoundNetwork:
@@ -165,22 +205,6 @@ class BoundNetwork:
     @property
     def output_dim(self) -> int:
         return self.config.output_dim
-
-    # -- helpers ---------------------------------------------------------
-
-    def _stack_inputs(self, x, t):
-        cfg = self.config
-        d = x.shape[1]
-        if t is None:
-            if cfg.input_dim != d:
-                raise ShapeError(f"expected input_dim {cfg.input_dim}, got {d} (no time)")
-            return x
-        t = np.asarray(t, dtype=np.float64).reshape(-1)
-        if cfg.input_dim != d + 1:
-            raise ShapeError(f"expected input_dim {cfg.input_dim}, got {d}+time")
-        if t.shape[0] != x.shape[0]:
-            raise ShapeError("x and t batch sizes differ")
-        return np.column_stack([x, t])
 
     # -- evaluation ------------------------------------------------------
 
@@ -216,8 +240,8 @@ class BoundNetwork:
                 raise UnsupportedOrderError(f"jet order {od} is negative")
             if od > ad.JET_ORDER_CAP:
                 raise UnsupportedOrderError(f"jet order {od} exceeds cap {ad.JET_ORDER_CAP}")
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        X = self._stack_inputs(x, t)
+        x = _points(x)
+        X = _stack_inputs(self.config, x, t)
         if TIME in orders and t is None:
             raise ShapeError("time direction requested for a stationary network")
         d_space = X.shape[1] - (0 if t is None else 1)
@@ -301,6 +325,11 @@ class AnalyticNetwork:
     def bind(self, tape: Tape) -> "BoundAnalytic":
         return BoundAnalytic(self, tape)
 
+    def evaluate(self, x, t=None) -> np.ndarray:
+        """The outputs' values, (P, output_dim), as `Network.evaluate` gives them."""
+        x = _points(x)
+        return np.column_stack([self._eval(i, 0, 0, x, t) for i in range(self.output_dim)])
+
 
 class BoundAnalytic:
     def __init__(self, net: AnalyticNetwork, tape: Tape):
@@ -318,7 +347,7 @@ class BoundAnalytic:
         return self.forward_jets(x, t, {dd: order for dd in directions})
 
     def forward_jets(self, x, t=None, orders: dict | None = None) -> NetworkOutput:
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        x = _points(x)
         values = [self.tape.const(self.net._eval(i, 0, 0, x, t))
                   for i in range(self.net.output_dim)]
         out = NetworkOutput(x, t, values)

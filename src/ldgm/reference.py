@@ -24,8 +24,12 @@ from .errors import ConfigError, InstabilityError, SizeError
 # -- transform ------------------------------------------------------------------
 
 
+def _is_pow2(n: int) -> bool:
+    return n >= 1 and (n & (n - 1)) == 0
+
+
 def _check_pow2(n: int) -> None:
-    if n < 1 or (n & (n - 1)) != 0:
+    if not _is_pow2(n):
         raise SizeError(f"length {n} is not a power of two")
 
 
@@ -53,8 +57,10 @@ class SpectralCHConfig:
     horizon: float = 1.0
 
     def __post_init__(self):
-        _check_pow2(self.grid_size)
-        for key, v in (("dt", self.dt), ("horizon", self.horizon)):
+        if not _is_pow2(self.grid_size):
+            raise ConfigError(["grid_size"],
+                              f"grid_size must be a power of two, got {self.grid_size}")
+        for key, v in (("epsilon", self.epsilon), ("dt", self.dt), ("horizon", self.horizon)):
             if not 0.0 < v < math.inf:
                 raise ConfigError([key], f"{key} must be positive and finite, got {v}")
         steps = self.horizon / self.dt

@@ -164,6 +164,36 @@ def test_compare_prints_rel_l2_and_seconds_by_column(tmp_path, capsys):
     ]
 
 
+def test_compare_pairs_rows_by_step(tmp_path, capsys):
+    # a logged every 5 steps, b every 10: only the steps both logged are paired
+    a, b = TrainReport(), TrainReport()
+    for step in (5, 10, 15, 20):
+        a.log(step, 1.0, 0.5, 0.25, 0.25, step / 100, step / 10)
+    for step in (10, 20):
+        b.log(step, 1.0, 0.5, 0.25, 0.25, step / 200, step / 20)
+    pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
+    a.to_csv(pa)
+    b.to_csv(pb)
+    capsys.readouterr()
+    assert main(["compare", str(pa), str(pb)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "step,rel_l2_a,rel_l2_b,seconds_a,seconds_b",
+        "10,0.1,0.05,1.0,0.5",
+        "20,0.2,0.1,2.0,1.0",
+    ]
+    # no shared step is one error line
+    c = TrainReport()
+    c.log(7, 1.0, 0.5, 0.25, 0.25, 0.07, 0.7)
+    pc = tmp_path / "c.csv"
+    c.to_csv(pc)
+    out = tmp_path / "cmp.csv"
+    assert main(["compare", str(pa), str(pc), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "share no logged step" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_run_abort_is_recorded_and_nonzero(tmp_path):
     out = str(tmp_path / "runs")
     path = tmp_path / "explode.cfg"
@@ -373,6 +403,12 @@ def test_ch_reference_is_solved_once_per_epsilon(tmp_path, monkeypatch):
     (["reference", "--dt", "0"], "dt"),
     (["reference", "--dt", "0.3"], "dt"),
     (["reference", "--horizon", "-1"], "horizon"),
+    (["reference", "--epsilon", "-1"], "epsilon"),
+    (["reference", "--epsilon", "0"], "epsilon"),
+    (["reference", "--epsilon", "inf"], "epsilon"),
+    (["reference", "--grid", "3"], "grid"),
+    (["reference", "--grid", "0"], "grid"),
+    (["reference", "--grid", "-4"], "grid"),
 ])
 def test_bad_diagnose_and_reference_flags_are_config_errors(tmp_path, capsys, argv, flag):
     out = tmp_path / "out"

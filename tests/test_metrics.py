@@ -1,12 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from ldgm.autodiff import Tape
 from ldgm.errors import UndefinedMetricError
-from ldgm.metrics import (derivative_scale_diagnostic, evaluation_grid,
-                          network_values, relative_l2, write_table)
-from ldgm.network import AnalyticNetwork
+from ldgm.metrics import (EVAL_CHUNK, WHOLE_GRID, EvaluationGrid, derivative_scale_diagnostic,
+                          evaluation_grid, network_values, relative_l2, write_table)
+from ldgm.network import AnalyticNetwork, Network, NetworkConfig, init_xavier
 from ldgm.system import get_problem
 
 
@@ -61,6 +63,38 @@ def test_grid_refinement_stability():
         truth = spec.exact(grid.x, grid.t)
         errs.append(relative_l2(network_values(mock, grid), truth))
     assert abs(errs[0] - errs[1]) / errs[1] < 0.01
+
+
+@pytest.mark.parametrize("n,chunk", [(2500, 2500), (10500, EVAL_CHUNK)])
+def test_chunked_values_equal_the_tape_walk(n, chunk):
+    # 2500 points are walked whole; 10500 in ten full chunks and a tail.  The
+    # recorded walk runs over the same chunks: BLAS may round a product of
+    # another row count differently.
+    assert (n <= WHOLE_GRID) == (chunk == n)
+    cfg = NetworkConfig(input_dim=2, hidden_layers=3, width=50, output_dim=4)
+    net = Network(cfg, init_xavier(cfg, 2))
+    rng = np.random.default_rng(2)
+    grid = EvaluationGrid(rng.uniform(0, 3, size=(n, 1)), rng.uniform(0, 1, size=n))
+    want = np.concatenate([net.bind(Tape()).forward(grid.x[s:s + chunk],
+                                                    grid.t[s:s + chunk]).out(0).value
+                           for s in range(0, n, chunk)])
+    assert network_values(net, grid).tobytes() == want.tobytes()
+
+
+def test_network_values_holds_no_layer_arrays():
+    # a recorded walk over the 2816-point grid keeps all 64 layers' arrays, about 30 MB
+    cfg = NetworkConfig(input_dim=2, hidden_layers=64, width=10, output_dim=1,
+                        hidden_activation="elu")
+    net = Network(cfg, init_xavier(cfg, 0))
+    grid = evaluation_grid(get_problem("mkdv"))
+    assert grid.x.shape[0] == 2816
+    tracemalloc.start()
+    try:
+        network_values(net, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_fourth_derivative_norm_ratio_is_pi_fourth():

@@ -208,8 +208,12 @@ def test_constant_network_has_zero_derivatives():
 def test_shape_and_order_errors():
     cfg = NetworkConfig(input_dim=2, hidden_layers=1, width=4, output_dim=1)
     net = Network(cfg, init_xavier(cfg, seed=0))
-    with pytest.raises(ShapeError):
-        net.bind(Tape()).forward(np.zeros((3, 2)), np.zeros(3))
+    # the recorded walk and the tape-free one check their inputs alike
+    for walk in (lambda x, t: net.bind(Tape()).forward(x, t), net.evaluate):
+        for x, t in ((np.zeros((3, 2)), np.zeros(3)), (np.zeros((3, 1)), None),
+                     (np.zeros((3, 1)), np.zeros(4))):
+            with pytest.raises(ShapeError):
+                walk(x, t)
     with pytest.raises(UnsupportedOrderError):
         net.bind(Tape()).forward_with_derivatives(np.zeros((3, 1)), np.zeros(3),
                                                   directions=[0], order=7)
@@ -304,6 +308,22 @@ def test_plain_walk_values_are_the_jet_walks_slot_zero(name):
         jets = bound.forward_jets(x, t, orders).values
         for j in range(cfg.output_dim):
             assert plain[j].value.tobytes() == jets[j].value.tobytes(), (orders, j)
+
+
+@pytest.mark.parametrize("name", list(FUSED_NETS))
+@pytest.mark.parametrize("timed", [True, False], ids=["timed", "stationary"])
+def test_evaluate_has_the_recorded_walks_bits(name, timed):
+    # every output of the tape-free walk, byte for byte against the recorded forward
+    cfg = NetworkConfig(input_dim=3 if timed else 2, hidden_layers=3, width=10,
+                        output_dim=3, **FUSED_NETS[name])
+    rng = np.random.default_rng(5)
+    x, t = rng.uniform(-1, 1, size=(64, 2)), rng.uniform(0, 1, size=64) if timed else None
+    net = Network(cfg, init_xavier(cfg, 5))
+    got = net.evaluate(x, t)
+    assert got.shape == (64, 3)
+    want = net.bind(Tape()).forward(x, t).values
+    for j in range(cfg.output_dim):
+        assert got[:, j].tobytes() == want[j].value.tobytes(), j
 
 
 @pytest.mark.parametrize("name,orders", [

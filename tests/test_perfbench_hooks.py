@@ -119,3 +119,32 @@ def test_every_step_calls_the_traced_backward_on_its_stage_tape(monkeypatch):
     assert all(t is tapes[0] for t in tapes[:3])
     assert all(t is tapes[3] for t in tapes[3:])
     assert tapes[0] is not tapes[3]
+
+
+def test_every_logged_row_calls_the_traced_metric_hook_with_its_grid(monkeypatch):
+    """The tracer times `metrics.network_relative_l2` and reads the grid's size
+    from its second positional argument."""
+    from ldgm import metrics
+    from ldgm.sampling import SamplerConfig
+    from ldgm.system import get_problem
+    from ldgm.trainer import TrainConfig, default_network_config, train
+
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.delitem(sys.modules, "spans", raising=False)
+    traced = {(module, attr) for module, attr, _ in importlib.import_module("spans").TRACED}
+    assert ("ldgm.metrics", "network_relative_l2") in traced
+
+    points = []
+    real = metrics.network_relative_l2
+
+    def counted(*args, **kwargs):
+        points.append(args[1].x.shape[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(metrics, "network_relative_l2", counted)
+    spec = get_problem("beam")
+    report, _ = train(spec, "ldgm", default_network_config(spec, "ldgm", hidden_layers=1, width=4),
+                      SamplerConfig(interior=6, initial=4, boundary=4),
+                      TrainConfig(stages=3, steps_per_stage=2, log_every=2), seed=0)
+    assert len(report.rows) == 2
+    assert points == [metrics.evaluation_grid(spec).x.shape[0]] * 2

@@ -4,7 +4,7 @@ import io
 import numpy as np
 import pytest
 
-from ldgm.errors import SizeError, UnavailableError
+from ldgm.errors import ConfigError, SizeError, UnavailableError
 from ldgm.reference import ReferenceField, SpectralCHConfig, fft, ifft, solve_ch_spectral
 from ldgm.system import get_problem
 
@@ -44,7 +44,8 @@ def test_fft_matches_naive_dft_and_roundtrips():
 def test_non_power_of_two_rejected():
     with pytest.raises(SizeError):
         fft(np.zeros(12))
-    with pytest.raises(SizeError):
+    # a grid size is a config field: its error names it
+    with pytest.raises(ConfigError, match="grid_size"):
         SpectralCHConfig(grid_size=129)
 
 
