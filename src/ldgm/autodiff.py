@@ -257,9 +257,9 @@ def _affine(node, xs):
     return v
 
 
-# a jet stack's bias shifts its value slot only
+# a jet stack's bias shifts its value slot only; its adjoint leaves summed over the rows
 OPS["affine"] = (_affine, lambda node, g, xs: (*_matmul_vjp(xs[0], xs[1], g),
-                                               g if g.ndim == 2 else g[0]))
+                                               np.add.reduce(g if g.ndim == 2 else g[0], axis=0)))
 
 
 # -- activations --------------------------------------------------------------
@@ -272,7 +272,8 @@ def _value(kind: str, z: np.ndarray, alpha: float) -> np.ndarray:
     if kind == "sigmoid":
         return 0.5 * (np.tanh(0.5 * z) + 1.0)
     if kind == "elu":
-        return np.where(z > 0, z, alpha * np.expm1(z))
+        e = np.expm1(z)
+        return np.where(z > 0, z, e if alpha == 1.0 else alpha * e)
     if kind == "relu":
         return np.maximum(z, 0.0)
     raise ValueError(f"activation {kind!r} has no Taylor node")
@@ -340,12 +341,15 @@ def _taylor(node, xs):
     # elu's exp side has elu' = y + alpha: its series after g0 is y itself
     saved = _series(xv, y, g0, blocks, "exp" if kind == "elu" else kind)
     if kind == "elu":
-        # a new array: the series keeps views of the exp side's coefficients;
-        # the reverse takes the sides as float masks
+        # where z0 > 0, slot 0 and block 1 already hold the identity's jet (g0
+        # is exactly 1 there); blocks 2.. take it from x.  The series keeps
+        # views of the exp side's blocks 1..order-1, so those from 2 are copied
+        # first.  The reverse takes the exp side as a float mask.
         pos = z0 > 0
-        y = np.where(pos, xv, y)
-        pos = pos.astype(np.float64)
-        saved = (saved, pos, 1.0 - pos)
+        if len(blocks) > 1:
+            saved[2:] = [g.copy() for g in saved[2:]]
+            np.copyto(y[1 + blocks[0]:], xv[1 + blocks[0]:], where=pos)
+        saved = (saved, (~pos).astype(np.float64))
     node.saved = saved
     return y
 
@@ -466,13 +470,19 @@ def _taylor_vjp(node, g, xs):
     if kind == "relu":
         return (g * saved,)
     if kind == "elu":
-        # y = x where z0 > 0; elsewhere the exp side, where g0 = y0 + alpha
-        # (so dg0/dy0 = 1) and y0 feeds no other term
-        gs, pos, neg = saved
-        xb = g * neg
-        xb[0] = g[0]
+        # y = x where z0 > 0: blocks 2.. hand their adjoints straight to x's
+        # there, and g0 (1 there) takes none; block 1 is x_1 * g0 on both
+        # sides.  Elsewhere the exp side, where g0 = y0 + alpha (so
+        # dg0/dy0 = 1) and y0 feeds no other term.
+        gs, neg = saved
+        xb = g.copy()
+        high = slice(1 + blocks[0], None)
+        if len(blocks) > 1:
+            xb[high] *= neg
         _, g0b = _series_vjp(xv, node.value, gs, xb, blocks, "exp")
-        xb[1:] += g[1:] * pos
+        if len(blocks) > 1:
+            xb[high] += g[high] * (1.0 - neg)
+        g0b *= neg
         xb0 = xb[0]
     else:
         gs = saved
