@@ -3,9 +3,12 @@
 One assembly serves both residual methods: it evaluates a SystemForm on
 the network, whether the form is an order-reduced rewrite (extra outputs,
 low-order jets) or the strong form (one output, jets up to the PDE
-order).  Each point set is walked once, to the jet orders its residuals
-need.  Every term is a mean of squares over its batch, so totals are
-batch-size invariant, and the total is their plain sum J_e + J_i + J_b.
+order).  The interior points are walked to the jet orders the evolution
+and constraints need, and the other point sets once per set of jet orders
+their residuals need (initial and value-only boundary points together, a
+periodic boundary with its mirror points).  Every term is a mean of
+squares over its batch, so totals are batch-size invariant, and the total
+is their plain sum J_e + J_i + J_b.
 """
 
 from __future__ import annotations
@@ -34,6 +37,25 @@ def _mse(v: Var) -> Var:
     return ad.mean(v * v)
 
 
+def _walk_by_orders(bound, sets) -> list:
+    """One walk per distinct set of jet orders over the (x, t, orders) sets.
+
+    Returns each set's NetworkOutput in the order given.  An order-0
+    direction is the value alone, so it does not keep two walks apart.
+    """
+    groups: dict = {}
+    for i, (_, _, orders) in enumerate(sets):
+        groups.setdefault(frozenset((dd, od) for dd, od in orders.items() if od), []).append(i)
+    walks = [None] * len(sets)
+    for members in groups.values():
+        orders = {}
+        for i in members:
+            orders.update(sets[i][2])
+        for i, walk in zip(members, bound.forward_sets([sets[i][:2] for i in members], orders)):
+            walks[i] = walk
+    return walks
+
+
 def ldgm_loss(system: SystemForm, bound, batch: SampleBatch) -> LossBreakdown:
     """Mean-square system residuals: evolution + constraints, initial, boundary."""
     spec = system.spec
@@ -49,13 +71,15 @@ def ldgm_loss(system: SystemForm, bound, batch: SampleBatch) -> LossBreakdown:
         constraint_terms[name] = term
         J_e = J_e + term
 
-    u0 = spec.initial(batch.initial_x)
-    J_i = _mse(bound.forward_jets(batch.initial_x, np.zeros(len(batch.initial_x))).out(0) - u0)
-
     orders = system.boundary_orders
-    bwalk = bound.forward_jets(batch.boundary_x, batch.boundary_t, orders)
+    sets = [(batch.initial_x, np.zeros(len(batch.initial_x)), {}),
+            (batch.boundary_x, batch.boundary_t, orders)]
     if spec.boundary.kind == "periodic":
-        bwalk.mirror = bound.forward_jets(batch.boundary_mirror_x, batch.boundary_t, orders)
+        sets.append((batch.boundary_mirror_x, batch.boundary_t, orders))
+    iwalk, bwalk, *mirror = _walk_by_orders(bound, sets)
+    J_i = _mse(iwalk.out(0) - spec.initial(batch.initial_x))
+    if mirror:
+        bwalk.mirror = mirror[0]
     residuals = system.boundary(bwalk)
     J_b = _mse(residuals[0])
     for r in residuals[1:]:

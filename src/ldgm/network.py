@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -121,7 +122,7 @@ class NetworkOutput:
     t: np.ndarray | None            # (P,) times, or None for a stationary network
     values: list[Var]
     jets: dict[object, list[Jet]] = field(default_factory=dict)
-    input_node: Var | None = None   # the inputs, or with jets the seeded input stack
+    input_node: Var | None = None   # the walk's inputs, or with jets its seeded input stack
     mirror: NetworkOutput | None = None
 
     @property
@@ -234,17 +235,28 @@ class BoundNetwork:
         Each layer is then one affine node and one activation node, whatever
         the orders, and the head's coefficients are read out one slot each.
         """
+        return self.forward_sets([(x, t)], orders)[0]
+
+    def forward_sets(self, sets, orders: dict | None = None) -> list[NetworkOutput]:
+        """One walk to `orders` (see `forward_jets`) over several point sets.
+
+        sets is a sequence of (x, t) pairs.  Their points are stacked into
+        one walk, and each set's outputs and jets are read out of the head
+        by row takes, so each gets a NetworkOutput of its own (their
+        `input_node` is the stacked walk's).
+        """
         orders = orders or {}
         for od in orders.values():
             if od < 0:
                 raise UnsupportedOrderError(f"jet order {od} is negative")
             if od > ad.JET_ORDER_CAP:
                 raise UnsupportedOrderError(f"jet order {od} exceeds cap {ad.JET_ORDER_CAP}")
-        x = _points(x)
-        X = _stack_inputs(self.config, x, t)
-        if TIME in orders and t is None:
+        points = [(_points(x), t) for x, t in sets]
+        inputs = [_stack_inputs(self.config, x, t) for x, t in points]
+        if TIME in orders and any(t is None for _, t in points):
             raise ShapeError("time direction requested for a stationary network")
-        d_space = X.shape[1] - (0 if t is None else 1)
+        X = inputs[0] if len(inputs) == 1 else np.concatenate(inputs)
+        d_space = X.shape[1] - (0 if points[0][1] is None else 1)
         for dd in orders:
             if dd != TIME and not (0 <= int(dd) < d_space):
                 raise ShapeError(f"direction {dd!r} outside the spatial axes")
@@ -267,20 +279,21 @@ class BoundNetwork:
         for hw, hb, _ in hidden:
             h = self._act(ad.affine(h, self.vars[hw], self.vars[hb]), cfg.hidden_activation, blocks)
         y = self._act(ad.affine(h, self.vars[w], self.vars[b]), cfg.output_activation, blocks)
-        rows = (0, slice(None)) if blocks else (slice(None),)  # where the values sit
-        values = [ad.take(y, rows + (j,)) for j in range(cfg.output_dim)]
 
-        result = NetworkOutput(x, t, values, input_node=xin)
-        for dd, od in orders.items():
-            if od == 0:
-                result.jets[dd] = [Jet([v]) for v in values]
-                continue
-            r = ranked.index(dd)
-            result.jets[dd] = [
-                Jet([v] + [ad.take(y, (starts[k - 1] + r, slice(None), j))
-                           for k in range(1, od + 1)])
-                for j, v in enumerate(values)]
-        return result
+        ends = list(accumulate((len(a) for a in inputs), initial=0))
+        spans = [slice(None)] if len(inputs) == 1 else list(map(slice, ends[:-1], ends[1:]))
+        slot0 = (0,) if blocks else ()  # the values' slot of a jet stack
+        results = []
+        for (x, t), rows in zip(points, spans):
+            values = [ad.take(y, slot0 + (rows, j)) for j in range(cfg.output_dim)]
+            result = NetworkOutput(x, t, values, input_node=xin)
+            for dd, od in orders.items():
+                r = ranked.index(dd) if od else None
+                result.jets[dd] = [
+                    Jet([v] + [ad.take(y, (starts[k - 1] + r, rows, j)) for k in range(1, od + 1)])
+                    for j, v in enumerate(values)]
+            results.append(result)
+        return results
 
     def forward_with_derivatives(self, x, t=None, directions=(), order: int = 1) -> NetworkOutput:
         """Jets along each listed direction, all expanded to the same order."""
@@ -345,6 +358,10 @@ class BoundAnalytic:
 
     def forward_with_derivatives(self, x, t=None, directions=(), order: int = 1) -> NetworkOutput:
         return self.forward_jets(x, t, {dd: order for dd in directions})
+
+    def forward_sets(self, sets, orders: dict | None = None) -> list[NetworkOutput]:
+        """One NetworkOutput per (x, t) set, as `BoundNetwork.forward_sets` gives them."""
+        return [self.forward_jets(x, t, orders) for x, t in sets]
 
     def forward_jets(self, x, t=None, orders: dict | None = None) -> NetworkOutput:
         x = _points(x)

@@ -7,7 +7,7 @@ import pytest
 from ldgm.autodiff import JET_ORDER_CAP, Tape, backward
 from ldgm.errors import ShapeError, UnsupportedOrderError
 from ldgm.loss import dgm_loss, ldgm_loss
-from ldgm.network import (AnalyticNetwork, BoundNetwork, Network, NetworkConfig,
+from ldgm.network import (AnalyticNetwork, BoundAnalytic, BoundNetwork, Network, NetworkConfig,
                           init_xavier)
 from ldgm.ritz import RitzConfig
 from ldgm.sampling import SamplerConfig, draw_batch
@@ -78,32 +78,67 @@ _WALK_PROBLEMS = [
 ]
 
 
+# the batch's point sets that each walk stacks, in walk order
+_I, _B, _M = "initial_x", "boundary_x", "boundary_mirror_x"
+_STACKED = {
+    "beam": {"ldgm": [(_I, _B)], "dgm": [(_I,), (_B,)]},  # dgm reads u_xx at the boundary
+    "allen_cahn": {"ldgm": [(_I, _B, _M)], "dgm": [(_I,), (_B, _M)]},
+    "cahn_hilliard": {"ldgm": [(_I, _B)], "dgm": [(_I,), (_B,)]},
+    "mkdv": {"ldgm": [(_I, _B)], "dgm": [(_I, _B)]},
+    "heat_nd": {"ldgm": [(_I, _B)], "dgm": [(_I, _B)]},
+    "bilaplacian_ritz": {"ldrm": [(_B,)], "drm": [(_B,)]},
+}
+
+
 @pytest.mark.parametrize("name,kwargs,method", [
     pytest.param(name, kwargs, method, id=f"{method}-{name}{kwargs.get('d', '')}")
     for name, kwargs in _WALK_PROBLEMS for method, entry in METHODS.items()
     if entry.variational == get_problem(name, **kwargs).stationary])
 def test_each_point_set_is_walked_once(monkeypatch, name, kwargs, method):
-    """Every loss walks the network once per point set, whatever orders it reads."""
+    """Every loss walks the interior once, and the other point sets once per set of jet orders."""
     spec = get_problem(name, **kwargs)
     walked = []
-    jets = BoundNetwork.forward_jets
+    sets_walk = BoundNetwork.forward_sets
 
-    def counting(self, x, t=None, orders=None):
-        walked.append(x)
-        return jets(self, x, t, orders)
+    def counting(self, sets, orders=None):
+        walked.append([id(x) for x, _ in sets])
+        return sets_walk(self, sets, orders)
 
-    monkeypatch.setattr(BoundNetwork, "forward_jets", counting)
+    monkeypatch.setattr(BoundNetwork, "forward_sets", counting)
     net_cfg = default_network_config(spec, method, hidden_layers=1, width=4)
     net = Network(net_cfg, init_xavier(net_cfg, 0))
     batch = draw_batch(SamplerConfig(interior=6, initial=4, boundary=4, seed=1), spec, 0)
     METHODS[method].loss(spec, RitzConfig())(net.bind(Tape()), batch)
-    expected = [batch.interior_x]
-    if not spec.stationary:
-        expected.append(batch.initial_x)
-    expected.append(batch.boundary_x)
-    if spec.boundary.kind == "periodic":
-        expected.append(batch.boundary_mirror_x)
-    assert [id(x) for x in walked] == [id(x) for x in expected]
+    expected = [("interior_x",)] + _STACKED[name][method]
+    assert walked == [[id(getattr(batch, a)) for a in walk] for walk in expected]
+
+
+@pytest.mark.parametrize("name,kwargs", [("beam", {}), ("mkdv", {}), ("heat_nd", {"d": 3})])
+def test_stacked_walks_match_separate_walks(monkeypatch, name, kwargs):
+    spec = get_problem(name, **kwargs)
+    form = ldgm_system(spec)
+    net = small_net(spec, form.size, seed=3)
+    mock = AnalyticNetwork([str(e) for e in form.exact_outputs], spec.spatial_dim)
+    batch = draw_batch(SamplerConfig(interior=8, initial=6, boundary=6, seed=4), spec, 0)
+
+    def losses():
+        tape = Tape()
+        lb = ldgm_loss(form, net.bind(tape), batch)
+        grads = backward(tape, lb.J_total)
+        return lb, np.concatenate([grads[i].ravel() for i in tape.params]), \
+            ldgm_loss(form, mock.bind(Tape()), batch)
+
+    stacked = losses()
+    for cls in (BoundNetwork, BoundAnalytic):
+        monkeypatch.setattr(cls, "forward_sets", lambda self, sets, orders=None, walk=cls.forward_sets:
+                            [walk(self, [s], orders)[0] for s in sets])
+    separate = losses()
+    for term in ("J_i", "J_b"):
+        a, b = (getattr(lb, term).value for lb in (stacked[0], separate[0]))
+        assert relative(a, b) <= 1e-13, term
+        a, b = (getattr(exact, term).value for exact in (stacked[2], separate[2]))
+        assert a.tobytes() == b.tobytes(), term
+    assert relative(stacked[1], separate[1]) <= 1e-13
 
 
 def test_dgm_and_ldgm_initial_terms_agree_for_first_order_problem():
