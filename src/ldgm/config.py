@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 from .autodiff import ACTIVATION_KINDS
@@ -20,10 +21,8 @@ from .sampling import SamplerConfig
 from .system import _REGISTRY, ProblemSpec, get_problem
 from .trainer import METHODS, TrainConfig, default_network_config
 
+
 # a parser is (convert, what it accepts); convert raises ValueError on a malformed value
-_FLOAT = (float, "a number")
-
-
 def _checked(parse, ok, what):
     """A parser whose parsed value must also satisfy `ok`."""
     def convert(v):
@@ -42,30 +41,37 @@ def _at_least(lo):
     return _checked(int, lambda n: n >= lo, f"an integer >= {lo}")
 
 
+# every comparison with nan is false, so these refuse it
+_FINITE = _checked(float, math.isfinite, "a finite number")
+_POSITIVE = _checked(float, lambda v: 0 < v < math.inf, "a finite number > 0")
+_NONNEGATIVE = _checked(float, lambda v: 0 <= v < math.inf, "a finite number >= 0")
+_DECAY = _checked(float, lambda v: 0 <= v < 1, "a number in [0, 1)")
+
+
 # key -> (default, parser); the defaults are the strings a resolved config echoes
 _KEYS = {
     "problem.name": ("beam", _one_of(*_REGISTRY)),
-    "problem.epsilon": ("0.1", _FLOAT),
+    "problem.epsilon": ("0.1", _POSITIVE),
     "problem.dimension": ("5", _at_least(1)),
     "method": ("ldgm", _one_of(*METHODS)),
     "network.hidden_layers": ("3", _at_least(1)),
     "network.width": ("50", _at_least(1)),
     "network.activation": ("tanh", _one_of(*ACTIVATION_KINDS)),
     "network.output_activation": ("identity", _one_of(*ACTIVATION_KINDS)),
-    "network.elu_alpha": ("1.0", _FLOAT),
+    "network.elu_alpha": ("1.0", _FINITE),
     "sampler.interior": ("200", _at_least(1)),
     "sampler.initial": ("50", _at_least(1)),
     "sampler.boundary": ("50", _at_least(1)),
     "sampler.seed": ("0", _at_least(0)),
-    "train.learning_rate": ("0.001", _FLOAT),
+    "train.learning_rate": ("0.001", _POSITIVE),
     "train.stages": ("1000", _at_least(0)),
     "train.steps_per_stage": ("5", _at_least(1)),
-    "train.beta1": ("0.9", _FLOAT),
-    "train.beta2": ("0.999", _FLOAT),
-    "train.epsilon": ("1e-8", _FLOAT),
+    "train.beta1": ("0.9", _DECAY),
+    "train.beta2": ("0.999", _DECAY),
+    "train.epsilon": ("1e-8", _POSITIVE),
     "train.schedule": ("", _one_of("", "piecewise_log")),
     "train.log_every": ("1", _at_least(1)),
-    "ritz.penalty": ("500.0", _FLOAT),
+    "ritz.penalty": ("500.0", _NONNEGATIVE),
     "ritz.interior": ("400", _at_least(1)),
     "ritz.boundary": ("100", _at_least(1)),
     "seeds": ("0", _checked(lambda v: [int(s) for s in v.split(",") if s.strip() != ""],

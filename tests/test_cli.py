@@ -265,6 +265,9 @@ def test_every_shipped_config_resolves_its_views(path, tmp_path):
     ("sampler.interior", "-1"), ("sampler.initial", "0"), ("sampler.boundary", "-2"),
     ("ritz.interior", "-1"), ("ritz.boundary", "0"), ("problem.dimension", "0"),
     ("network.hidden_layers", "0"), ("network.width", "0"),
+    # floats that would abort, warn or train on a meaningless setting
+    ("train.learning_rate", "nan"), ("train.beta1", "1.0"), ("network.elu_alpha", "nan"),
+    ("ritz.penalty", "-5"), ("problem.epsilon", "-1"),
 ])
 def test_malformed_value_is_rejected_at_load(tmp_path, key, value):
     path = tmp_path / "bad.cfg"

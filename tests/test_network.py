@@ -7,8 +7,9 @@ from ldgm.errors import ConfigError, ShapeError, SmoothnessError, UnsupportedOrd
 from ldgm.network import (TIME, AnalyticNetwork, Network, NetworkConfig, init_xavier,
                           load_checkpoint, save_checkpoint)
 
-from oracles import (central_gradient, elu_exp_side, jet_lift, nested_derivative, network_jets,
-                     relative, replay)
+from oracles import Jet as OracleJet
+from oracles import (apply_activation, central_gradient, elu_exp_side, jet_lift,
+                     nested_derivative, network_jets, relative, replay, total)
 
 
 def beam_like_config():
@@ -330,6 +331,7 @@ def test_evaluate_has_the_recorded_walks_bits(name, timed):
     ("tanh", {0: 3, TIME: 2}),
     ("sigmoid", {0: 3, TIME: 2}),
     ("elu", {0: 2, TIME: 1}),
+    ("elu", {0: 1, TIME: 1}),
     ("elu_alpha07", {0: 1, 1: 1}),
     ("relu", {0: 1, TIME: 1}),
     ("sigmoid_head", {0: 2, TIME: 1}),
@@ -366,6 +368,36 @@ def test_fused_vjp_matches_central_differences(name, orders):
 
     want = central_gradient(f, net.params.to_vector(), h=1e-6)
     assert np.max(np.abs(got - want)) <= 1e-7 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.7])
+@pytest.mark.parametrize("order", [1, 2])
+def test_elu_taylor_reverse_matches_the_oracle_tape(order, alpha):
+    # z0 on the kink and just either side of it; two directions, both to `order`
+    z0 = np.array([-1.0, -1e-12, 0.0, 1e-12, 1.0])[:, None]
+    rng = np.random.default_rng(order)
+    coeffs = [rng.normal(size=(2, 5, 1)) for _ in range(order)]  # coefficient j, both directions
+    stack = np.concatenate([z0[None]] + coeffs)
+    weights = rng.normal(size=stack.shape)
+    tape = Tape()
+    xin = tape.input(stack)
+    got = backward(tape, total(ad.taylor(xin, "elu", (2,) * order, alpha) * weights),
+                   wrt=[xin])[xin.idx]
+
+    oracle = Tape()
+    x0 = oracle.input(z0)
+    xs = [[oracle.input(c[r]) for c in coeffs] for r in range(2)]
+    ys = [apply_activation(OracleJet([x0] + xs[r]), "elu", alpha).coeffs for r in range(2)]
+    out = total(ys[0][0] * weights[0])
+    for j in range(1, order + 1):
+        for r in range(2):
+            out = out + total(ys[r][j] * weights[1 + 2 * (j - 1) + r])
+    want = backward(oracle, out, wrt=[x0] + xs[0] + xs[1])
+    assert np.allclose(got[0], want[x0.idx], rtol=1e-12, atol=1e-15)
+    for j in range(1, order + 1):
+        for r in range(2):
+            slot = 1 + 2 * (j - 1) + r
+            assert np.allclose(got[slot], want[xs[r][j - 1].idx], rtol=1e-12, atol=1e-15), slot
 
 
 @pytest.mark.parametrize("name", list(FUSED_NETS))
