@@ -125,13 +125,15 @@ def test_stacked_walks_match_separate_walks(monkeypatch, name, kwargs):
         tape = Tape()
         lb = ldgm_loss(form, net.bind(tape), batch)
         grads = backward(tape, lb.J_total)
-        return lb, np.concatenate([grads[i].ravel() for i in tape.params]), \
-            ldgm_loss(form, mock.bind(Tape()), batch)
+        grad = np.concatenate([grads[i].ravel() for i in tape.params])
+        return lb, grad, ldgm_loss(form, mock.bind(Tape()), batch)
+
+    def one_set_at_a_time(walk):
+        return lambda self, sets, orders=None: [walk(self, [s], orders)[0] for s in sets]
 
     stacked = losses()
     for cls in (BoundNetwork, BoundAnalytic):
-        monkeypatch.setattr(cls, "forward_sets", lambda self, sets, orders=None, walk=cls.forward_sets:
-                            [walk(self, [s], orders)[0] for s in sets])
+        monkeypatch.setattr(cls, "forward_sets", one_set_at_a_time(cls.forward_sets))
     separate = losses()
     for term in ("J_i", "J_b"):
         a, b = (getattr(lb, term).value for lb in (stacked[0], separate[0]))

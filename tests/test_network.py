@@ -331,10 +331,10 @@ def test_evaluate_has_the_recorded_walks_bits(name, timed):
     ("tanh", {0: 3, TIME: 2}),
     ("sigmoid", {0: 3, TIME: 2}),
     ("elu", {0: 2, TIME: 1}),
-    ("elu", {0: 1, TIME: 1}),
     ("elu_alpha07", {0: 1, 1: 1}),
     ("relu", {0: 1, TIME: 1}),
     ("sigmoid_head", {0: 2, TIME: 1}),
+    ("elu", {0: 1, TIME: 1}),
     # an order-0 direction is the value alone: the walk with no coefficient slots
     *[pytest.param(name, {0: 0}, id=f"{name}-plain") for name in FUSED_NETS],
 ])
