@@ -36,7 +36,7 @@ from .errors import InvalidNodeError
 
 JET_ORDER_CAP = 6
 
-ACTIVATION_KINDS = ("tanh", "sigmoid", "elu", "identity", "relu")
+ACTIVATION_KINDS = ("tanh", "elu")
 
 # op -> (forward(node, xs), reverse(node, g, xs)), or None for a leaf.  Given
 # the input values xs, a forward returns the node's value and may keep what
@@ -105,8 +105,7 @@ class Tape:
 
         The rerun is the recording at the new parameters, bit for bit, as
         long as the recorded computation does not branch on values; no op
-        does (elu's side is a mask inside `taylor`, and relu's order limit
-        depends on the config alone).
+        does (elu's side is a mask inside `taylor`).
         """
         nodes = self.nodes
         if len(arrays) != len(self.params):
@@ -265,43 +264,31 @@ OPS["affine"] = (_affine, lambda node, g, xs: (*_matmul_vjp(xs[0], xs[1], g),
 # -- activations --------------------------------------------------------------
 
 
-def _value(kind: str, z: np.ndarray, alpha: float) -> np.ndarray:
-    """The activation at z; both network walks take their values from here."""
+def _value(kind: str, z: np.ndarray) -> np.ndarray:
+    """The activation (tanh, or else elu) at z; both network walks take their values from here."""
     if kind == "tanh":
         return np.tanh(z)
-    if kind == "sigmoid":
-        return 0.5 * (np.tanh(0.5 * z) + 1.0)
-    if kind == "elu":
-        e = np.expm1(z)
-        return np.where(z > 0, z, e if alpha == 1.0 else alpha * e)
-    if kind == "relu":
-        return np.maximum(z, 0.0)
-    raise ValueError(f"activation {kind!r} has no Taylor node")
+    return np.where(z > 0, z, np.expm1(z))
 
 
-def _slope(kind: str, z: np.ndarray, y: np.ndarray, alpha: float) -> np.ndarray:
+def _slope(kind: str, z: np.ndarray, y: np.ndarray) -> np.ndarray:
     """The derivative at z, from z and y = the value there.
 
     It is also the first term g_0 of the derivative series that the jet
-    recurrence runs on (relu: the mask that carries its order-1 slots).
+    recurrence runs on.
     """
     if kind == "tanh":
         return 1.0 - y * y
-    if kind == "sigmoid":
-        return y - y * y
-    if kind == "elu":
-        # exp(min(z, 0)) is 1 where z > 0, so at alpha = 1 it is the slope
-        e = np.exp(np.minimum(z, 0.0))
-        return e if alpha == 1.0 else np.where(z > 0, 1.0, alpha * e)
-    return (z > 0).astype(np.float64)
+    # exp(min(z, 0)) is 1 where z > 0, so it is elu's slope on both sides
+    return np.exp(np.minimum(z, 0.0))
 
 
 def tanh(x: Var) -> Var:
     """A plain tanh node (the network records `taylor` instead)."""
-    return x.tape.record("tanh", (x.idx,), ("tanh", (), 1.0))
+    return x.tape.record("tanh", (x.idx,), ("tanh", ()))
 
 
-def taylor(x: Var, kind: str, blocks: tuple, alpha: float = 1.0) -> Var:
+def taylor(x: Var, kind: str, blocks: tuple) -> Var:
     """An activation applied to a value or to a jet stack, recorded as one node.
 
     With no blocks x is the preactivation itself and the node is the plain
@@ -311,35 +298,28 @@ def taylor(x: Var, kind: str, blocks: tuple, alpha: float = 1.0) -> Var:
     so each block is a prefix of the one before it.  The output coefficients
     follow
         j * y_j = sum_{i=1..j} i * x_i * g_{j-i},
-    with the derivative series g built from y itself (tanh: 1 - y^2,
-    sigmoid: y - y^2, elu where z0 <= 0: alpha * exp(z0), then g_m = y_m).
-    Every step runs on a whole block in the operation order of the scalar
-    recurrence, so each slot gets the bits of the per-direction
-    computation.  elu's jet is one-sided: the identity's where z0 > 0 and
-    alpha * expm1's elsewhere, z0 == 0 included, as its value and slope are.
-    Off z0 == 0 that is the exact jet (elu is analytic there) at any alpha
-    and order.  relu carries order-1 slots only (its higher orders do not
-    exist, and the network refuses them).
+    with the derivative series g built from y itself (tanh: 1 - y^2, elu
+    where z0 <= 0: exp(z0), then g_m = y_m).  Every step runs on a whole
+    block in the operation order of the scalar recurrence, so each slot
+    gets the bits of the per-direction computation.  elu's jet is
+    one-sided: the identity's where z0 > 0 and expm1's elsewhere, z0 == 0
+    included, as its value and slope are.  Off z0 == 0 that is the exact
+    jet (elu is analytic there) at any order.
     """
-    return x.tape.record("taylor", (x.idx,), (kind, tuple(blocks), float(alpha)))
+    return x.tape.record("taylor", (x.idx,), (kind, tuple(blocks)))
 
 
 def _taylor(node, xs):
     """The forward of `taylor`; keeps the derivative series (elu: and its side masks)."""
-    kind, blocks, alpha = node.aux
+    kind, blocks = node.aux
     xv = xs[0]
     if not blocks:
-        return _value(kind, xv, alpha)
+        return _value(kind, xv)
     z0 = xv[0]
     y = np.empty_like(xv)
-    y[0] = _value(kind, z0, alpha)
-    g0 = _slope(kind, z0, y[0], alpha)
-    if kind == "relu":
-        np.multiply(xv[1:], g0, out=y[1:])
-        node.saved = g0
-        return y
-    # elu's exp side has elu' = y + alpha: its series after g0 is y itself
-    saved = _series(xv, y, g0, blocks, "exp" if kind == "elu" else kind)
+    y[0] = _value(kind, z0)
+    g0 = _slope(kind, z0, y[0])
+    saved = _series(xv, y, g0, blocks, kind)
     if kind == "elu":
         # where z0 > 0, slot 0 and block 1 already hold the identity's jet (g0
         # is exactly 1 there); blocks 2.. take it from x.  The series keeps
@@ -370,7 +350,8 @@ def _coef(a, starts, j, d):
 def _series(x, y, g0, blocks, kind) -> list:
     """Fill coefficient blocks 1.. of y (y[0] set) from x; returns the series g.
 
-    g[m] for m >= 1 covers the blocks[m] directions that need it.
+    g[m] for m >= 1 covers the blocks[m] directions that need it.  elu's
+    exp side has elu' = y + 1: its series after g0 is y itself.
     """
     starts = block_starts(blocks)
     gs = [g0]
@@ -381,16 +362,13 @@ def _series(x, y, g0, blocks, kind) -> list:
             t = tmp[:d]
             m = j - 1
             ym = _coef(y, starts, m, d)
-            if kind == "exp":
+            if kind == "elu":
                 g = ym
             else:
                 g = y[0] * ym
                 for a in range(1, m + 1):
                     g += np.multiply(_coef(y, starts, a, d), _coef(y, starts, m - a, d), out=t)
-                if kind == "tanh":
-                    np.negative(g, out=g)
-                else:
-                    np.subtract(ym, g, out=g)
+                np.negative(g, out=g)
             gs.append(g)
         out = _coef(y, starts, j, d)
         np.multiply(_coef(x, starts, 1, d), g0 if j == 1 else gs[j - 1][:d], out=out)
@@ -411,14 +389,17 @@ def _series_vjp(x, y, gs, yb, blocks, kind):
     g_{j-1}..g_0, then g_{j-1} hands its own to y_0..y_{j-1} through
     d conv_m / d y_a = 2 y_{m-a}.  The second sweep turns each y_i's
     adjoint into x_i's; x_i's needs no y_j with j < i, so it can take y_i's
-    place.  Returns the adjoints that the coefficients pass to y_0 and g_0.
+    place.  Returns the adjoints that the coefficients pass to y_0 (tanh
+    only; elu's series does not read y_0) and g_0.
     """
     starts = block_starts(blocks)
     order = len(blocks)
     tmp = np.empty_like(x[1:starts[1]]) if order > 1 else None
-    y0b, g0b, sum_d = np.zeros_like(x[0]), np.zeros_like(x[0]), np.empty_like(x[0])
-    # g_m = y_m for exp, so its adjoint goes straight into yb
-    gb = [None] + ([] if kind == "exp" else [np.zeros_like(g) for g in gs[1:]])
+    is_tanh = kind == "tanh"
+    y0b = np.zeros_like(x[0]) if is_tanh else None
+    g0b, sum_d = np.zeros_like(x[0]), np.empty_like(x[0])
+    # g_m = y_m for elu, so its adjoint goes straight into yb
+    gb = [None] + ([np.zeros_like(g) for g in gs[1:]] if is_tanh else [])
     for j in range(order, 0, -1):
         d = blocks[j - 1]
         t = None if tmp is None else tmp[:d]
@@ -437,15 +418,13 @@ def _series_vjp(x, y, gs, yb, blocks, kind):
             np.multiply(sb, _coef(x, starts, i, d), out=t)
             if i > 1:
                 t *= float(i)
-            if kind == "exp":
-                _coef(yb, starts, m, d)[...] += t
-            else:
+            if is_tanh:
                 gb[m][:d] += t
-        if j >= 2 and kind != "exp":
+            else:
+                _coef(yb, starts, m, d)[...] += t
+        if j >= 2 and is_tanh:
             m = j - 1
             cb = gb[m]
-            if kind == "sigmoid":
-                _coef(yb, starts, m, d)[...] += cb
             cb *= -2.0
             y0b += np.einsum("d...,d...->...", cb, _coef(y, starts, m, d), out=sum_d)
             for a in range(1, m + 1):
@@ -462,38 +441,30 @@ def _series_vjp(x, y, gs, yb, blocks, kind):
 
 
 def _taylor_vjp(node, g, xs):
-    kind, blocks, alpha = node.aux
-    saved = node.saved
+    kind, blocks = node.aux
     xv = xs[0]
     if not blocks:
-        return (g * _slope(kind, xv, node.value, alpha),)
-    if kind == "relu":
-        return (g * saved,)
+        return (g * _slope(kind, xv, node.value),)
+    xb = g.copy()
+    xb0 = xb[0]
     if kind == "elu":
         # y = x where z0 > 0: blocks 2.. hand their adjoints straight to x's
         # there, and g0 (1 there) takes none; block 1 is x_1 * g0 on both
-        # sides.  Elsewhere the exp side, where g0 = y0 + alpha (so
-        # dg0/dy0 = 1) and y0 feeds no other term.
-        gs, neg = saved
-        xb = g.copy()
+        # sides.  Elsewhere the exp side, where g0 = y0 + 1 (so dg0/dy0 = 1)
+        # and y0 feeds no other term.
+        gs, neg = node.saved
         high = slice(1 + blocks[0], None)
         if len(blocks) > 1:
             xb[high] *= neg
-        _, g0b = _series_vjp(xv, node.value, gs, xb, blocks, "exp")
+        _, g0b = _series_vjp(xv, node.value, gs, xb, blocks, kind)
         if len(blocks) > 1:
             xb[high] += g[high] * (1.0 - neg)
         g0b *= neg
-        xb0 = xb[0]
     else:
-        gs = saved
-        xb = g.copy()
+        gs = node.saved
         y0b, g0b = _series_vjp(xv, node.value, gs, xb, blocks, kind)
-        xb0 = xb[0]
         xb0 += y0b
-        dg0 = np.multiply(node.value[0], -2.0, out=y0b)
-        if kind == "sigmoid":
-            dg0 += 1.0
-        g0b *= dg0
+        g0b *= np.multiply(node.value[0], -2.0, out=y0b)  # dg0/dy0
     # slot 0: (adjoint of y0 + y0b + g0b * dg0/dy0) * f'(z0), with f'(z0) = g0
     xb0 += g0b
     xb0 *= gs[0]

@@ -8,7 +8,6 @@ fully resolved config so results stay re-derivable.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import math
 from dataclasses import dataclass, field
@@ -42,7 +41,6 @@ def _at_least(lo):
 
 
 # every comparison with nan is false, so these refuse it
-_FINITE = _checked(float, math.isfinite, "a finite number")
 _POSITIVE = _checked(float, lambda v: 0 < v < math.inf, "a finite number > 0")
 _NONNEGATIVE = _checked(float, lambda v: 0 <= v < math.inf, "a finite number >= 0")
 _DECAY = _checked(float, lambda v: 0 <= v < 1, "a number in [0, 1)")
@@ -57,8 +55,6 @@ _KEYS = {
     "network.hidden_layers": ("3", _at_least(1)),
     "network.width": ("50", _at_least(1)),
     "network.activation": ("tanh", _one_of(*ACTIVATION_KINDS)),
-    "network.output_activation": ("identity", _one_of(*ACTIVATION_KINDS)),
-    "network.elu_alpha": ("1.0", _FINITE),
     "sampler.interior": ("200", _at_least(1)),
     "sampler.initial": ("50", _at_least(1)),
     "sampler.boundary": ("50", _at_least(1)),
@@ -159,10 +155,8 @@ class ExperimentConfig:
 
     def network(self, spec: ProblemSpec) -> NetworkConfig:
         v = self.values
-        net = default_network_config(spec, self.method, hidden_layers=v["network.hidden_layers"],
-                                     width=v["network.width"], activation=v["network.activation"])
-        return dataclasses.replace(net, output_activation=v["network.output_activation"],
-                                   elu_alpha=v["network.elu_alpha"])
+        return default_network_config(spec, self.method, hidden_layers=v["network.hidden_layers"],
+                                      width=v["network.width"], activation=v["network.activation"])
 
     def sampler(self) -> SamplerConfig:
         if METHODS[self.method].variational:

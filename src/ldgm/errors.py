@@ -17,10 +17,6 @@ class UnsupportedOrderError(LdgmError):
     """A derivative order above the jet cap was requested."""
 
 
-class SmoothnessError(LdgmError):
-    """The activation is not smooth enough for the requested derivative order."""
-
-
 class OrderError(LdgmError):
     """A rewrite was requested for an incompatible PDE order."""
 

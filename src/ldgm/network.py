@@ -1,9 +1,9 @@
 """Feedforward multi-output networks with jet-lifted evaluation.
 
 A network maps (x, t) -> m outputs through one chain: an input affine
-layer, L-1 hidden affine layers (L tanh/elu applications total) and a
-linear head, then one output activation over the whole head.  Every output
-shares every layer; `_layer_plan` is the chain's one table.
+layer and L-1 hidden affine layers, each followed by the hidden activation
+(tanh or elu), then a linear head.  Every output shares every layer;
+`_layer_plan` is the chain's one table.
 
 Evaluation is one walk down that chain.  With input directions each
 layer carries one jet stack, the shared primal plus every direction's
@@ -25,7 +25,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ACTIVATION_KINDS, Jet, Tape, Var
-from .errors import ConfigError, ShapeError, SmoothnessError, UnsupportedOrderError
+from .errors import ConfigError, ShapeError, UnsupportedOrderError
 
 TIME = "t"
 
@@ -37,14 +37,12 @@ class NetworkConfig:
     width: int
     output_dim: int
     hidden_activation: str = "tanh"
-    output_activation: str = "identity"
-    elu_alpha: float = 1.0
 
     def __post_init__(self):
-        for name in ("hidden_activation", "output_activation"):
-            kind = getattr(self, name)
-            if kind not in ACTIVATION_KINDS:
-                raise ConfigError([name], f"{name} {kind!r} is not one of {ACTIVATION_KINDS}")
+        kind = self.hidden_activation
+        if kind not in ACTIVATION_KINDS:
+            raise ConfigError(["hidden_activation"],
+                              f"hidden_activation {kind!r} is not one of {ACTIVATION_KINDS}")
         if self.hidden_layers < 1 or self.width < 1 or self.output_dim < 1:
             raise ShapeError("hidden_layers, width and output_dim must all be >= 1")
 
@@ -178,20 +176,17 @@ class Network:
         """The head's values, (P, output_dim), by a walk over plain arrays.
 
         Each layer runs the functions its recorded nodes run (`affine`, then
-        the activation's value), so the values have the bits of
+        the hidden activation's value), so the values have the bits of
         `bind(tape).forward(x, t)`.  Nothing is recorded, and each layer's
         array is dropped once the next layer has read it.
         """
         cfg = self.config
         arrays = dict(zip(self.params.names, self.params.arrays))
-        plan = _layer_plan(cfg)
-        kinds = [cfg.hidden_activation] * (len(plan) - 1) + [cfg.output_activation]
+        *hidden, (w, b, _) = _layer_plan(cfg)
         h = _stack_inputs(cfg, _points(x), t)
-        for (w, b, _), kind in zip(plan, kinds):
-            h = ad._affine(None, (h, arrays[w], arrays[b]))
-            if kind != "identity":
-                h = ad._value(kind, h, cfg.elu_alpha)
-        return h
+        for hw, hb, _ in hidden:
+            h = ad._value(cfg.hidden_activation, ad._affine(None, (h, arrays[hw], arrays[hb])))
+        return ad._affine(None, (h, arrays[w], arrays[b]))
 
 
 class BoundNetwork:
@@ -213,17 +208,6 @@ class BoundNetwork:
         """Output values only: the jet walk with no directions."""
         return self.forward_jets(x, t)
 
-    def _act(self, h: Var, kind: str, blocks: tuple) -> Var:
-        """Activation of a value (no blocks) or of a jet stack, as one node.
-
-        identity emits no node.
-        """
-        if kind == "identity":
-            return h
-        if kind == "relu" and len(blocks) >= 2:
-            raise SmoothnessError("relu supports jet order <= 1")
-        return ad.taylor(h, kind, blocks, self.config.elu_alpha)
-
     def forward_jets(self, x, t=None, orders: dict | None = None) -> NetworkOutput:
         """Jets for several directions in one pass over a shared primal chain.
 
@@ -232,8 +216,9 @@ class BoundNetwork:
         order-0 jet is the value alone.  The walk carries one jet stack per
         layer: slot 0 the value, then coefficient j of every direction whose
         order reaches j (directions by decreasing order; see `ad.taylor`).
-        Each layer is then one affine node and one activation node, whatever
-        the orders, and the head's coefficients are read out one slot each.
+        Each hidden layer is then one affine node and one activation node,
+        whatever the orders, the head one affine node, and the head's
+        coefficients are read out one slot each.
         """
         return self.forward_sets([(x, t)], orders)[0]
 
@@ -277,8 +262,8 @@ class BoundNetwork:
         *hidden, (w, b, _) = _layer_plan(cfg)
         h = xin
         for hw, hb, _ in hidden:
-            h = self._act(ad.affine(h, self.vars[hw], self.vars[hb]), cfg.hidden_activation, blocks)
-        y = self._act(ad.affine(h, self.vars[w], self.vars[b]), cfg.output_activation, blocks)
+            h = ad.taylor(ad.affine(h, self.vars[hw], self.vars[hb]), cfg.hidden_activation, blocks)
+        y = ad.affine(h, self.vars[w], self.vars[b])
 
         ends = list(accumulate((len(a) for a in inputs), initial=0))
         spans = [slice(None)] if len(inputs) == 1 else list(map(slice, ends[:-1], ends[1:]))
@@ -303,8 +288,9 @@ class BoundNetwork:
 class AnalyticNetwork:
     """Mock network backed by closed-form expressions.
 
-    Presents the same bind/forward surface as a trained network so losses
-    can be evaluated on exact fields; all emitted nodes are constants.
+    Presents a trained network's `evaluate` and `bind`, and its bound walk's
+    `forward_jets` and `forward_sets`, so losses can be evaluated on exact
+    fields; all emitted nodes are constants.
     """
 
     def __init__(self, exprs, spatial_dim: int, with_time: bool = True):
@@ -353,12 +339,6 @@ class BoundAnalytic:
     def output_dim(self) -> int:
         return self.net.output_dim
 
-    def forward(self, x, t=None) -> NetworkOutput:
-        return self.forward_jets(x, t)
-
-    def forward_with_derivatives(self, x, t=None, directions=(), order: int = 1) -> NetworkOutput:
-        return self.forward_jets(x, t, {dd: order for dd in directions})
-
     def forward_sets(self, sets, orders: dict | None = None) -> list[NetworkOutput]:
         """One NetworkOutput per (x, t) set, as `BoundNetwork.forward_sets` gives them."""
         return [self.forward_jets(x, t, orders) for x, t in sets]
@@ -385,7 +365,7 @@ class BoundAnalytic:
 
 # the header's fields in written order, each with its parser
 _HEADER = {"input_dim": int, "hidden_layers": int, "width": int, "output_dim": int,
-           "hidden_activation": str, "output_activation": str, "elu_alpha": float}
+           "hidden_activation": str}
 
 
 def _encode_config(cfg: NetworkConfig) -> str:

@@ -14,7 +14,7 @@ the network's own jet walk so that each checks the other.
 import numpy as np
 
 from ldgm import autodiff as ad
-from ldgm.errors import SmoothnessError, UnavailableError
+from ldgm.errors import UnavailableError
 from ldgm.network import _layer_plan
 
 # step sizes tuned per order for Richardson-extrapolated central stencils
@@ -276,48 +276,32 @@ def _conv(a, b, m):
     return s
 
 
-# coefficient m of f'(x(s)), built from the output coefficients ys found so far:
-# tanh' = 1 - tanh^2 and sigmoid' = sigmoid - sigmoid^2 build each coefficient
-# from the lower ones (elu's exp side, y' = y + alpha, is written where it is used)
-_DERIVATIVE_SERIES = {
-    "tanh": lambda m, ys: (1.0 - _conv(ys, ys, m)) if m == 0 else -_conv(ys, ys, m),
-    "sigmoid": lambda m, ys: ys[m] - _conv(ys, ys, m),
-}
+def _tanh_series(m, ys):
+    """Coefficient m of tanh'(x(s)) = 1 - tanh^2, from the output coefficients ys found so far."""
+    return (1.0 - _conv(ys, ys, m)) if m == 0 else -_conv(ys, ys, m)
 
 
-def apply_activation(x, kind: str, alpha: float = 1.0):
+def apply_activation(x, kind: str):
     """Compose an activation with a jet via the truncated-Taylor recurrences."""
-    k = x.order
     x0 = x.coeffs[0]
-    if kind == "identity":
-        return x
     if kind == "tanh":
-        return _compose(x, ad.tanh(x0), _DERIVATIVE_SERIES["tanh"])
-    if kind == "sigmoid":
-        return _compose(x, (ad.tanh(x0 * 0.5) + 1.0) * 0.5, _DERIVATIVE_SERIES["sigmoid"])
+        return _compose(x, ad.tanh(x0), _tanh_series)
     if kind == "elu":
         # one-sided: the identity where z0 > 0, the exp side elsewhere (z0 == 0 too)
-        neg = elu_exp_side(x, alpha)
+        neg = elu_exp_side(x)
         return Jet([where(x0.value > 0, p, n) for p, n in zip(x.coeffs, neg.coeffs)])
-    if kind == "relu":
-        if k >= 2:
-            raise SmoothnessError("relu supports jet order <= 1")
-        if k == 0:
-            return Jet([relu(x0)])
-        mask = (x0.value > 0).astype(np.float64)
-        return Jet([relu(x0), x.coeffs[1] * mask])
     raise ValueError(f"unknown activation kind {kind!r}")
 
 
-def elu_exp_side(x, alpha: float = 1.0) -> Jet:
-    """The jet of alpha * expm1 at x: elu's branch where z0 <= 0.
+def elu_exp_side(x) -> Jet:
+    """The jet of expm1 at x: elu's branch where z0 <= 0.
 
-    y' = alpha * exp(x) = y + alpha, so the derivative series after its
-    first term is y itself.
+    y' = exp(x) = y + 1, so the derivative series after its first term is
+    y itself.
     """
     x0 = x.coeffs[0]
-    slope = exp(x0) * alpha
-    return _compose(x, expm1(x0) * alpha, lambda m, ys: slope if m == 0 else ys[m])
+    slope = exp(x0)
+    return _compose(x, expm1(x0), lambda m, ys: slope if m == 0 else ys[m])
 
 
 def apply_sin(x) -> Jet:
@@ -370,33 +354,29 @@ def network_jets(net, x, t, orders: dict):
         coeffs = [xin, tape.const(seed)] + [tape.const(np.zeros_like(X)) for _ in range(order - 1)]
         h = Jet(coeffs[:order + 1])
         for w, b, _ in hidden:
-            h = apply_activation(affine(h, w, b), cfg.hidden_activation, cfg.elu_alpha)
-        y = apply_activation(affine(h, w_out, b_out), cfg.output_activation, cfg.elu_alpha)
+            h = apply_activation(affine(h, w, b), cfg.hidden_activation)
+        y = affine(h, w_out, b_out)
         jets[dd] = [Jet([ad.take(c, (slice(None), j)) for c in y.coeffs])
                     for j in range(cfg.output_dim)]
     return jets
 
 
-def _taylor_values(xv, kind, blocks, alpha):
+def _taylor_values(xv, kind, blocks):
     """The value of a `taylor` node, one direction at a time through `_compose`.
 
     With no blocks xv is the preactivation; otherwise direction r holds
     coefficient j in slot 1 + sum(blocks[:j-1]) + r while r < blocks[j-1].
     """
     z0 = xv[0] if blocks else xv
-    series = _DERIVATIVE_SERIES.get(kind)
-    with np.errstate(over="ignore"):  # elu: its exp side is masked out where z0 > 0
-        if kind == "elu":
-            y0 = alpha * np.expm1(z0)
-            slope = alpha * np.exp(z0)
-            series = lambda m, ys: slope if m == 0 else ys[m]  # noqa: E731
-        else:
-            y0 = {"tanh": np.tanh, "sigmoid": lambda z: 0.5 * (np.tanh(0.5 * z) + 1.0),
-                  "relu": lambda z: np.maximum(z, 0.0)}[kind](z0)
+    if kind == "elu":
+        with np.errstate(over="ignore"):  # its exp side is masked out where z0 > 0
+            y0 = np.expm1(z0)
+            slope = np.exp(z0)
+        series = lambda m, ys: slope if m == 0 else ys[m]  # noqa: E731
+    else:
+        y0, series = np.tanh(z0), _tanh_series
     if not blocks:
         return np.where(z0 > 0, z0, y0) if kind == "elu" else y0
-    if kind == "relu":
-        return np.concatenate([y0[None], xv[1:] * (z0 > 0).astype(np.float64)])
     starts = np.cumsum((1,) + tuple(blocks))
     out = np.empty_like(xv)
     out[0] = y0
@@ -449,7 +429,7 @@ def replay(tape) -> bool:
                 v = np.stack([x[s] @ w for s in range(x.shape[0])])
                 v[0] = v[0] + b
         elif op == "taylor":
-            v = _taylor_values(vals[ins[0]], *aux[:3])
+            v = _taylor_values(vals[ins[0]], *aux)
         elif op == "take":
             v = vals[ins[0]][aux]
         elif op == "mean":

@@ -65,6 +65,11 @@ def test_unknown_key_is_rejected_by_name(tmp_path):
         ExperimentConfig.from_file(path)
     assert "network.widht" in str(e.value)
     assert main(["run", "--config", str(path)]) == 2
+    # the head is linear and elu's alpha is 1: neither is a key
+    for key, value in (("network.output_activation", "identity"), ("network.elu_alpha", "1.0")):
+        with pytest.raises(ConfigError) as e:
+            ExperimentConfig.from_text(f"problem.name=beam\n{key}={value}\n")
+        assert e.value.bad_keys == [key]
 
 
 def test_seed_list_spawns_one_directory_each(tmp_path):
@@ -194,15 +199,19 @@ def test_compare_pairs_rows_by_step(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_run_abort_is_recorded_and_nonzero(tmp_path):
-    out = str(tmp_path / "runs")
+def write_divergent_cfg(tmp_path):
+    """A run whose learning rate of 1e150 sends the loss to inf within its first stages."""
     path = tmp_path / "explode.cfg"
     path.write_text(
         "problem.name=mkdv\nmethod=ldgm\nnetwork.hidden_layers=2\nnetwork.width=6\n"
         "sampler.interior=8\nsampler.initial=4\nsampler.boundary=4\n"
         f"train.stages=5\ntrain.steps_per_stage=2\ntrain.learning_rate=1e150\n"
-        f"seeds=0\nout={out}\n")
-    code = main(["run", "--config", str(path)])
+        f"seeds=0\nout={tmp_path / 'runs'}\n")
+    return path
+
+
+def test_run_abort_is_recorded_and_nonzero(tmp_path):
+    code = main(["run", "--config", str(write_divergent_cfg(tmp_path))])
     d = next(p for p in (tmp_path / "runs").iterdir())
     status = (d / "status.txt").read_text()
     assert code == 1
@@ -210,18 +219,11 @@ def test_run_abort_is_recorded_and_nonzero(tmp_path):
 
 
 def test_every_abort_records_its_cause(tmp_path):
-    # relu has no second derivative, and dgm on mkdv needs order-3 jets
-    out = str(tmp_path / "runs")
-    path = tmp_path / "relu.cfg"
-    path.write_text(
-        "problem.name=mkdv\nmethod=dgm\nnetwork.activation=relu\nnetwork.hidden_layers=2\n"
-        "network.width=6\nsampler.interior=8\nsampler.initial=4\nsampler.boundary=4\n"
-        f"train.stages=2\nseeds=0\nout={out}\n")
+    path = write_divergent_cfg(tmp_path)
     assert main(["run", "--config", str(path)]) == 1
     d = next((tmp_path / "runs").iterdir())
     status = (d / "status.txt").read_text().strip()
-    assert status.startswith("abort: SmoothnessError:")
-    assert "relu" in status
+    assert status == "abort: NonFiniteLossError: non-finite value at Adam step 2: loss"
     # a rerun reports the recorded abort instead of training again
     (d / "config.resolved").unlink()
     assert main(["run", "--config", str(path)]) == 1
@@ -229,12 +231,13 @@ def test_every_abort_records_its_cause(tmp_path):
 
 
 def test_unknown_activation_is_rejected_at_load(tmp_path):
-    for key in ("network.activation", "network.output_activation"):
-        path = tmp_path / "gelu.cfg"
-        path.write_text(f"problem.name=beam\n{key}=gelu\nout={tmp_path / 'runs'}\n")
+    # tanh and elu are the only hidden activations
+    for kind in ("gelu", "sigmoid", "relu", "identity"):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"problem.name=beam\nnetwork.activation={kind}\nout={tmp_path / 'runs'}\n")
         with pytest.raises(ConfigError) as e:
             ExperimentConfig.from_file(path)
-        assert e.value.bad_keys == [key]
+        assert e.value.bad_keys == ["network.activation"] and kind in str(e.value)
         assert main(["run", "--config", str(path)]) == 2
         assert not (tmp_path / "runs").exists()
 
@@ -266,7 +269,7 @@ def test_every_shipped_config_resolves_its_views(path, tmp_path):
     ("ritz.interior", "-1"), ("ritz.boundary", "0"), ("problem.dimension", "0"),
     ("network.hidden_layers", "0"), ("network.width", "0"),
     # floats that would abort, warn or train on a meaningless setting
-    ("train.learning_rate", "nan"), ("train.beta1", "1.0"), ("network.elu_alpha", "nan"),
+    ("train.learning_rate", "nan"), ("train.beta1", "1.0"),
     ("ritz.penalty", "-5"), ("problem.epsilon", "-1"),
 ])
 def test_malformed_value_is_rejected_at_load(tmp_path, key, value):
