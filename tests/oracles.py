@@ -11,11 +11,13 @@ recurrences (and a second interpreter of the tape), written apart from
 the network's own jet walk so that each checks the other.
 """
 
+import dataclasses
+
 import numpy as np
 
 from ldgm import autodiff as ad
 from ldgm.errors import UnavailableError
-from ldgm.network import _layer_plan
+from ldgm.network import Network, ParameterSet, _layer_plan
 
 # step sizes tuned per order for Richardson-extrapolated central stencils
 _FD_STEPS = {1: 1e-5, 2: 5e-4, 3: 8e-3, 4: 4e-2}
@@ -359,6 +361,43 @@ def network_jets(net, x, t, orders: dict):
         jets[dd] = [Jet([ad.take(c, (slice(None), j)) for c in y.coeffs])
                     for j in range(cfg.output_dim)]
     return jets
+
+
+def sigmoid_net(net, head: bool = False):
+    """A tanh network computing `net` with sigmoid units, sigmoid(z) = (1 + tanh(z/2)) / 2.
+
+    head=False reads every hidden unit of the tanh net `net` as a sigmoid:
+    each preactivation is halved, and each sigmoid's scale and offset of 1/2
+    is folded into the layer after it.  head=True keeps the tanh units and
+    puts a sigmoid over each output instead: one more tanh layer (the head's
+    map halved, padded with zero units to the width) read out by a head of
+    weight and offset 1/2.  So the package's two kinds carry the sigmoid
+    nets the per-kind test matrices check.
+    """
+    cfg = net.config
+    assert cfg.hidden_activation == "tanh"
+    p = dict(zip(net.params.names, net.params.arrays))
+    if head:
+        w_out, b_out = p["w_out"], p["b_out"]
+        width, m = w_out.shape
+        assert m <= width, "the sigmoid layer needs a unit per output"
+        w, b = np.zeros((width, width)), np.zeros(width)
+        w[:, :m], b[:m] = 0.5 * w_out, 0.5 * b_out
+        p[f"w_h{cfg.hidden_layers}"], p[f"b_h{cfg.hidden_layers}"] = w, b
+        p["w_out"], p["b_out"] = 0.5 * np.eye(width, m), np.full(m, 0.5)
+        cfg = dataclasses.replace(cfg, hidden_layers=cfg.hidden_layers + 1)
+    else:
+        plan = _layer_plan(cfg)
+        for i, (w, b, _) in enumerate(plan):
+            W, B = p[w], p[b]
+            if i == 0:
+                p[w], p[b] = 0.5 * W, 0.5 * B
+            elif i < len(plan) - 1:
+                p[w], p[b] = 0.25 * W, 0.25 * W.sum(axis=0) + 0.5 * B
+            else:
+                p[w], p[b] = 0.5 * W, 0.5 * W.sum(axis=0) + B
+    names = [n for w, b, _ in _layer_plan(cfg) for n in (w, b)]
+    return Network(cfg, ParameterSet(names, [p[n] for n in names]))
 
 
 def _taylor_values(xv, kind, blocks):

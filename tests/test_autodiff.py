@@ -292,8 +292,30 @@ def test_tanh_jet_at_zero_matches_known_coefficients():
     assert got == pytest.approx([0.0, 1.0, 0.0, -1.0 / 3.0, 0.0], abs=1e-15)
 
 
+def test_identity_activation_leaves_jet_unchanged():
+    # elu is the identity where z0 > 0: its taylor node passes every coefficient through
+    stack = np.array([[1.3, 0.2], [0.4, -1.1], [-2.0, 0.5], [0.7, 3.0]])  # z0, three coefficients
+    out = ad.taylor(Tape().input(stack), "elu", (1, 1, 1))
+    assert out.value.tobytes() == stack.tobytes()
+
+
+def sigmoid_jet(x):
+    """The jet of sigmoid(x) = (1 + tanh(x/2)) / 2, through the tanh recurrence."""
+    return apply_activation(x * 0.5, "tanh") * 0.5 + 0.5
+
+
+def test_sigmoid_jet_order3_matches_nested_fd():
+    tape = Tape()
+    x0 = 0.7
+    out = sigmoid_jet(jet_lift(tape.input(x0), 1.0, 3))
+    got = float(out.coeffs[3].value) * math.factorial(3)
+    fd = nested_derivative(lambda x: 1 / (1 + np.exp(-x)), x0, 3)
+    assert abs(got - fd) / abs(fd) < 1e-5
+
+
 @pytest.mark.parametrize("kind,np_fn", [
     ("tanh", np.tanh),
+    ("sigmoid", lambda x: 1 / (1 + np.exp(-x))),
     ("elu", lambda x: np.where(x > 0, x, np.expm1(x))),
 ])
 def test_jet_coefficients_match_nested_fd_up_to_order4(kind, np_fn):
@@ -307,7 +329,8 @@ def test_jet_coefficients_match_nested_fd_up_to_order4(kind, np_fn):
 
         tape = Tape()
         jx = jet_lift(tape.input(x0), 1.0, 4)
-        out = apply_activation(jx * w + b, kind) * apply_activation(jx * -0.5, kind)
+        act = sigmoid_jet if kind == "sigmoid" else lambda j: apply_activation(j, kind)
+        out = act(jx * w + b) * act(jx * -0.5)
         for order in range(1, 5):
             got = float(out.coeffs[order].value) * math.factorial(order)
             want = nested_derivative(f, x0, order)

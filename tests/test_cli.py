@@ -271,6 +271,8 @@ def test_every_shipped_config_resolves_its_views(path, tmp_path):
     # floats that would abort, warn or train on a meaningless setting
     ("train.learning_rate", "nan"), ("train.beta1", "1.0"),
     ("ritz.penalty", "-5"), ("problem.epsilon", "-1"),
+    # elu's alpha is 1: any setting of it is refused, as an unknown key
+    ("network.elu_alpha", "nan"),
 ])
 def test_malformed_value_is_rejected_at_load(tmp_path, key, value):
     path = tmp_path / "bad.cfg"

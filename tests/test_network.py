@@ -9,7 +9,7 @@ from ldgm.network import (TIME, AnalyticNetwork, Network, NetworkConfig, init_xa
 
 from oracles import Jet as OracleJet
 from oracles import (apply_activation, central_gradient, elu_exp_side, jet_lift,
-                     nested_derivative, network_jets, relative, replay, total)
+                     nested_derivative, network_jets, relative, replay, sigmoid_net, total)
 
 
 def beam_like_config():
@@ -47,13 +47,34 @@ def test_zero_parameters_give_zero_outputs():
         assert np.all(v.value == 0.0)
 
 
-def straight_line_eval(cfg, params, X):
+def test_single_identity_layer_is_affine():
+    # elu is the identity where every preactivation is positive
+    cfg = NetworkConfig(input_dim=2, hidden_layers=1, width=4, output_dim=2,
+                        hidden_activation="elu")
+    params = init_xavier(cfg, seed=3)
+    x = np.random.default_rng(0).normal(size=(6, 1))
+    t = np.random.default_rng(1).uniform(size=6)
+    X = np.column_stack([x, t])
+    w0, b0, w1, b1 = params.arrays
+    b0[:] = 1.0 - (X @ w0).min(axis=0)
+    want = (X @ w0 + b0) @ w1 + b1
+    tape = Tape()
+    out = Network(cfg, params).bind(tape).forward(x, t)
+    got = np.stack([v.value for v in out.values], axis=1)
+    assert np.allclose(got, want, rtol=0, atol=1e-14)
+
+
+def sigmoid(z):
+    return 1.0 / (1.0 + np.exp(-z))
+
+
+def straight_line_eval(cfg, params, X, act=np.tanh, head=lambda y: y):
     h = X
     arrays = dict(zip(params.names, params.arrays))
-    h = np.tanh(h @ arrays["w_in"] + arrays["b_in"])
+    h = act(h @ arrays["w_in"] + arrays["b_in"])
     for i in range(1, cfg.hidden_layers):
-        h = np.tanh(h @ arrays[f"w_h{i}"] + arrays[f"b_h{i}"])
-    return h @ arrays["w_out"] + arrays["b_out"]
+        h = act(h @ arrays[f"w_h{i}"] + arrays[f"b_h{i}"])
+    return head(h @ arrays["w_out"] + arrays["b_out"])
 
 
 def test_forward_matches_independent_reimplementation():
@@ -88,20 +109,31 @@ def test_mixed_mode_agreement_jet_vs_reverse():
             assert relative(jet_d1, g[:, col]) < 1e-10
 
 
-@pytest.mark.parametrize("cfg,seed", [
-    pytest.param(NetworkConfig(input_dim=2, hidden_layers=2, width=6, output_dim=1), 11,
+@pytest.mark.parametrize("name,cfg,seed", [
+    pytest.param("tanh", NetworkConfig(input_dim=2, hidden_layers=2, width=6, output_dim=1), 11,
                  id="tanh"),
+    pytest.param("sigmoid", NetworkConfig(input_dim=2, hidden_layers=2, width=6, output_dim=1),
+                 11, id="sigmoid"),
     # the FD stencil spans x0 +- 0.08; at seed 13 no elu preactivation changes
     # sign over that span (at seed 11 one does, and FD then differences across the kink)
-    pytest.param(NetworkConfig(input_dim=2, hidden_layers=2, width=6, output_dim=1,
-                               hidden_activation="elu"), 13, id="elu"),
+    pytest.param("elu", NetworkConfig(input_dim=2, hidden_layers=2, width=6, output_dim=1,
+                                      hidden_activation="elu"), 13, id="elu"),
+    pytest.param("sigmoid_head", NetworkConfig(input_dim=2, hidden_layers=2, width=6,
+                                               output_dim=3), 11, id="sigmoid_head"),
 ])
-def test_jet_derivatives_match_fd_through_network(cfg, seed):
+def test_jet_derivatives_match_fd_through_network(name, cfg, seed):
     params = init_xavier(cfg, seed=seed)
     net = Network(cfg, params)
     x0, t0 = 0.21, 0.37
+    acts = None
+    if name in SIGMOID_NETS:
+        # the jets of the sigmoid net in tanh units; FD differences the sigmoid net itself
+        acts = (np.tanh, sigmoid) if SIGMOID_NETS[name] else (sigmoid, lambda y: y)
+        net = sigmoid_net(net, head=SIGMOID_NETS[name])
 
     def f(xv, j):
+        if acts:
+            return float(straight_line_eval(cfg, params, np.array([[xv, t0]]), *acts)[0, j])
         tape = Tape()
         out = net.bind(tape).forward(np.array([[xv]]), np.array([t0]))
         return float(out.values[j].value[0])
@@ -120,7 +152,8 @@ def test_jet_derivatives_match_fd_through_network(cfg, seed):
         assert np.allclose([float(c.value[0]) for c in jet.coeffs], ref, rtol=1e-12, atol=1e-15)
 
 
-def test_elu_jet_walk_takes_the_exp_side_at_the_kink():
+def test_jet_walk_enforces_activation_smoothness():
+    # elu's jets keep every order, and take the smooth exp side at the kink
     x, t = np.array([[0.3], [0.7]]), np.array([0.2, 0.5])
     elu = NetworkConfig(input_dim=2, hidden_layers=1, width=2, output_dim=1,
                         hidden_activation="elu")
@@ -138,19 +171,22 @@ def test_elu_jet_walk_takes_the_exp_side_at_the_kink():
 
 @pytest.mark.parametrize("z0", [-1e-12, 0.0, 1e-12])
 @pytest.mark.parametrize("order", [1, 2, 3])
-def test_elu_jet_at_the_kink_is_the_matching_sides_jet(order, z0):
-    # one unit whose preactivation at (x, t) = (0, 0) is its bias z0, read out as is
+@pytest.mark.parametrize("scale", [1.0, 0.7])
+def test_elu_jet_at_the_kink_is_the_matching_sides_jet(scale, order, z0):
+    # one unit whose preactivation at (x, t) = (0, 0) is its bias z0, read out
+    # by a head of weight `scale`
     cfg = NetworkConfig(input_dim=2, hidden_layers=1, width=1, output_dim=1,
                         hidden_activation="elu")
     params = init_xavier(cfg, 0)
-    for name, a in (("w_in", [[1.0], [0.0]]), ("b_in", [z0]), ("w_out", [[1.0]]), ("b_out", [0.0])):
+    for name, a in (("w_in", [[1.0], [0.0]]), ("b_in", [z0]), ("w_out", [[scale]]),
+                    ("b_out", [0.0])):
         params.arrays[params.names.index(name)] = np.array(a)
     bound = Network(cfg, params).bind(Tape())
     jet = bound.forward_jets(np.zeros((1, 1)), np.zeros(1), {0: order}).jets[0][0]
     z = jet_lift(Tape().input(np.array([z0])), 1.0, order)
     side = z if z0 > 0 else elu_exp_side(z)
     got = [float(c.value[0]) for c in jet.coeffs]
-    want = [float(c.value[0]) for c in side.coeffs]
+    want = [float(c.value[0]) * scale for c in side.coeffs]
     assert np.allclose(got, want, rtol=1e-14, atol=0), (got, want)
 
 
@@ -224,22 +260,35 @@ def test_analytic_network_values_and_jets():
 
 # -- the fused jet walk (one affine and one Taylor node per layer) -------------
 
-def fused_case(kind, seed=4):
-    cfg = NetworkConfig(input_dim=3, hidden_layers=3, width=5, output_dim=3, hidden_activation=kind)
+# the per-kind matrices: every kind a config accepts, and the sigmoid nets in
+# tanh units of `oracles.sigmoid_net` (True: the sigmoid is over the outputs)
+SIGMOID_NETS = {"sigmoid": False, "sigmoid_head": True}
+NETS = ACTIVATION_KINDS + tuple(SIGMOID_NETS)
+
+
+def make_net(name, seed, **shape):
+    cfg = NetworkConfig(**shape, hidden_activation="tanh" if name in SIGMOID_NETS else name)
+    net = Network(cfg, init_xavier(cfg, seed))
+    return sigmoid_net(net, head=SIGMOID_NETS[name]) if name in SIGMOID_NETS else net
+
+
+def fused_case(name, seed=4):
     rng = np.random.default_rng(seed)
     x = rng.uniform(-1, 1, size=(6, 2))
     t = rng.uniform(0, 1, size=6)
-    return Network(cfg, init_xavier(cfg, seed)), x, t
+    return make_net(name, seed, input_dim=3, hidden_layers=3, width=5, output_dim=3), x, t
 
 
-@pytest.mark.parametrize("kind,orders", [
-    *[pytest.param(kind, {0: k}, id=f"{kind}-{k}") for kind in ACTIVATION_KINDS
+@pytest.mark.parametrize("name,orders", [
+    *[pytest.param(name, {0: k}, id=f"{name}-{k}") for name in ACTIVATION_KINDS + ("sigmoid",)
       for k in range(1, ad.JET_ORDER_CAP + 1)],
     pytest.param("tanh", {TIME: 1, 0: 4, 1: 2}, id="tanh-mixed"),
+    pytest.param("sigmoid", {0: 2, 1: 3, TIME: 1}, id="sigmoid-mixed"),
     pytest.param("elu", {0: 1, 1: 1, TIME: 1}, id="elu-mixed"),
+    pytest.param("sigmoid_head", {0: 3, TIME: 2}, id="sigmoid_head-mixed"),
 ])
-def test_fused_jets_match_the_scalar_oracle(kind, orders):
-    net, x, t = fused_case(kind)
+def test_fused_jets_match_the_scalar_oracle(name, orders):
+    net, x, t = fused_case(name)
     out = net.bind(Tape()).forward_jets(x, t, orders)
     oracle = network_jets(net, x, t, orders)
     for j in range(net.output_dim):
@@ -254,47 +303,46 @@ def test_fused_jets_match_the_scalar_oracle(kind, orders):
                 assert a.tobytes() == b.tobytes(), (dd, j, k)
 
 
-@pytest.mark.parametrize("kind", ACTIVATION_KINDS)
-def test_plain_walk_values_are_the_jet_walks_slot_zero(kind):
+@pytest.mark.parametrize("name", NETS)
+def test_plain_walk_values_are_the_jet_walks_slot_zero(name):
     # a 3x10 net at 64 points, bit for bit
-    cfg = NetworkConfig(input_dim=3, hidden_layers=3, width=10, output_dim=3,
-                        hidden_activation=kind)
+    net = make_net(name, 13, input_dim=3, hidden_layers=3, width=10, output_dim=3)
     rng = np.random.default_rng(13)
     x, t = rng.uniform(-1, 1, size=(64, 2)), rng.uniform(0, 1, size=64)
-    bound = Network(cfg, init_xavier(cfg, 13)).bind(Tape())
+    bound = net.bind(Tape())
     plain = bound.forward(x, t).values
     for orders in ({0: 1}, {TIME: 1, 1: 1}):
         jets = bound.forward_jets(x, t, orders).values
-        for j in range(cfg.output_dim):
+        for j in range(net.output_dim):
             assert plain[j].value.tobytes() == jets[j].value.tobytes(), (orders, j)
 
 
-@pytest.mark.parametrize("kind", ACTIVATION_KINDS)
+@pytest.mark.parametrize("name", NETS)
 @pytest.mark.parametrize("timed", [True, False], ids=["timed", "stationary"])
-def test_evaluate_has_the_recorded_walks_bits(kind, timed):
+def test_evaluate_has_the_recorded_walks_bits(name, timed):
     # every output of the tape-free walk, byte for byte against the recorded forward
-    cfg = NetworkConfig(input_dim=3 if timed else 2, hidden_layers=3, width=10,
-                        output_dim=3, hidden_activation=kind)
+    net = make_net(name, 5, input_dim=3 if timed else 2, hidden_layers=3, width=10, output_dim=3)
     rng = np.random.default_rng(5)
     x, t = rng.uniform(-1, 1, size=(64, 2)), rng.uniform(0, 1, size=64) if timed else None
-    net = Network(cfg, init_xavier(cfg, 5))
     got = net.evaluate(x, t)
     assert got.shape == (64, 3)
     want = net.bind(Tape()).forward(x, t).values
-    for j in range(cfg.output_dim):
+    for j in range(net.output_dim):
         assert got[:, j].tobytes() == want[j].value.tobytes(), j
 
 
-@pytest.mark.parametrize("kind,orders", [
+@pytest.mark.parametrize("name,orders", [
     pytest.param("tanh", {0: 3, TIME: 2}, id="tanh-orders0"),
+    pytest.param("sigmoid", {0: 3, TIME: 2}, id="sigmoid-orders1"),
     pytest.param("elu", {0: 2, TIME: 1}, id="elu-orders2"),
+    pytest.param("sigmoid_head", {0: 2, TIME: 1}, id="sigmoid_head-orders5"),
     pytest.param("elu", {0: 1, TIME: 1}, id="elu-orders6"),
     # an order-0 direction is the value alone: the walk with no coefficient slots
-    *[pytest.param(kind, {0: 0}, id=f"{kind}-plain") for kind in ACTIVATION_KINDS],
+    *[pytest.param(name, {0: 0}, id=f"{name}-plain") for name in NETS],
 ])
-def test_fused_vjp_matches_central_differences(kind, orders):
+def test_fused_vjp_matches_central_differences(name, orders):
     # a fixed random linear functional of every coefficient of every output
-    net, x, t = fused_case(kind, seed=6)
+    net, x, t = fused_case(name, seed=6)
     weights = {}
 
     def loss(tape, bound):
@@ -324,12 +372,15 @@ def test_fused_vjp_matches_central_differences(kind, orders):
     assert np.max(np.abs(got - want)) <= 1e-7 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("scale", [1.0, 0.7])
 @pytest.mark.parametrize("order", [1, 2])
-def test_elu_taylor_reverse_matches_the_oracle_tape(order):
-    # z0 on the kink and just either side of it; two directions, both to `order`
-    z0 = np.array([-1.0, -1e-12, 0.0, 1e-12, 1.0])[:, None]
+def test_elu_taylor_reverse_matches_the_oracle_tape(order, scale):
+    # z0 on the kink and just either side of it; two directions, both to
+    # `order`; `scale` sizes the whole input jet
+    z0 = scale * np.array([-1.0, -1e-12, 0.0, 1e-12, 1.0])[:, None]
     rng = np.random.default_rng(order)
-    coeffs = [rng.normal(size=(2, 5, 1)) for _ in range(order)]  # coefficient j, both directions
+    # coefficient j, both directions
+    coeffs = [scale * rng.normal(size=(2, 5, 1)) for _ in range(order)]
     stack = np.concatenate([z0[None]] + coeffs)
     weights = rng.normal(size=stack.shape)
     tape = Tape()
@@ -353,9 +404,9 @@ def test_elu_taylor_reverse_matches_the_oracle_tape(order):
             assert np.allclose(got[slot], want[xs[r][j - 1].idx], rtol=1e-12, atol=1e-15), slot
 
 
-@pytest.mark.parametrize("kind", ACTIVATION_KINDS)
-def test_fused_jet_tape_replays_bit_exactly(kind):
-    net, x, t = fused_case(kind)
+@pytest.mark.parametrize("name", NETS)
+def test_fused_jet_tape_replays_bit_exactly(name):
+    net, x, t = fused_case(name)
     tape = Tape()
     out = net.bind(tape).forward_jets(x, t, {0: 3, 1: 1, TIME: 2})
     total = None

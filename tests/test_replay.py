@@ -18,22 +18,28 @@ from ldgm.system import get_problem
 from ldgm.trainer import (METHODS, AdamState, TrainConfig, adam_step,
                           default_network_config, train)
 
-from oracles import replay
+from oracles import replay, sigmoid_net
 
 _PROBLEM = {"ldgm": ("beam", {}), "dgm": ("beam", {}),
             "ldrm": ("bilaplacian_ritz", {"d": 1}), "drm": ("bilaplacian_ritz", {"d": 1})}
 
-# (method, hidden activation): every activation a config accepts, under every method
-CASES = [(m, act) for m in METHODS for act in ad.ACTIVATION_KINDS]
+# (method, hidden units, output units) under every method: every activation a
+# config accepts under the linear head, and the sigmoid nets of `sigmoid_net`
+CASES = ([(m, act, "identity") for m in METHODS for act in ad.ACTIVATION_KINDS + ("sigmoid",)]
+         + [(m, "tanh", "sigmoid") for m in METHODS])
 
 
-def _setup(method, hidden, seed=3):
+def _setup(method, hidden, head="identity", seed=3):
     name, kwargs = _PROBLEM[method]
     spec = get_problem(name, **kwargs)
-    cfg = default_network_config(spec, method, hidden_layers=2, width=5, activation=hidden)
+    cfg = default_network_config(spec, method, hidden_layers=2, width=5,
+                                 activation="tanh" if hidden == "sigmoid" else hidden)
+    net = Network(cfg, init_xavier(cfg, seed))
+    if "sigmoid" in (hidden, head):
+        net = sigmoid_net(net, head=head == "sigmoid")
     loss_fn = METHODS[method].loss(spec, RitzConfig())
     batch = draw_batch(SamplerConfig(interior=9, initial=4, boundary=4, seed=seed), spec, 0)
-    return Network(cfg, init_xavier(cfg, seed)), lambda bound: loss_fn(bound, batch)
+    return net, lambda bound: loss_fn(bound, batch)
 
 
 def _record(net, loss_of):
@@ -71,9 +77,9 @@ def _assert_matches_a_fresh_recording(net, loss_of, tape, out):
     assert replay(tape)
 
 
-@pytest.mark.parametrize("method,hidden", CASES)
-def test_replay_equals_a_fresh_recording_at_the_new_parameters(method, hidden):
-    net, loss_of = _setup(method, hidden)
+@pytest.mark.parametrize("method,hidden,head", CASES)
+def test_replay_equals_a_fresh_recording_at_the_new_parameters(method, hidden, head):
+    net, loss_of = _setup(method, hidden, head)
     tape, out, recorded = _step_and_replay(net, loss_of, lr=1e-2)
     assert _bits(out.value) != _bits(recorded[out.idx])  # the replay moved the loss
     _assert_matches_a_fresh_recording(net, loss_of, tape, out)
