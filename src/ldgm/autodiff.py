@@ -1,14 +1,14 @@
-"""Tape-based reverse-mode differentiation plus the Taylor-jet container.
+"""Tape-based reverse-mode differentiation.
 
 The tape records every elementary operation on float64 arrays.  A tracked
 value is a handle into the tape; a 0-d array is the plain scalar case, and
 batched evaluation stores one array per node (same recorded computation,
 evaluated at many sample points at once).  Reverse mode gives exact
-gradients with respect to nodes flagged as parameters.  A jet holds the
-truncated Taylor coefficients of a value along one input direction; the
-network computes them (see `network`), and because each coefficient is
-itself a tape node, any derivative a jet produces remains differentiable
-with respect to the parameters (one reverse pass suffices).
+gradients with respect to nodes flagged as parameters.  The network
+computes truncated Taylor coefficients along its input directions (see
+`network`), and a loss reads each one as a tape node, so any derivative
+it reads remains differentiable with respect to the parameters (one
+reverse pass suffices).
 
 Every tape op is one entry of the op table `OPS`: its forward, which
 computes a node's value from its inputs' values, and its reverse.  The
@@ -27,8 +27,6 @@ number of layers and not with the jet orders.  With no coefficient slots
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -518,26 +516,3 @@ def backward(tape: Tape, output: Var, wrt=None) -> dict[int, np.ndarray]:
         g = adj[i] if i <= top else None
         out[i] = g if g is not None else np.zeros_like(nodes[i].value)
     return out
-
-
-# -- Taylor jets ---------------------------------------------------------
-
-
-class Jet:
-    """Truncated Taylor coefficients of a value along one input direction.
-
-    coeffs[j] = (1/j!) * d^j f / ds^j, each coefficient a tape node.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        self.coeffs = list(coeffs)
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def derivative(self, j: int) -> Var:
-        """d^j f/ds^j as a tape node (coefficient times j!)."""
-        return self.coeffs[j] * float(math.factorial(j)) if j > 1 else self.coeffs[j]

@@ -24,7 +24,7 @@ from itertools import accumulate
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import ACTIVATION_KINDS, Jet, Tape, Var
+from .autodiff import ACTIVATION_KINDS, Tape, Var
 from .errors import ConfigError, ShapeError, UnsupportedOrderError
 
 TIME = "t"
@@ -107,38 +107,83 @@ def init_xavier(cfg: NetworkConfig, seed: int) -> ParameterSet:
     return params
 
 
+def _layout(orders: dict):
+    """The jet stack's layout for `orders`: (blocks, slots).
+
+    A positive-order direction takes one slot per coefficient; the
+    directions go by decreasing order, and blocks[j-1] counts those that
+    reach order j (see `ad.taylor`).  slots maps (direction, k) to the
+    stack slot of coefficient k; slot 0 holds the values.  No blocks means
+    no stack: the walk carries the values alone.
+    """
+    for od in orders.values():
+        if od < 0:
+            raise UnsupportedOrderError(f"jet order {od} is negative")
+        if od > ad.JET_ORDER_CAP:
+            raise UnsupportedOrderError(f"jet order {od} exceeds cap {ad.JET_ORDER_CAP}")
+    ranked = sorted((dd for dd in orders if orders[dd] > 0), key=lambda dd: -orders[dd])
+    blocks = tuple(sum(orders[dd] >= j for dd in ranked)
+                   for j in range(1, max(orders.values(), default=0) + 1))
+    starts = ad.block_starts(blocks)
+    slots = {(dd, k): starts[k - 1] + r for r, dd in enumerate(ranked)
+             for k in range(1, orders[dd] + 1)}
+    return blocks, slots
+
+
 @dataclass
 class NetworkOutput:
-    """One walk: its points, the outputs there and their jets, as tape nodes.
+    """One point set of a walk: its points, and the walk's head read on demand.
 
-    `jets` maps each walked direction (spatial axis or TIME) to one jet per
-    output.  A periodic boundary's walk also holds `mirror`, the same walk
-    at the mirror points.
+    `head` is the walk's last node: the outputs' values, or the jet stack
+    whose slot `slots[direction, k]` holds every output's coefficient k
+    along a direction (slot 0 the values).  `rows` are this set's rows of
+    a walk that stacked several sets.  A coefficient is one `take` of the
+    head, recorded the first time it is read.  A periodic boundary's walk
+    also holds `mirror`, the same walk at the mirror points.
     """
 
     x: np.ndarray                   # (P, d) spatial points
     t: np.ndarray | None            # (P,) times, or None for a stationary network
-    values: list[Var]
-    jets: dict[object, list[Jet]] = field(default_factory=dict)
-    input_node: Var | None = None   # the walk's inputs, or with jets its seeded input stack
+    head: Var
+    rows: slice
+    orders: dict                    # direction -> the jet order walked along it
+    slots: dict                     # (direction, k) -> the head's slot of coefficient k
     mirror: NetworkOutput | None = None
+    _reads: dict = field(default_factory=dict, repr=False)  # (output, slot) -> its take
 
     @property
     def spatial_dim(self) -> int:
         return self.x.shape[1]
 
+    def coef(self, i, direction=None, k=0) -> Var:
+        """Output i's Taylor coefficient k along `direction` (k = 0: its value)."""
+        if k and (direction, k) not in self.slots:
+            raise UnsupportedOrderError(f"direction {direction!r} was expanded to order "
+                                        f"{self.orders.get(direction, 0)}, need {k}")
+        slot = self.slots[direction, k] if k else 0
+        node = self._reads.get((i, slot))
+        if node is None:
+            index = (slot, self.rows, i) if self.slots else (self.rows, i)
+            node = self._reads[i, slot] = ad.take(self.head, index)
+        return node
+
     def out(self, i) -> Var:
-        return self.values[i]
+        return self.coef(i)
 
     def dt(self, i) -> Var:
-        return self.jets[TIME][i].coeffs[1]
+        return self.coef(i, TIME, 1)
 
     def dx(self, i, axis=0, order=1) -> Var:
-        jet = self.jets[axis][i]
-        if jet.order < order:
-            raise UnsupportedOrderError(
-                f"direction {axis} was expanded to order {jet.order}, need {order}")
-        return jet.derivative(order)
+        """The order-th derivative along `axis`: coefficient times order!."""
+        c = self.coef(i, axis, order)
+        return c * float(math.factorial(order)) if order > 1 else c
+
+
+def _split(points, head: Var, orders: dict, slots: dict) -> list[NetworkOutput]:
+    """One NetworkOutput per (x, t) set of a walk that stacked their rows in order."""
+    ends = list(accumulate((len(x) for x, _ in points), initial=0))
+    spans = [slice(None)] if len(points) == 1 else list(map(slice, ends[:-1], ends[1:]))
+    return [NetworkOutput(x, t, head, rows, orders, slots) for (x, t), rows in zip(points, spans)]
 
 
 def _points(x) -> np.ndarray:
@@ -212,13 +257,12 @@ class BoundNetwork:
         """Jets for several directions in one pass over a shared primal chain.
 
         orders maps direction (spatial axis index or TIME) to the jet order
-        wanted along it; coeffs[j]*j! is the exact j-th derivative, and an
-        order-0 jet is the value alone.  The walk carries one jet stack per
-        layer: slot 0 the value, then coefficient j of every direction whose
-        order reaches j (directions by decreasing order; see `ad.taylor`).
+        wanted along it; an order-0 direction is the value alone.  The walk
+        carries one jet stack per layer, laid out by `_layout`: slot 0 the
+        value, then coefficient j of every direction whose order reaches j.
         Each hidden layer is then one affine node and one activation node,
-        whatever the orders, the head one affine node, and the head's
-        coefficients are read out one slot each.
+        whatever the orders, and the head one affine node.  Nothing is read
+        out of the head until a caller asks (see `NetworkOutput.coef`).
         """
         return self.forward_sets([(x, t)], orders)[0]
 
@@ -226,16 +270,11 @@ class BoundNetwork:
         """One walk to `orders` (see `forward_jets`) over several point sets.
 
         sets is a sequence of (x, t) pairs.  Their points are stacked into
-        one walk, and each set's outputs and jets are read out of the head
-        by row takes, so each gets a NetworkOutput of its own (their
-        `input_node` is the stacked walk's).
+        one walk, and each set gets a NetworkOutput of its own that reads
+        its rows of the head.
         """
         orders = orders or {}
-        for od in orders.values():
-            if od < 0:
-                raise UnsupportedOrderError(f"jet order {od} is negative")
-            if od > ad.JET_ORDER_CAP:
-                raise UnsupportedOrderError(f"jet order {od} exceeds cap {ad.JET_ORDER_CAP}")
+        blocks, slots = _layout(orders)
         points = [(_points(x), t) for x, t in sets]
         inputs = [_stack_inputs(self.config, x, t) for x, t in points]
         if TIME in orders and any(t is None for _, t in points):
@@ -245,40 +284,21 @@ class BoundNetwork:
         for dd in orders:
             if dd != TIME and not (0 <= int(dd) < d_space):
                 raise ShapeError(f"direction {dd!r} outside the spatial axes")
-        ranked = sorted((dd for dd in orders if orders[dd] > 0), key=lambda dd: -orders[dd])
-        blocks = tuple(sum(orders[dd] >= j for dd in ranked)
-                       for j in range(1, max(orders.values(), default=0) + 1))
-        starts = ad.block_starts(blocks)
-        n_pts, dim = X.shape
         if blocks:
-            stack = np.zeros((starts[-1], n_pts, dim))
+            n_pts, dim = X.shape
+            stack = np.zeros((1 + len(slots), n_pts, dim))
             stack[0] = X
-            for r, dd in enumerate(ranked):
-                stack[1 + r, :, dim - 1 if dd == TIME else int(dd)] = 1.0
+            for dd, od in orders.items():
+                if od:
+                    stack[slots[dd, 1], :, dim - 1 if dd == TIME else int(dd)] = 1.0
             X = stack
-        xin = self.tape.input(X)
 
         cfg = self.config
         *hidden, (w, b, _) = _layer_plan(cfg)
-        h = xin
+        h = self.tape.input(X)
         for hw, hb, _ in hidden:
             h = ad.taylor(ad.affine(h, self.vars[hw], self.vars[hb]), cfg.hidden_activation, blocks)
-        y = ad.affine(h, self.vars[w], self.vars[b])
-
-        ends = list(accumulate((len(a) for a in inputs), initial=0))
-        spans = [slice(None)] if len(inputs) == 1 else list(map(slice, ends[:-1], ends[1:]))
-        slot0 = (0,) if blocks else ()  # the values' slot of a jet stack
-        results = []
-        for (x, t), rows in zip(points, spans):
-            values = [ad.take(y, slot0 + (rows, j)) for j in range(cfg.output_dim)]
-            result = NetworkOutput(x, t, values, input_node=xin)
-            for dd, od in orders.items():
-                r = ranked.index(dd) if od else None
-                result.jets[dd] = [
-                    Jet([v] + [ad.take(y, (starts[k - 1] + r, rows, j)) for k in range(1, od + 1)])
-                    for j, v in enumerate(values)]
-            results.append(result)
-        return results
+        return _split(points, ad.affine(h, self.vars[w], self.vars[b]), orders, slots)
 
     def forward_with_derivatives(self, x, t=None, directions=(), order: int = 1) -> NetworkOutput:
         """Jets along each listed direction, all expanded to the same order."""
@@ -290,7 +310,9 @@ class AnalyticNetwork:
 
     Presents a trained network's `evaluate` and `bind`, and its bound walk's
     `forward_jets` and `forward_sets`, so losses can be evaluated on exact
-    fields; all emitted nodes are constants.
+    fields.  A walk's head is one constant in the network's stack layout
+    (`_layout`), so the losses read the closed forms' coefficients through
+    the same `NetworkOutput.coef` as the network's.
     """
 
     def __init__(self, exprs, spatial_dim: int, with_time: bool = True):
@@ -339,25 +361,23 @@ class BoundAnalytic:
     def output_dim(self) -> int:
         return self.net.output_dim
 
-    def forward_sets(self, sets, orders: dict | None = None) -> list[NetworkOutput]:
-        """One NetworkOutput per (x, t) set, as `BoundNetwork.forward_sets` gives them."""
-        return [self.forward_jets(x, t, orders) for x, t in sets]
-
     def forward_jets(self, x, t=None, orders: dict | None = None) -> NetworkOutput:
-        x = _points(x)
-        values = [self.tape.const(self.net._eval(i, 0, 0, x, t))
-                  for i in range(self.net.output_dim)]
-        out = NetworkOutput(x, t, values)
-        for dd, order in (orders or {}).items():
-            jets = []
-            for i in range(self.net.output_dim):
-                coeffs = [values[i]]
-                for j in range(1, order + 1):
-                    arr = self.net._eval(i, dd, j, x, t) / math.factorial(j)
-                    coeffs.append(self.tape.const(arr))
-                jets.append(Jet(coeffs))
-            out.jets[dd] = jets
-        return out
+        return self.forward_sets([(x, t)], orders)[0]
+
+    def forward_sets(self, sets, orders: dict | None = None) -> list[NetworkOutput]:
+        """`BoundNetwork.forward_sets` on the closed forms: one constant head, in its layout."""
+        orders = orders or {}
+        _, slots = _layout(orders)
+        points = [(_points(x), t) for x, t in sets]
+        x = np.concatenate([x for x, _ in points])
+        t = None if points[0][1] is None else np.concatenate(
+            [np.asarray(t, dtype=np.float64).reshape(-1) for _, t in points])
+        head = np.empty((1 + len(slots), len(x), self.net.output_dim))
+        for i in range(self.net.output_dim):
+            head[0, :, i] = self.net._eval(i, 0, 0, x, t)
+            for (dd, k), slot in slots.items():
+                head[slot, :, i] = self.net._eval(i, dd, k, x, t) / math.factorial(k)
+        return _split(points, self.tape.const(head if slots else head[0]), orders, slots)
 
 
 # -- checkpoint io ----------------------------------------------------------

@@ -176,28 +176,36 @@ ad.OPS.update({
 # -- Taylor jets on the tape --------------------------------------------------
 
 
-class Jet(ad.Jet):
-    """The library's jet container plus the truncated Taylor algebra.
+class Jet:
+    """Truncated Taylor coefficients along one direction, with their algebra.
 
-    An order-0 jet behaves exactly like its primal value; products follow
-    the Cauchy convolution of the truncated algebra.
+    coeffs[j] = (1/j!) * d^j f / ds^j, each coefficient a tape node.  An
+    order-0 jet behaves exactly like its primal value; products follow the
+    Cauchy convolution of the truncated algebra.
     """
 
-    __slots__ = ()
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs):
+        self.coeffs = list(coeffs)
+
+    @property
+    def order(self) -> int:
+        return len(self.coeffs) - 1
 
     @property
     def primal(self):
         return self.coeffs[0]
 
     def __add__(self, other):
-        if isinstance(other, ad.Jet):
+        if isinstance(other, Jet):
             return Jet([a + b for a, b in zip(self.coeffs, other.coeffs)])
         return Jet([self.coeffs[0] + other] + self.coeffs[1:])
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, ad.Jet):
+        if isinstance(other, Jet):
             return Jet([a - b for a, b in zip(self.coeffs, other.coeffs)])
         return Jet([self.coeffs[0] - other] + self.coeffs[1:])
 
@@ -208,7 +216,7 @@ class Jet(ad.Jet):
         return Jet([-c for c in self.coeffs])
 
     def __mul__(self, other):
-        if not isinstance(other, ad.Jet):
+        if not isinstance(other, Jet):
             return Jet([c * other for c in self.coeffs])
         if other.order != self.order:
             raise ValueError("jet orders differ")
@@ -224,7 +232,7 @@ class Jet(ad.Jet):
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if not isinstance(other, ad.Jet):
+        if not isinstance(other, Jet):
             return Jet([c * (1.0 / np.asarray(other, dtype=np.float64)) for c in self.coeffs])
         if other.order != self.order:
             raise ValueError("jet orders differ")

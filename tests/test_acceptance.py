@@ -53,7 +53,7 @@ def test_criterion_1_autodiff_oracles():
             tape = Tape()
             bound = Network(cfg, p).bind(tape)
             out = bound.forward(x, t)
-            return ad.mean(out.values[0] * out.values[0]), tape, bound
+            return ad.mean(out.out(0) * out.out(0)), tape, bound
 
         out, tape, bound = loss_at(vec)
         grads = backward(tape, out)
@@ -66,14 +66,14 @@ def test_criterion_1_autodiff_oracles():
 
         def f_of_x(xv):
             tape = Tape()
-            return float(net.bind(tape).forward(np.array([[xv]]), t[:1]).values[0].value[0])
+            return float(net.bind(tape).forward(np.array([[xv]]), t[:1]).out(0).value[0])
 
         tape = Tape()
-        jets = net.bind(tape).forward_with_derivatives(
-            np.array([[x0]]), t[:1], directions=[0], order=4).jets[0][0]
+        walk = net.bind(tape).forward_with_derivatives(
+            np.array([[x0]]), t[:1], directions=[0], order=4)
         for order in range(1, 5):
             want = nested_derivative(f_of_x, x0, order)
-            have = float(jets.derivative(order).value[0])
+            have = float(walk.dx(0, 0, order).value[0])
             scale = max(abs(want), 1e-3)
             worst_jet = max(worst_jet, abs(have - want) / scale)
 
@@ -85,7 +85,7 @@ def test_criterion_1_autodiff_oracles():
                 tape = Tape()
                 bound = Network(cfg, p).bind(tape)
                 out = bound.forward_with_derivatives(x[:1], t[:1], directions=[0], order=2)
-                return total(out.jets[0][0].coeffs[2]), tape, bound
+                return total(out.coef(0, 0, 2)), tape, bound
 
             c, tape, bound = coeff_at(vec)
             grads = backward(tape, c)

@@ -43,8 +43,7 @@ def test_zero_parameters_give_zero_outputs():
     tape = Tape()
     out = Network(cfg, params).bind(tape).forward(np.linspace(0, 1, 5).reshape(-1, 1),
                                                   np.zeros(5))
-    for v in out.values:
-        assert np.all(v.value == 0.0)
+    assert np.all(out.head.value == 0.0)
 
 
 def test_single_identity_layer_is_affine():
@@ -60,7 +59,7 @@ def test_single_identity_layer_is_affine():
     want = (X @ w0 + b0) @ w1 + b1
     tape = Tape()
     out = Network(cfg, params).bind(tape).forward(x, t)
-    got = np.stack([v.value for v in out.values], axis=1)
+    got = np.stack([out.out(j).value for j in range(2)], axis=1)
     assert np.allclose(got, want, rtol=0, atol=1e-14)
 
 
@@ -85,7 +84,7 @@ def test_forward_matches_independent_reimplementation():
     t = rng.uniform(0, 1, size=40)
     tape = Tape()
     out = Network(cfg, params).bind(tape).forward(x, t)
-    got = np.stack([v.value for v in out.values], axis=1)
+    got = np.stack([out.out(j).value for j in range(cfg.output_dim)], axis=1)
     want = straight_line_eval(cfg, params, np.column_stack([x, t]))
     assert relative(got, want) < 1e-12
 
@@ -102,10 +101,11 @@ def test_mixed_mode_agreement_jet_vs_reverse():
     bound = net.bind(tape)
     jout = bound.forward_with_derivatives(x, t, directions=[0, 1, TIME], order=1)
     plain = bound.forward(x, t)
+    xin = ad.Var(tape, max(i for i, n in enumerate(tape.nodes) if n.op == "input"))
     for j in range(cfg.output_dim):
-        g = backward(tape, plain.values[j], wrt=[plain.input_node])[plain.input_node.idx]
+        g = backward(tape, plain.out(j), wrt=[xin])[xin.idx]
         for col, dd in enumerate([0, 1, TIME]):
-            jet_d1 = jout.jets[dd][j].coeffs[1].value
+            jet_d1 = jout.coef(j, dd, 1).value
             assert relative(jet_d1, g[:, col]) < 1e-10
 
 
@@ -136,20 +136,20 @@ def test_jet_derivatives_match_fd_through_network(name, cfg, seed):
             return float(straight_line_eval(cfg, params, np.array([[xv, t0]]), *acts)[0, j])
         tape = Tape()
         out = net.bind(tape).forward(np.array([[xv]]), np.array([t0]))
-        return float(out.values[j].value[0])
+        return float(out.out(j).value[0])
 
     tape = Tape()
     out = net.bind(tape).forward_with_derivatives(np.array([[x0]]), np.array([t0]),
                                                   directions=[0], order=4)
     oracle = network_jets(net, np.array([[x0]]), np.array([t0]), {0: 4})[0]
     for j in range(cfg.output_dim):
-        jet = out.jets[0][j]
         for order in range(1, 5):
-            got = float(jet.derivative(order).value[0])
+            got = float(out.dx(j, 0, order).value[0])
             want = nested_derivative(lambda xv: f(xv, j), x0, order)
             assert abs(got - want) <= 2e-4 * max(abs(want), 1e-6), (j, order)
         ref = np.array([float(c.value[0]) for c in oracle[j].coeffs])
-        assert np.allclose([float(c.value[0]) for c in jet.coeffs], ref, rtol=1e-12, atol=1e-15)
+        got = [float(out.coef(j, 0, k).value[0]) for k in range(5)]
+        assert np.allclose(got, ref, rtol=1e-12, atol=1e-15)
 
 
 def test_jet_walk_enforces_activation_smoothness():
@@ -161,7 +161,7 @@ def test_jet_walk_enforces_activation_smoothness():
     params.arrays[params.names.index("w_in")] = np.array([[1.0, 1.0], [0.0, 0.0]])
     params.arrays[params.names.index("b_in")] = np.array([-0.3, 0.1])
     bound = Network(elu, params).bind(Tape())
-    assert bound.forward_jets(np.array([[0.5]]), np.array([0.0]), {0: 2}).jets[0][0].order == 2
+    assert bound.forward_jets(np.array([[0.5]]), np.array([0.0]), {0: 2}).coef(0, 0, 2).shape == (1,)
     # the first unit's preactivation is x - 0.3: zero at x = 0.3, where the
     # jet is the exp side's: elu(0), exp(0), exp(0)/2 (the identity's is 0, 1, 0)
     bound.forward_jets(x, t, {0: 2})
@@ -182,10 +182,10 @@ def test_elu_jet_at_the_kink_is_the_matching_sides_jet(scale, order, z0):
                     ("b_out", [0.0])):
         params.arrays[params.names.index(name)] = np.array(a)
     bound = Network(cfg, params).bind(Tape())
-    jet = bound.forward_jets(np.zeros((1, 1)), np.zeros(1), {0: order}).jets[0][0]
+    out = bound.forward_jets(np.zeros((1, 1)), np.zeros(1), {0: order})
     z = jet_lift(Tape().input(np.array([z0])), 1.0, order)
     side = z if z0 > 0 else elu_exp_side(z)
-    got = [float(c.value[0]) for c in jet.coeffs]
+    got = [float(out.coef(0, 0, k).value[0]) for k in range(order + 1)]
     want = [float(c.value[0]) * scale for c in side.coeffs]
     assert np.allclose(got, want, rtol=1e-14, atol=0), (got, want)
 
@@ -208,10 +208,10 @@ def test_constant_network_has_zero_derivatives():
     tape = Tape()
     out = Network(cfg, params).bind(tape).forward_with_derivatives(
         np.array([[0.3], [0.6]]), np.array([0.1, 0.9]), directions=[0, TIME], order=3)
-    assert np.allclose(out.values[0].value, 1.5)
+    assert np.allclose(out.out(0).value, 1.5)
     for dd in (0, TIME):
-        for c in out.jets[dd][0].coeffs[1:]:
-            assert np.all(c.value == 0.0)
+        for k in range(1, 4):
+            assert np.all(out.coef(0, dd, k).value == 0.0)
 
 
 def test_shape_and_order_errors():
@@ -226,10 +226,19 @@ def test_shape_and_order_errors():
     with pytest.raises(UnsupportedOrderError):
         net.bind(Tape()).forward_with_derivatives(np.zeros((3, 1)), np.zeros(3),
                                                   directions=[0], order=7)
+    stat = NetworkConfig(input_dim=1, hidden_layers=1, width=4, output_dim=1)
+    stat_net = Network(stat, init_xavier(stat, 0))
     with pytest.raises(ShapeError):
-        stat = NetworkConfig(input_dim=1, hidden_layers=1, width=4, output_dim=1)
-        Network(stat, init_xavier(stat, 0)).bind(Tape()).forward_with_derivatives(
-            np.zeros((3, 1)), None, directions=[TIME], order=1)
+        stat_net.bind(Tape()).forward_with_derivatives(np.zeros((3, 1)), None,
+                                                       directions=[TIME], order=1)
+    # a read above the walked order, along a direction not walked, or of dt on
+    # a stationary walk
+    walk = net.bind(Tape()).forward_jets(np.zeros((3, 1)), np.zeros(3), {0: 2})
+    still = stat_net.bind(Tape()).forward_jets(np.zeros((3, 1)), None, {0: 1})
+    for read in (lambda: walk.dx(0, 0, 3), lambda: walk.coef(0, 0, 3), lambda: walk.dx(0, 1),
+                 lambda: walk.dt(0), lambda: still.dt(0)):
+        with pytest.raises(UnsupportedOrderError):
+            read()
 
 
 def test_checkpoint_roundtrip_is_bit_exact(tmp_path):
@@ -246,16 +255,42 @@ def test_checkpoint_roundtrip_is_bit_exact(tmp_path):
 
 def test_analytic_network_values_and_jets():
     mock = AnalyticNetwork(["exp(-t)*sin(x0)", "exp(-t)*cos(x0)"], spatial_dim=1)
-    tape = Tape()
+    cfg = NetworkConfig(input_dim=2, hidden_layers=1, width=3, output_dim=2)
+    net = Network(cfg, init_xavier(cfg, 0))
     x = np.array([[0.4], [1.1]])
     t = np.array([0.2, 0.5])
-    out = mock.bind(tape).forward_jets(x, t, {0: 2, TIME: 2})
-    want = np.exp(-t) * np.sin(x[:, 0])
-    assert np.allclose(out.values[0].value, want, rtol=1e-14)
-    assert np.allclose(out.jets[0][0].coeffs[1].value, np.exp(-t) * np.cos(x[:, 0]), rtol=1e-13)
-    assert np.allclose(out.jets[0][0].coeffs[2].value * 2, -want, rtol=1e-13)
-    assert np.allclose(out.jets[TIME][1].coeffs[1].value, -np.exp(-t) * np.cos(x[:, 0]),
-                       rtol=1e-13)
+
+    def coefficients(x, t):
+        # (direction, k) -> coefficient k of each output: its k-th derivative over k!
+        s, c = np.exp(-t) * np.sin(x[:, 0]), np.exp(-t) * np.cos(x[:, 0])
+        return {(0, 0): (s, c), (0, 1): (c, -s), (0, 2): (-s / 2, -c / 2),
+                (TIME, 1): (-s, -c), (TIME, 2): (s / 2, c / 2)}
+
+    # the mock's head holds each coefficient in the slot the network's walk gives it
+    for orders in ({0: 2, TIME: 2}, {0: 2, TIME: 1}):
+        out = mock.bind(Tape()).forward_jets(x, t, orders)
+        walk = net.bind(Tape()).forward_jets(x, t, orders)
+        assert out.slots == walk.slots and out.head.shape == walk.head.shape
+        for (dd, k), want in coefficients(x, t).items():
+            if k > orders[dd]:
+                continue
+            slot = walk.slots[dd, k] if k else 0
+            for i in range(2):
+                assert np.allclose(out.head.value[slot, :, i], want[i], rtol=1e-13), (dd, k, i)
+                assert np.allclose(out.coef(i, dd, k).value, want[i], rtol=1e-13), (dd, k, i)
+        assert np.allclose(out.dx(0, 0, 2).value, -np.exp(-t) * np.sin(x[:, 0]), rtol=1e-13)
+
+    # two point sets: one head, each set's rows where the network's walk puts them
+    sets = [(x, t), (np.array([[0.7]]), np.array([0.9]))]
+    outs = mock.bind(Tape()).forward_sets(sets, {0: 1})
+    walks = net.bind(Tape()).forward_sets(sets, {0: 1})
+    assert outs[0].head is outs[1].head
+    for out, walk, (xs, ts) in zip(outs, walks, sets):
+        assert (out.rows, out.slots) == (walk.rows, walk.slots)
+        want = coefficients(xs, ts)
+        for i in range(2):
+            assert np.allclose(out.out(i).value, want[0, 0][i], rtol=1e-14)
+            assert np.allclose(out.dx(i, 0).value, want[0, 1][i], rtol=1e-13)
 
 
 # -- the fused jet walk (one affine and one Taylor node per layer) -------------
@@ -293,8 +328,8 @@ def test_fused_jets_match_the_scalar_oracle(name, orders):
     oracle = network_jets(net, x, t, orders)
     for j in range(net.output_dim):
         for dd, od in orders.items():
-            assert out.jets[dd][j].coeffs[0] is out.values[j]
-            got = [c.value for c in out.jets[dd][j].coeffs]
+            assert out.coef(j, dd, 0) is out.out(j)
+            got = [out.coef(j, dd, k).value for k in range(od + 1)]
             want = [c.value for c in oracle[dd][j].coeffs]
             assert len(got) == od + 1
             for k, (a, b) in enumerate(zip(got, want)):
@@ -310,11 +345,11 @@ def test_plain_walk_values_are_the_jet_walks_slot_zero(name):
     rng = np.random.default_rng(13)
     x, t = rng.uniform(-1, 1, size=(64, 2)), rng.uniform(0, 1, size=64)
     bound = net.bind(Tape())
-    plain = bound.forward(x, t).values
+    plain = bound.forward(x, t)
     for orders in ({0: 1}, {TIME: 1, 1: 1}):
-        jets = bound.forward_jets(x, t, orders).values
+        jets = bound.forward_jets(x, t, orders)
         for j in range(net.output_dim):
-            assert plain[j].value.tobytes() == jets[j].value.tobytes(), (orders, j)
+            assert plain.out(j).value.tobytes() == jets.out(j).value.tobytes(), (orders, j)
 
 
 @pytest.mark.parametrize("name", NETS)
@@ -326,9 +361,9 @@ def test_evaluate_has_the_recorded_walks_bits(name, timed):
     x, t = rng.uniform(-1, 1, size=(64, 2)), rng.uniform(0, 1, size=64) if timed else None
     got = net.evaluate(x, t)
     assert got.shape == (64, 3)
-    want = net.bind(Tape()).forward(x, t).values
+    want = net.bind(Tape()).forward(x, t)
     for j in range(net.output_dim):
-        assert got[:, j].tobytes() == want[j].value.tobytes(), j
+        assert got[:, j].tobytes() == want.out(j).value.tobytes(), j
 
 
 @pytest.mark.parametrize("name,orders", [
@@ -348,9 +383,10 @@ def test_fused_vjp_matches_central_differences(name, orders):
     def loss(tape, bound):
         out = bound.forward_jets(x, t, orders)
         total = None
-        for dd, jets in out.jets.items():
-            for j, jet in enumerate(jets):
-                for k, c in enumerate(jet.coeffs):
+        for dd, od in orders.items():
+            for j in range(net.output_dim):
+                for k in range(od + 1):
+                    c = out.coef(j, dd, k)
                     r = weights.setdefault((dd, j, k), np.random.default_rng(len(weights)).normal(
                         size=c.value.shape))
                     term = ad.mean(c * r)
@@ -408,11 +444,13 @@ def test_elu_taylor_reverse_matches_the_oracle_tape(order, scale):
 def test_fused_jet_tape_replays_bit_exactly(name):
     net, x, t = fused_case(name)
     tape = Tape()
-    out = net.bind(tape).forward_jets(x, t, {0: 3, 1: 1, TIME: 2})
+    orders = {0: 3, 1: 1, TIME: 2}
+    out = net.bind(tape).forward_jets(x, t, orders)
     total = None
-    for jets in out.jets.values():
-        for jet in jets:
-            for c in jet.coeffs:
+    for dd, od in orders.items():
+        for j in range(net.output_dim):
+            for k in range(od + 1):
+                c = out.coef(j, dd, k)
                 total = ad.mean(c) if total is None else total + ad.mean(c)
     assert {"taylor", "take"} <= {n.op for n in tape.nodes}
     assert replay(tape)
@@ -421,14 +459,17 @@ def test_fused_jet_tape_replays_bit_exactly(name):
 def test_jet_tape_size_does_not_grow_with_order():
     x, t = np.array([[0.3], [0.7]]), np.array([0.2, 0.5])
 
-    def nodes(depth, order):
+    def walk(depth, order):
         cfg = NetworkConfig(input_dim=2, hidden_layers=depth, width=4, output_dim=2)
         tape = Tape()
-        Network(cfg, init_xavier(cfg, 0)).bind(tape).forward_jets(x, t, {0: order, TIME: 1})
-        ops = [n.op for n in tape.nodes]
-        # the head reads each output's value and each of its coefficients by one take
-        assert ops.count("take") == 2 * (1 + order + 1)
-        return len(ops) - ops.count("take")
+        return tape, Network(cfg, init_xavier(cfg, 0)).bind(tape).forward_jets(
+            x, t, {0: order, TIME: 1})
+
+    def nodes(depth, order):
+        tape, _ = walk(depth, order)
+        # nothing is read out of the head until something asks
+        assert "take" not in {n.op for n in tape.nodes}
+        return len(tape.nodes)
 
     assert nodes(3, 1) == nodes(3, 4) == nodes(3, ad.JET_ORDER_CAP)
     # a layer adds its two parameters, one affine node and one activation node
@@ -437,17 +478,30 @@ def test_jet_tape_size_does_not_grow_with_order():
     # node (the head has none)
     assert nodes(1, 4) == 1 + 4 + 2 + 1
 
+    # each distinct read records one take; a repeated read returns the same node
+    tape, out = walk(2, 3)
+    before = len(tape.nodes)
+    reads = [out.out(1), out.coef(1, 0, 3), out.dt(0), out.dx(0, 0)]
+    assert [node.op for node in tape.nodes[before:]] == ["take"] * 4
+    again = [out.coef(1), out.coef(1, 0, 3), out.coef(0, TIME, 1), out.coef(0, 0, 1)]
+    assert all(a is b for a, b in zip(again, reads))
+    assert out.coef(1, 0, 0) is out.coef(1, TIME, 0) is reads[0]
+    # a higher derivative scales its coefficient by k!: one product, no take
+    out.dx(1, 0, 3)
+    assert [node.op for node in tape.nodes[before:]] == ["take"] * 4 + ["mulc"]
+
 
 def test_order_zero_direction_is_the_value_alone():
     net, x, t = fused_case("tanh")
     bound = net.bind(Tape())
     out = bound.forward_jets(x, t, {0: 0, TIME: 2})
-    assert out.jets[0][1].order == 0
-    assert out.jets[0][1].coeffs[0] is out.values[1]
-    assert out.jets[TIME][1].order == 2
+    assert out.coef(1, 0, 0) is out.out(1)
+    with pytest.raises(UnsupportedOrderError, match="order 0, need 1"):
+        out.dx(1, 0)
+    assert out.dt(1) is out.coef(1, TIME, 1) and out.coef(1, TIME, 2) is not None
     only = bound.forward_jets(x, t, {0: 0})
-    assert only.jets[0][2].order == 0
-    assert only.values[2].value.tobytes() == bound.forward(x, t).values[2].value.tobytes()
+    assert only.slots == {} and only.head.value.ndim == 2
+    assert only.out(2).value.tobytes() == bound.forward(x, t).out(2).value.tobytes()
     with pytest.raises(UnsupportedOrderError, match="negative"):
         bound.forward_jets(x, t, {0: -1})
 
