@@ -176,7 +176,7 @@ class ExperimentConfig:
     def ritz(self) -> RitzConfig:
         v = self.values
         return RitzConfig(penalty=v["ritz.penalty"], interior=v["ritz.interior"],
-                          boundary=v["ritz.boundary"])
+                          boundary=v["ritz.boundary"], seed=v["sampler.seed"])
 
     def resolved_text(self) -> str:
         return "\n".join(f"{k}={self.raw[k]}" for k in sorted(self.raw)) + "\n"

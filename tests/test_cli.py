@@ -342,6 +342,18 @@ def test_variational_run_writes_expected_artifacts(tmp_path, capsys, method, out
     assert (d / "report.csv").read_bytes() == before
 
 
+def test_variational_run_draws_from_the_sampler_seed(tmp_path):
+    # two ldrm configs that differ only in sampler.seed draw different points
+    reports = []
+    for seed in (0, 1):
+        path = tmp_path / f"ritz{seed}.cfg"
+        out = tmp_path / f"runs{seed}"
+        path.write_text(RITZ.format(method="ldrm", out=out) + f"sampler.seed={seed}\n")
+        assert main(["run", "--config", str(path)]) == 0
+        reports.append(TrainReport.from_csv(next(out.iterdir()) / "report.csv").rows)
+    assert [r[:6] for r in reports[0]] != [r[:6] for r in reports[1]]
+
+
 @pytest.mark.parametrize("method,name,extra", [
     ("ldrm", "beam", ""), ("drm", "heat_nd", "problem.dimension=2"),
     ("dgm", "bilaplacian_ritz", "problem.dimension=1"),
