@@ -126,20 +126,23 @@ def _run_stage(net: Network, batch, loss_fn, cfg: TrainConfig, state: AdamState)
     first replays that tape at the parameters Adam produced, since only
     those differ within a stage.  Each step then differentiates it with
     `backward`.  The tape is freed on return, before the next stage records
-    its own.
+    its own.  numpy's overflow and invalid-value warnings are off: a step
+    that diverges is caught by the loss and gradient checks, which raise
+    NonFiniteLossError.
     """
     tape = Tape()
     bound = net.bind(tape)
-    lb = loss_fn(bound, batch)
-    for k in range(cfg.steps_per_stage):
-        if k:
-            tape.replay(net.params.arrays)
-        if not math.isfinite(float(lb.J_total.value)):
-            raise NonFiniteLossError(state.step + 1, "loss")
-        grads_by_id = backward(tape, lb.J_total)
-        grads = [grads_by_id[v.idx] for v in bound.param_vars]
-        adam_step(net.params, grads, state, cfg.rate_at(state.step + 1),
-                  cfg.beta1, cfg.beta2, cfg.epsilon)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lb = loss_fn(bound, batch)
+        for k in range(cfg.steps_per_stage):
+            if k:
+                tape.replay(net.params.arrays)
+            if not math.isfinite(float(lb.J_total.value)):
+                raise NonFiniteLossError(state.step + 1, "loss")
+            grads_by_id = backward(tape, lb.J_total)
+            grads = [grads_by_id[v.idx] for v in bound.param_vars]
+            adam_step(net.params, grads, state, cfg.rate_at(state.step + 1),
+                      cfg.beta1, cfg.beta2, cfg.epsilon)
     return tuple(float(v.value) for v in (lb.J_total, lb.J_e, lb.J_i, lb.J_b))
 
 
