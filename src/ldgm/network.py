@@ -146,7 +146,6 @@ class NetworkOutput:
     t: np.ndarray | None            # (P,) times, or None for a stationary network
     head: Var
     rows: slice
-    orders: dict                    # direction -> the jet order walked along it
     slots: dict                     # (direction, k) -> the head's slot of coefficient k
     mirror: NetworkOutput | None = None
     _reads: dict = field(default_factory=dict, repr=False)  # (output, slot) -> its take
@@ -158,8 +157,9 @@ class NetworkOutput:
     def coef(self, i, direction=None, k=0) -> Var:
         """Output i's Taylor coefficient k along `direction` (k = 0: its value)."""
         if k and (direction, k) not in self.slots:
+            walked = max((j for dd, j in self.slots if dd == direction), default=0)
             raise UnsupportedOrderError(f"direction {direction!r} was expanded to order "
-                                        f"{self.orders.get(direction, 0)}, need {k}")
+                                        f"{walked}, need {k}")
         slot = self.slots[direction, k] if k else 0
         node = self._reads.get((i, slot))
         if node is None:
@@ -179,11 +179,11 @@ class NetworkOutput:
         return c * float(math.factorial(order)) if order > 1 else c
 
 
-def _split(points, head: Var, orders: dict, slots: dict) -> list[NetworkOutput]:
+def _split(points, head: Var, slots: dict) -> list[NetworkOutput]:
     """One NetworkOutput per (x, t) set of a walk that stacked their rows in order."""
     ends = list(accumulate((len(x) for x, _ in points), initial=0))
     spans = [slice(None)] if len(points) == 1 else list(map(slice, ends[:-1], ends[1:]))
-    return [NetworkOutput(x, t, head, rows, orders, slots) for (x, t), rows in zip(points, spans)]
+    return [NetworkOutput(x, t, head, rows, slots) for (x, t), rows in zip(points, spans)]
 
 
 def _points(x) -> np.ndarray:
@@ -298,7 +298,7 @@ class BoundNetwork:
         h = self.tape.input(X)
         for hw, hb, _ in hidden:
             h = ad.taylor(ad.affine(h, self.vars[hw], self.vars[hb]), cfg.hidden_activation, blocks)
-        return _split(points, ad.affine(h, self.vars[w], self.vars[b]), orders, slots)
+        return _split(points, ad.affine(h, self.vars[w], self.vars[b]), slots)
 
     def forward_with_derivatives(self, x, t=None, directions=(), order: int = 1) -> NetworkOutput:
         """Jets along each listed direction, all expanded to the same order."""
@@ -377,7 +377,7 @@ class BoundAnalytic:
             head[0, :, i] = self.net._eval(i, 0, 0, x, t)
             for (dd, k), slot in slots.items():
                 head[slot, :, i] = self.net._eval(i, dd, k, x, t) / math.factorial(k)
-        return _split(points, self.tape.const(head if slots else head[0]), orders, slots)
+        return _split(points, self.tape.const(head if slots else head[0]), slots)
 
 
 # -- checkpoint io ----------------------------------------------------------

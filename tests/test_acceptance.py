@@ -231,7 +231,7 @@ def test_criterion_5_cahn_hilliard():
     net = Network(cfg, params)
     tape = Tape()
     out = net.bind(tape).forward(field.xs.reshape(-1, 1), np.ones_like(field.xs))
-    agree = np.mean(np.sign(out.values[0].value) == np.sign(field.values[-1]))
+    agree = np.mean(np.sign(out.out(0).value) == np.sign(field.values[-1]))
     results["sign agreement"] = agree
 
     ok = (results["ldgm eps=0.1"] < 0.05 and results["dgm eps=0.01"] > 0.5
