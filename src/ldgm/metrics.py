@@ -2,7 +2,9 @@
 
 Evaluation grids are fixed per experiment and independent of training
 samples: a tensor-product (x, t) grid in one dimension, Monte-Carlo
-spatial points (own fixed seed) in higher dimensions.
+spatial points (own fixed seed) in higher dimensions.  A higher-dimensional
+evolution grid is stored as its factors, points x times, and its rows are
+time-major: every point at the first time, then every point at the next.
 """
 
 from __future__ import annotations
@@ -28,8 +30,45 @@ class EvaluationGrid:
     t: Optional[np.ndarray]       # (P,) or None for stationary problems
     shape: Optional[tuple] = None  # (nx, nt) for 1-d tensor grids
 
+    def __len__(self) -> int:
+        return self.x.shape[0]
 
-def evaluation_grid(spec: ProblemSpec, nx: int = 256, n_mc: int = 10_000) -> EvaluationGrid:
+    def rows(self, s: int, e: int):
+        """Rows s..e-1 (up to the last) as (x, t)."""
+        return self.x[s:e], None if self.t is None else self.t[s:e]
+
+
+@dataclass
+class ProductGrid:
+    """Every spatial point at every time, held as those two factors.
+
+    Row j*n + i is (points[i], times[j]) for n points, so `x` and `t`
+    (built on each read, never stored) are `np.tile(points, (nt, 1))` and
+    `np.repeat(times, n)`: n*d + nt numbers where the rows take n*nt*(d+1).
+    """
+    points: np.ndarray            # (n, d)
+    times: np.ndarray             # (nt,)
+
+    def __len__(self) -> int:
+        return len(self.points) * len(self.times)
+
+    @property
+    def x(self) -> np.ndarray:
+        return np.tile(self.points, (len(self.times), 1))
+
+    @property
+    def t(self) -> np.ndarray:
+        return np.repeat(self.times, len(self.points))
+
+    def rows(self, s: int, e: int):
+        """Rows s..e-1 (up to the last) as (x, t): the same values as those rows of `x` and `t`."""
+        r = np.arange(s, min(e, len(self)))
+        n = len(self.points)
+        return self.points[r % n], self.times[r // n]
+
+
+def evaluation_grid(spec: ProblemSpec, nx: int = 256,
+                    n_mc: int = 10_000) -> EvaluationGrid | ProductGrid:
     d = spec.spatial_dim
     nt = 11
     if d == 1:
@@ -46,10 +85,7 @@ def evaluation_grid(spec: ProblemSpec, nx: int = 256, n_mc: int = 10_000) -> Eva
     pts = lo + (hi - lo) * rng.uniform(size=(n_mc, d))
     if spec.stationary:
         return EvaluationGrid(pts, None)
-    ts = np.linspace(0.0, spec.horizon, nt)
-    x = np.tile(pts, (nt, 1))
-    t = np.repeat(ts, n_mc)
-    return EvaluationGrid(x, t)
+    return ProductGrid(pts, np.linspace(0.0, spec.horizon, nt))
 
 
 def relative_l2(candidate, truth) -> float:
@@ -70,20 +106,23 @@ def relative_l2(candidate, truth) -> float:
 # (heat5d's 110000 points at width 100) goes in EVAL_CHUNK-point chunks, whose
 # 800 KB arrays stay on the heap where 4096-point ones are mapped and faulted
 # in on every call; heat5d's values keep the bits of its 8192-point chunks.
+# A chunk's inputs are built as it is walked and only its column 0 is kept, so
+# neither its rows nor its head (1024 x 6 on heat5d's ldgm net) outlive it.
 WHOLE_GRID = 8192
 EVAL_CHUNK = 1024
 
 
-def network_values(net: Network, grid: EvaluationGrid) -> np.ndarray:
+def network_values(net: Network, grid: EvaluationGrid | ProductGrid) -> np.ndarray:
     """Output 0 (u) over the grid, by the tape-free walk `net.evaluate`, chunk by chunk."""
-    n = grid.x.shape[0]
+    n = len(grid)
     chunk = n if n <= WHOLE_GRID else EVAL_CHUNK
-    return np.concatenate([
-        net.evaluate(grid.x[s:s + chunk], None if grid.t is None else grid.t[s:s + chunk])[:, 0]
-        for s in range(0, n, chunk)])
+    values = np.empty(n)
+    for s in range(0, n, chunk):
+        values[s:s + chunk] = net.evaluate(*grid.rows(s, s + chunk))[:, 0]
+    return values
 
 
-def network_relative_l2(net: Network, grid: EvaluationGrid, truth_vals) -> float:
+def network_relative_l2(net: Network, grid: EvaluationGrid | ProductGrid, truth_vals) -> float:
     return relative_l2(network_values(net, grid), truth_vals)
 
 

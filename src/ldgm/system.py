@@ -146,7 +146,12 @@ class DerivativeView:
 
     def __init__(self, walk, slots):
         self.walk, self.slots = walk, slots
-        self.u, self.x, self.t = walk.out(0), walk.x, walk.t
+        self.x, self.t = walk.x, walk.t
+
+    @property
+    def u(self):
+        """u itself, read from the walk on first use (a residual may not read it)."""
+        return self.walk.out(0)
 
     def d(self, p: int, axis: int = 0):
         i, j = _source(self.slots, p, axis)

@@ -6,8 +6,9 @@ import pytest
 
 from ldgm.autodiff import Tape
 from ldgm.errors import UndefinedMetricError
-from ldgm.metrics import (EVAL_CHUNK, WHOLE_GRID, EvaluationGrid, derivative_scale_diagnostic,
-                          evaluation_grid, network_values, relative_l2, write_table)
+from ldgm.metrics import (EVAL_CHUNK, WHOLE_GRID, EvaluationGrid, ProductGrid,
+                          derivative_scale_diagnostic, evaluation_grid, network_values,
+                          relative_l2, write_table)
 from ldgm.network import AnalyticNetwork, Network, NetworkConfig, init_xavier
 from ldgm.system import get_problem
 
@@ -52,6 +53,13 @@ def test_grid_shapes_and_determinism():
     g5b = evaluation_grid(spec5, n_mc=2000)
     assert g5a.x.shape == (2000 * 11, 5)
     assert np.array_equal(g5a.x, g5b.x)
+    # a product grid's rows, built on demand: every point at the first time, then the next
+    assert g5a.points.shape == (2000, 5)
+    assert g5a.x.tobytes() == np.tile(g5a.points, (11, 1)).tobytes()
+    assert g5a.t.tobytes() == np.repeat(np.linspace(0.0, spec5.horizon, 11), 2000).tobytes()
+    for s, e in [(0, 1024), (1024, 3000), (21000, 22528)]:
+        x, t = g5a.rows(s, e)
+        assert x.tobytes() == g5a.x[s:e].tobytes() and t.tobytes() == g5a.t[s:e].tobytes()
 
 
 def test_grid_refinement_stability():
@@ -65,18 +73,27 @@ def test_grid_refinement_stability():
     assert abs(errs[0] - errs[1]) / errs[1] < 0.01
 
 
-@pytest.mark.parametrize("n,chunk", [(2500, 2500), (10500, EVAL_CHUNK)])
-def test_chunked_values_equal_the_tape_walk(n, chunk):
-    # 2500 points are walked whole; 10500 in ten full chunks and a tail.  The
-    # recorded walk runs over the same chunks: BLAS may round a product of
-    # another row count differently.
+@pytest.mark.parametrize("n,chunk,product", [
+    pytest.param(2500, 2500, False, id="2500-2500"),
+    pytest.param(10500, EVAL_CHUNK, False, id="10500-1024"),
+    pytest.param(10500, EVAL_CHUNK, True, id="10500-1024-product")])
+def test_chunked_values_equal_the_tape_walk(n, chunk, product):
+    # 2500 points are walked whole; 10500 in ten full chunks and a tail, also as
+    # 1500 points at 7 times, whose chunks cross from one time to the next.  The
+    # recorded walk runs over the same chunks of the tiled rows: BLAS may round a
+    # product of another row count differently.
     assert (n <= WHOLE_GRID) == (chunk == n)
     cfg = NetworkConfig(input_dim=2, hidden_layers=3, width=50, output_dim=4)
     net = Network(cfg, init_xavier(cfg, 2))
     rng = np.random.default_rng(2)
-    grid = EvaluationGrid(rng.uniform(0, 3, size=(n, 1)), rng.uniform(0, 1, size=n))
-    want = np.concatenate([net.bind(Tape()).forward(grid.x[s:s + chunk],
-                                                    grid.t[s:s + chunk]).out(0).value
+    if product:
+        points, times = rng.uniform(0, 3, size=(1500, 1)), rng.uniform(0, 1, size=7)
+        grid = ProductGrid(points, times)
+        x, t = np.tile(points, (7, 1)), np.repeat(times, 1500)
+    else:
+        x, t = rng.uniform(0, 3, size=(n, 1)), rng.uniform(0, 1, size=n)
+        grid = EvaluationGrid(x, t)
+    want = np.concatenate([net.bind(Tape()).forward(x[s:s + chunk], t[s:s + chunk]).out(0).value
                            for s in range(0, n, chunk)])
     assert network_values(net, grid).tobytes() == want.tobytes()
 
@@ -95,6 +112,26 @@ def test_network_values_holds_no_layer_arrays():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20
+
+
+def test_high_dimensional_grid_holds_its_factors():
+    # heat5d's grid and its ldgm net (6 outputs): tiled rows took 5.0 MB, and a call
+    # that kept each chunk's head until the end peaked at 7.4 MB
+    tracemalloc.start()
+    try:
+        grid = evaluation_grid(get_problem("heat_nd", d=5))
+        stored, _ = tracemalloc.get_traced_memory()
+        cfg = NetworkConfig(input_dim=6, hidden_layers=4, width=100, output_dim=6)
+        net = Network(cfg, init_xavier(cfg, 0))
+        base, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        network_values(net, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(grid) == 110000
+    assert stored < 2**20
+    assert peak - base < 4 * 2**20
 
 
 def test_fourth_derivative_norm_ratio_is_pi_fourth():

@@ -251,6 +251,10 @@ def test_checkpoint_roundtrip_is_bit_exact(tmp_path):
     assert cfg2 == cfg
     assert params2 == params
     assert params2.to_vector().tobytes() == params.to_vector().tobytes()
+    # the file's bytes: the header line, then one hex line per value
+    want = "input_dim=2 hidden_layers=2 width=7 output_dim=3 hidden_activation=elu\n"
+    want += "".join(float(v).hex() + "\n" for v in params.to_vector())
+    assert path.read_bytes() == want.encode()
 
 
 def test_analytic_network_values_and_jets():

@@ -148,3 +148,24 @@ def test_every_logged_row_calls_the_traced_metric_hook_with_its_grid(monkeypatch
                       TrainConfig(stages=3, steps_per_stage=2, log_every=2), seed=0)
     assert len(report.rows) == 2
     assert points == [metrics.evaluation_grid(spec).x.shape[0]] * 2
+
+
+def test_every_node_of_the_recorded_heat5d_step_reaches_the_loss(monkeypatch):
+    """Every replay reruns every node, so a node J_total does not read is wasted work."""
+    from ldgm.autodiff import Tape
+    from ldgm.config import ExperimentConfig
+    from ldgm.network import Network, init_xavier
+    from ldgm.sampling import draw_batch
+    from ldgm.trainer import method_entry
+
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.delitem(sys.modules, "measure", raising=False)
+    measure = importlib.import_module("measure")
+    cfg = ExperimentConfig.from_text((ROOT / "configs" / "heat5d.cfg").read_text())
+    spec = cfg.problem()
+    net = Network(cfg.network(spec), init_xavier(cfg.network(spec), 7))
+    tape = Tape()
+    lb = method_entry("ldgm", spec).loss(spec, cfg.ritz())(net.bind(tape),
+                                                            draw_batch(cfg.sampler(), spec, 0))
+    assert len(tape.nodes) == 84
+    assert all(measure.live_mask(tape.nodes, lb.J_total.idx))
