@@ -9,7 +9,7 @@ from .loss import LossBreakdown, dgm_loss, ldgm_loss
 from .metrics import derivative_scale_diagnostic, evaluation_grid, relative_l2
 from .network import (AnalyticNetwork, Network, NetworkConfig, ParameterSet, init_xavier,
                       load_checkpoint, save_checkpoint)
-from .reference import ReferenceField, SpectralCHConfig, fft, ifft, solve_ch_spectral
+from .reference import ReferenceField, SpectralCHConfig, solve_ch_spectral
 from .ritz import RitzConfig, drm_loss, ldrm_loss
 from .sampling import SampleBatch, SamplerConfig, draw_batch
 from .system import (BoundaryCond, ProblemSpec, SystemForm, builtin_problems,

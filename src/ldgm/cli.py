@@ -11,7 +11,6 @@ import functools
 import math
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .config import NUMERIC_KEYS, ExperimentConfig
@@ -86,6 +85,8 @@ def cmd_run(args) -> int:
     out = args.out or cfg.out_dir
     jobs = [(cfg.raw, s, out) for s in seeds]
     if args.jobs > 1 and len(jobs) > 1:
+        # imported here, so no other command loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_run_seed_job, jobs))
     else:
@@ -200,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     f = sub.add_parser("reference", help="build and persist the spectral reference field")
     f.add_argument("--epsilon", type=float, default=0.1)
-    f.add_argument("--grid", type=int, default=128)
+    f.add_argument("--grid", type=int, default=128, help="grid points, 2 or more")
     f.add_argument("--dt", type=float, default=0.01)
     f.add_argument("--horizon", type=float, default=1.0)
     f.add_argument("--out", default="runs/reference.csv")

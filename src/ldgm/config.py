@@ -3,7 +3,9 @@
 The format is one `section.key=value` per line, '#' comments allowed.
 Each value is parsed at load by its key's parser (an unknown key or a
 malformed value is a ConfigError naming it), and every run echoes its
-fully resolved config so results stay re-derivable.
+fully resolved config so results stay re-derivable.  Every method draws
+its points from the `sampler.*` counts; a stationary problem (the
+variational methods') draws no initial points.
 """
 
 from __future__ import annotations
@@ -68,8 +70,6 @@ _KEYS = {
     "train.schedule": ("", _one_of("", "piecewise_log")),
     "train.log_every": ("1", _at_least(1)),
     "ritz.penalty": ("500.0", _NONNEGATIVE),
-    "ritz.interior": ("400", _at_least(1)),
-    "ritz.boundary": ("100", _at_least(1)),
     "seeds": ("0", _checked(lambda v: [int(s) for s in v.split(",") if s.strip() != ""],
                             lambda seeds: seeds and min(seeds) >= 0,
                             "one or more comma-separated integers >= 0")),
@@ -159,8 +159,6 @@ class ExperimentConfig:
                                       width=v["network.width"], activation=v["network.activation"])
 
     def sampler(self) -> SamplerConfig:
-        if METHODS[self.method].variational:
-            return self.ritz().sampler()
         v = self.values
         return SamplerConfig(interior=v["sampler.interior"], initial=v["sampler.initial"],
                              boundary=v["sampler.boundary"], seed=v["sampler.seed"])
@@ -175,8 +173,8 @@ class ExperimentConfig:
 
     def ritz(self) -> RitzConfig:
         v = self.values
-        return RitzConfig(penalty=v["ritz.penalty"], interior=v["ritz.interior"],
-                          boundary=v["ritz.boundary"], seed=v["sampler.seed"])
+        return RitzConfig(penalty=v["ritz.penalty"], interior=v["sampler.interior"],
+                          boundary=v["sampler.boundary"], seed=v["sampler.seed"])
 
     def resolved_text(self) -> str:
         return "\n".join(f"{k}={self.raw[k]}" for k in sorted(self.raw)) + "\n"

@@ -25,10 +25,6 @@ class UndefinedMetricError(LdgmError):
     """Relative error against an identically-zero truth field."""
 
 
-class SizeError(LdgmError):
-    """Transform length is not a power of two."""
-
-
 class UnavailableError(LdgmError):
     """No closed-form solution exists for the requested problem."""
 

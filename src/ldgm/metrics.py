@@ -28,7 +28,6 @@ METRIC_SEED = 90210  # separate from every training stream
 class EvaluationGrid:
     x: np.ndarray                 # (P, d)
     t: Optional[np.ndarray]       # (P,) or None for stationary problems
-    shape: Optional[tuple] = None  # (nx, nt) for 1-d tensor grids
 
     def __len__(self) -> int:
         return self.x.shape[0]
@@ -75,10 +74,10 @@ def evaluation_grid(spec: ProblemSpec, nx: int = 256,
         lo, hi = spec.domain[0]
         xs = np.linspace(lo, hi, nx)
         if spec.stationary:
-            return EvaluationGrid(xs.reshape(-1, 1), None, (nx,))
+            return EvaluationGrid(xs.reshape(-1, 1), None)
         ts = np.linspace(0.0, spec.horizon, nt)
         X, T = np.meshgrid(xs, ts, indexing="ij")
-        return EvaluationGrid(X.reshape(-1, 1), T.ravel(), (nx, nt))
+        return EvaluationGrid(X.reshape(-1, 1), T.ravel())
     rng = np.random.default_rng(METRIC_SEED)
     lo = np.array([a for a, _ in spec.domain])
     hi = np.array([b for _, b in spec.domain])

@@ -21,7 +21,7 @@ import numpy as np
 from . import autodiff as ad
 from .errors import ShapeError
 from .loss import LossBreakdown
-from .sampling import SampleBatch, SamplerConfig
+from .sampling import SampleBatch
 from .sampling import draw_batch  # noqa: F401  (perfbench/spans.py wraps ldgm.ritz.draw_batch)
 from .system import DerivativeView, ProblemSpec, gap, gradient_slots, slot_jet_orders
 
@@ -29,14 +29,11 @@ from .system import DerivativeView, ProblemSpec, gap, gradient_slots, slot_jet_o
 @dataclass(frozen=True)
 class RitzConfig:
     penalty: float = 500.0     # boundary weight lambda
+    # copies of sampler.* (`ExperimentConfig.ritz`) for the benchmark's gate; the losses
+    # read only the penalty
     interior: int = 400
     boundary: int = 100
     seed: int = 0
-
-    def sampler(self) -> SamplerConfig:
-        """The quadrature points' sampler; stationary problems draw no initial points."""
-        return SamplerConfig(interior=self.interior, initial=0,
-                             boundary=self.boundary, seed=self.seed)
 
 
 def _measures(spec: ProblemSpec) -> tuple[float, float]:

@@ -166,12 +166,13 @@ def train_loop(net: Network, draw, loss_fn, cfg: TrainConfig,
 
 @dataclass(frozen=True)
 class Method:
-    """One residual method: its output count, its loss and where its points come from.
+    """One residual method: its output count, its loss and whether it is variational.
 
     `loss(spec, ritz_cfg)` returns loss_fn(bound, batch) -> LossBreakdown.  A
-    variational method draws its quadrature points from the `ritz.*` keys.
-    The losses are looked up by module attribute at call time, so a wrapper
-    installed on `trainer.ldgm_loss` or `ritz.ldrm_loss` sees every call.
+    variational method takes a stationary problem, so its sampler draws no
+    initial points.  The losses are looked up by module attribute at call
+    time, so a wrapper installed on `trainer.ldgm_loss` or `ritz.ldrm_loss`
+    sees every call.
     """
 
     outputs: Callable[[ProblemSpec], int]

@@ -58,15 +58,6 @@ def nested_derivative(f, x, order, h=None):
     return (16 * r2 - r1) / 15
 
 
-def naive_dft(x):
-    """O(N^2) unitary DFT by direct summation."""
-    x = np.asarray(x, dtype=np.complex128)
-    n = x.size
-    k = np.arange(n)
-    m = np.exp(-2j * np.pi * np.outer(k, k) / n)
-    return m @ x / np.sqrt(n)
-
-
 def dense_ch_solver(u0, epsilon, dt, n_steps):
     """Semi-implicit biharmonic-splitting stepper built on dense matrices.
 

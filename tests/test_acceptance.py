@@ -322,7 +322,7 @@ def test_criterion_10_split_ritz_manufactured():
     spec = get_problem("bilaplacian_ritz", d=1)
     cfg = NetworkConfig(input_dim=1, hidden_layers=3, width=20, output_dim=2)
     rc = RitzConfig(penalty=500.0)
-    rep, _ = train(spec, "ldrm", cfg, rc.sampler(),
+    rep, _ = train(spec, "ldrm", cfg, SamplerConfig(interior=400, boundary=100),
                    TrainConfig(stages=1500, steps_per_stage=5, learning_rate=2e-3,
                                log_every=100), seed=0, ritz_cfg=rc)
     rel = rep.final_rel_l2
@@ -334,7 +334,7 @@ def test_criterion_10_baseline_reference_point():
     spec = get_problem("bilaplacian_ritz", d=1)
     cfg = NetworkConfig(input_dim=1, hidden_layers=3, width=20, output_dim=1)
     rc = RitzConfig(penalty=500.0)
-    rep, _ = train(spec, "drm", cfg, rc.sampler(),
+    rep, _ = train(spec, "drm", cfg, SamplerConfig(interior=400, boundary=100),
                    TrainConfig(stages=1500, steps_per_stage=5, learning_rate=2e-3,
                                log_every=100), seed=0, ritz_cfg=rc)
     rel = rep.final_rel_l2

@@ -258,6 +258,12 @@ def test_every_shipped_config_resolves_its_views(path, tmp_path):
     assert load_checkpoint(tmp_path / "net.ckpt")[0] == net
 
 
+def test_ritz1d_config_draws_its_points_from_the_sampler():
+    cfg = ExperimentConfig.from_file(CONFIGS[0].parent / "ritz1d.cfg")
+    sampler, rc = cfg.sampler(), cfg.ritz()
+    assert (sampler.interior, sampler.boundary) == (rc.interior, rc.boundary) == (400, 100)
+
+
 @pytest.mark.parametrize("key,value", [
     ("train.stages", "abc"), ("problem.name", "nope"), ("network.width", "2.5"), ("seeds", "a"),
     ("train.schedule", "cosine"),
@@ -266,13 +272,14 @@ def test_every_shipped_config_resolves_its_views(path, tmp_path):
     # values that would die inside the run with a raw numpy error
     ("seeds", "-1"), ("seeds", "0,-2"), ("sampler.seed", "-3"),
     ("sampler.interior", "-1"), ("sampler.initial", "0"), ("sampler.boundary", "-2"),
-    ("ritz.interior", "-1"), ("ritz.boundary", "0"), ("problem.dimension", "0"),
+    ("problem.dimension", "0"),
     ("network.hidden_layers", "0"), ("network.width", "0"),
     # floats that would abort, warn or train on a meaningless setting
     ("train.learning_rate", "nan"), ("train.beta1", "1.0"),
     ("ritz.penalty", "-5"), ("problem.epsilon", "-1"),
-    # elu's alpha is 1: any setting of it is refused, as an unknown key
-    ("network.elu_alpha", "nan"),
+    # elu's alpha is 1, and the variational methods draw their points from sampler.*:
+    # any setting of these is refused, as an unknown key
+    ("network.elu_alpha", "nan"), ("ritz.interior", "-1"), ("ritz.boundary", "0"),
 ])
 def test_malformed_value_is_rejected_at_load(tmp_path, key, value):
     path = tmp_path / "bad.cfg"
@@ -308,8 +315,8 @@ problem.dimension=1
 method={method}
 network.hidden_layers=2
 network.width=6
-ritz.interior=12
-ritz.boundary=6
+sampler.interior=12
+sampler.boundary=6
 train.stages=3
 train.steps_per_stage=2
 seeds=0
@@ -396,6 +403,27 @@ def test_training_runs_never_import_sympy(tmp_path):
     assert len(list((tmp_path / "runs").iterdir())) == 2
 
 
+def test_jobs_flag_runs_seeds_in_a_process_pool(tmp_path):
+    path, _ = write_cfg(tmp_path, stages=2, seeds="0,1")
+    for jobs in ("1", "2"):
+        assert main(["run", "--config", str(path), "--jobs", jobs,
+                     "--out", str(tmp_path / f"jobs{jobs}")]) == 0
+    serial, pooled = (sorted((tmp_path / f"jobs{j}").iterdir()) for j in "12")
+    assert len(serial) == 2
+    for a, b in zip(serial, pooled):
+        assert (a / "params.ckpt").read_bytes() == (b / "params.ckpt").read_bytes()
+
+
+def test_cli_import_loads_no_process_pool():
+    # only `ldgm run --jobs N` (N > 1) needs the pool; it imports it there
+    code = "import sys, ldgm.cli; print('multiprocessing' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(ldgm.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_ch_reference_is_solved_once_per_epsilon(tmp_path, monkeypatch):
     import ldgm.cli as cli
     solves = []
@@ -426,7 +454,7 @@ def test_ch_reference_is_solved_once_per_epsilon(tmp_path, monkeypatch):
     (["reference", "--epsilon", "-1"], "epsilon"),
     (["reference", "--epsilon", "0"], "epsilon"),
     (["reference", "--epsilon", "inf"], "epsilon"),
-    (["reference", "--grid", "3"], "grid"),
+    (["reference", "--grid", "1"], "grid"),
     (["reference", "--grid", "0"], "grid"),
     (["reference", "--grid", "-4"], "grid"),
 ])

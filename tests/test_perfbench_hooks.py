@@ -39,7 +39,6 @@ _LOSS_HOOKS = {
 
 def test_every_method_reaches_its_traced_loss_hook(monkeypatch):
     """A method routed past its hook would leave that loss span empty in a traced run."""
-    from ldgm.ritz import RitzConfig
     from ldgm.sampling import SamplerConfig
     from ldgm.system import get_problem
     from ldgm.trainer import METHODS, TrainConfig, default_network_config, train
@@ -65,10 +64,9 @@ def test_every_method_reaches_its_traced_loss_hook(monkeypatch):
     for method, (_, attr, (problem, kwargs)) in _LOSS_HOOKS.items():
         calls.clear()
         spec = get_problem(problem, **kwargs)
-        sampler = (RitzConfig(interior=6, boundary=4).sampler() if METHODS[method].variational
-                   else SamplerConfig(interior=6, initial=4, boundary=4))
         train(spec, method, default_network_config(spec, method, hidden_layers=1, width=4),
-              sampler, TrainConfig(stages=2, steps_per_stage=2), seed=0)
+              SamplerConfig(interior=6, initial=4, boundary=4),
+              TrainConfig(stages=2, steps_per_stage=2), seed=0)
         assert calls == {attr: 2}, method
 
 

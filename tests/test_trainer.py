@@ -6,7 +6,6 @@ import pytest
 from ldgm.config import ExperimentConfig
 from ldgm.errors import ConfigError, LdgmError, NonFiniteLossError
 from ldgm.network import BoundNetwork, NetworkConfig, init_xavier
-from ldgm.ritz import RitzConfig
 from ldgm.sampling import SamplerConfig
 from ldgm.trainer import (METHODS, AdamState, TrainConfig, TrainReport, adam_step,
                           default_network_config, train)
@@ -202,11 +201,8 @@ def test_every_method_trains_through_train(method):
     spec = make_spec()
     net_cfg = default_network_config(spec, method, hidden_layers=1, width=4)
     assert net_cfg.output_dim == METHODS[method].outputs(spec) == outputs
-    if METHODS[method].variational:
-        sampler = RitzConfig(interior=12, boundary=6).sampler()
-    else:
-        sampler = SamplerConfig(interior=12, initial=6, boundary=6)
-    report, params = train(spec, method, net_cfg, sampler,
+    report, params = train(spec, method, net_cfg,
+                           SamplerConfig(interior=12, initial=6, boundary=6),
                            TrainConfig(stages=1, steps_per_stage=2), seed=0)
     assert len(report.rows) == 1
     assert all(math.isfinite(v) for v in report.rows[0])
