@@ -12,8 +12,8 @@ from .network import (AnalyticNetwork, Network, NetworkConfig, ParameterSet, ini
 from .reference import ReferenceField, SpectralCHConfig, solve_ch_spectral
 from .ritz import RitzConfig, drm_loss, ldrm_loss
 from .sampling import SampleBatch, SamplerConfig, draw_batch
-from .system import (BoundaryCond, ProblemSpec, SystemForm, builtin_problems,
-                     get_problem, ldgm_system, rewrite_first_order)
+from .system import (ProblemSpec, SystemForm, builtin_problems, get_problem, ldgm_system,
+                     rewrite_first_order)
 from .trainer import (METHODS, AdamState, TrainConfig, TrainReport, adam_step,
                       default_network_config, success_rate, train)
 

@@ -114,7 +114,8 @@ def cmd_sweep(args) -> int:
             run_dir, status = run_single(cfg, seed, out)
             if status == "ok":
                 report = TrainReport.from_csv(run_dir / "report.csv")
-                rows.append((v, report.final_rel_l2, report.column("seconds")[-1], "ok"))
+                seconds = report.column("seconds")[-1] if report.rows else math.nan
+                rows.append((v, report.final_rel_l2, seconds, "ok"))
             else:
                 rows.append((v, math.nan, math.nan, status))
         except LdgmError as e:

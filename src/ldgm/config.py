@@ -147,7 +147,7 @@ class ExperimentConfig:
 
     def problem(self) -> ProblemSpec:
         name = self.values["problem.name"]
-        if name in ("cahn_hilliard", "allen_cahn"):
+        if name == "cahn_hilliard":
             return get_problem(name, epsilon=self.values["problem.epsilon"])
         if name in ("heat_nd", "bilaplacian_ritz"):
             return get_problem(name, d=self.values["problem.dimension"])

@@ -138,8 +138,7 @@ class NetworkOutput:
     whose slot `slots[direction, k]` holds every output's coefficient k
     along a direction (slot 0 the values).  `rows` are this set's rows of
     a walk that stacked several sets.  A coefficient is one `take` of the
-    head, recorded the first time it is read.  A periodic boundary's walk
-    also holds `mirror`, the same walk at the mirror points.
+    head, recorded the first time it is read.
     """
 
     x: np.ndarray                   # (P, d) spatial points
@@ -147,7 +146,6 @@ class NetworkOutput:
     head: Var
     rows: slice
     slots: dict                     # (direction, k) -> the head's slot of coefficient k
-    mirror: NetworkOutput | None = None
     _reads: dict = field(default_factory=dict, repr=False)  # (output, slot) -> its take
 
     @property

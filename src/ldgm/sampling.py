@@ -33,7 +33,6 @@ class SampleBatch:
     boundary_x: np.ndarray
     boundary_t: Optional[np.ndarray]
     boundary_axis: np.ndarray
-    boundary_mirror_x: np.ndarray
 
 
 def _rng(seed: int, stage: int, region: int) -> np.random.Generator:
@@ -67,11 +66,7 @@ def draw_batch(cfg: SamplerConfig, spec: ProblemSpec, stage: int) -> SampleBatch
     axis, side = face // 2, face % 2
     boundary_x = _uniform_box(rng, domain, cfg.boundary)
     pinned = np.array([domain[a][s] for a, s in zip(axis, side)])
-    mirrored = np.array([domain[a][1 - s] for a, s in zip(axis, side)])
     boundary_x[np.arange(cfg.boundary), axis] = pinned
-    boundary_mirror_x = boundary_x.copy()
-    boundary_mirror_x[np.arange(cfg.boundary), axis] = mirrored
     boundary_t = None if horizon is None else horizon * rng.uniform(size=cfg.boundary)
 
-    return SampleBatch(interior_x, interior_t, initial_x, boundary_x, boundary_t,
-                       axis, boundary_mirror_x)
+    return SampleBatch(interior_x, interior_t, initial_x, boundary_x, boundary_t, axis)

@@ -30,25 +30,6 @@ from .errors import OrderError, ShapeError, UnavailableError
 from .network import TIME
 
 
-@dataclass(frozen=True)
-class BoundaryCond:
-    """Boundary targets as (derivative order, data) pairs.
-
-    Dirichlet penalizes the listed derivative orders of u against their
-    data, Neumann penalizes derivative variables, periodic pairs opposite
-    faces (targets ignored).  Data is a constant or a callable g(x, t).
-    """
-
-    kind: str
-    targets: tuple = ()
-
-    def data(self, i, x, t):
-        g = self.targets[i][1]
-        if callable(g):
-            return np.asarray(g(x, t), dtype=np.float64)
-        return np.full(x.shape[0], float(g))
-
-
 @dataclass
 class ProblemSpec:
     name: str
@@ -58,7 +39,7 @@ class ProblemSpec:
     pde_order: int
     rhs: Optional[Callable]
     initial: Optional[Callable]
-    boundary: Optional[BoundaryCond]
+    boundary: tuple = ()   # (derivative order, data) targets: data a constant or g(x, t)
     exact_expr: Optional[object] = None   # symbolic source of `solution` (sympy syntax)
     solution: Optional[Callable] = None   # numpy closed form u(x, t) of exact_expr
     params: dict = field(default_factory=dict)
@@ -167,37 +148,37 @@ class DerivativeView:
 # -- rewrites -----------------------------------------------------------------
 
 
+def _data(g, x, t) -> np.ndarray:
+    """A boundary target's data at the points: a constant or a callable g(x, t)."""
+    if callable(g):
+        return np.asarray(g(x, t), dtype=np.float64)
+    return np.full(x.shape[0], float(g))
+
+
 def _form(spec: ProblemSpec, roster, slots, constraints=(), boundary=None) -> SystemForm:
     """The form on a slot table: evolution, boundary residuals and walk orders.
 
-    A periodic boundary pairs u and each derivative of order below k along
-    every spatial axis across faces; any other boundary penalizes the
-    listed derivative orders of u against their data.  `boundary` replaces
-    the residuals, not the walk.
+    The boundary penalizes each target's derivative order of u against its
+    data (order 0 a Dirichlet value, higher orders Neumann-type data, 1-d
+    only).  `boundary` replaces the residuals, not the walk.
     """
     k, d = spec.pde_order, spec.spatial_dim
     if spec.stationary:
         raise OrderError("rewrites apply to evolution problems")
     if k < 1 or (d > 1 and k > 2):
         raise OrderError(f"pde order {k} in {d}-d: rewrites need order >= 1, and <= 2 above 1-d")
-    bc = spec.boundary
-    periodic = bc.kind == "periodic"
-    if periodic:
-        needs = [(0, 0)] + [(p, axis) for axis in range(d) for p in range(1, k)]
-    else:
-        needs = [(order, 0) for order, _ in bc.targets]
-        if d > 1 and any(p for p, _ in needs):
-            raise ShapeError("derivative boundary data is 1-d only")
+    needs = [(order, 0) for order, _ in spec.boundary]
+    if not needs:
+        raise ShapeError(f"{spec.name} has no boundary targets")
+    if d > 1 and any(p for p, _ in needs):
+        raise ShapeError("derivative boundary data is 1-d only")
 
     def evolution(walk):
         return walk.dt(0) - spec.rhs(DerivativeView(walk, slots))
 
     def residuals(bwalk):
-        here = DerivativeView(bwalk, slots)
-        if periodic:
-            there = DerivativeView(bwalk.mirror, slots)
-            return [here.d(p, axis) - there.d(p, axis) for p, axis in needs]
-        return [here.d(p, axis) - bc.data(i, here.x, here.t) for i, (p, axis) in enumerate(needs)]
+        v = DerivativeView(bwalk, slots)
+        return [v.d(p) - _data(g, v.x, v.t) for p, g in spec.boundary]
 
     return SystemForm(
         spec=spec, roster=roster,
@@ -252,7 +233,7 @@ def beam() -> ProblemSpec:
         pde_order=4,
         rhs=lambda v: -v.d(4),
         initial=lambda x: np.sin(x[:, 0]),
-        boundary=BoundaryCond("dirichlet", ((0, 0.0), (2, 0.0))),
+        boundary=((0, 0.0), (2, 0.0)),  # simply supported: u = u_xx = 0
         exact_expr="exp(-t)*sin(x0)",
         solution=lambda x, t: np.exp(-t) * np.sin(x[:, 0]))
 
@@ -302,21 +283,11 @@ def cahn_hilliard(epsilon: float = 0.1) -> ProblemSpec:
         name="cahn_hilliard", spatial_dim=1, domain=((0.0, 2 * math.pi),), horizon=1.0,
         pde_order=4, rhs=rhs,
         initial=lambda x: np.cos(x[:, 0]),
-        boundary=BoundaryCond("neumann", ((1, 0.0), (3, 0.0))),
+        boundary=((1, 0.0), (3, 0.0)),  # Neumann: flux-free walls
         params={"epsilon": epsilon},
         ldgm_form=_ch_ldgm_form)
     spec.dgm_boundary = _ch_dgm_boundary(spec)
     return spec
-
-
-def allen_cahn(epsilon: float = 1.0) -> ProblemSpec:
-    return ProblemSpec(
-        name="allen_cahn", spatial_dim=1, domain=((0.0, 2 * math.pi),), horizon=1.0,
-        pde_order=2,
-        rhs=lambda v: epsilon * v.lap() + _fcubic(v.u),
-        initial=lambda x: np.cos(x[:, 0]),
-        boundary=BoundaryCond("periodic"),
-        params={"epsilon": epsilon})
 
 
 def mkdv() -> ProblemSpec:
@@ -328,7 +299,7 @@ def mkdv() -> ProblemSpec:
         pde_order=3,
         rhs=lambda v: 6.0 * v.u * v.u * v.d(1) - v.d(3),
         initial=lambda x: np.tanh(x[:, 0] - 1.0),
-        boundary=BoundaryCond("dirichlet", ((0, u),)),
+        boundary=((0, u),),
         exact_expr="tanh(x0 + 2*t - 1)", solution=u)
 
 
@@ -351,7 +322,7 @@ def heat_nd(d: int = 5) -> ProblemSpec:
         pde_order=2,
         rhs=lambda v: v.lap() + source(v.x, v.t),
         initial=lambda x: np.sum(x * (1.0 - x), axis=1),
-        boundary=BoundaryCond("dirichlet", ((0, g),)),
+        boundary=((0, g),),
         exact_expr=f"({expr})*(t + 1)", solution=u,
         params={"d": d})
 
@@ -384,7 +355,6 @@ def bilaplacian_ritz(d: int = 1) -> ProblemSpec:
         name="bilaplacian_ritz", spatial_dim=d, domain=tuple(((0.0, 1.0),) * d),
         horizon=None, pde_order=4, rhs=None,
         initial=None,
-        boundary=BoundaryCond("dirichlet", ((0, 0.0), (1, 0.0))),
         exact_expr="*".join(f"sin(pi*x{i})**2" for i in range(d)),
         solution=lambda x, t=None: math.prod(sines(x)),
         params={"source": source})
@@ -393,7 +363,6 @@ def bilaplacian_ritz(d: int = 1) -> ProblemSpec:
 _REGISTRY = {
     "beam": beam,
     "cahn_hilliard": cahn_hilliard,
-    "allen_cahn": allen_cahn,
     "mkdv": mkdv,
     "heat_nd": heat_nd,
     "bilaplacian_ritz": bilaplacian_ritz,
@@ -401,7 +370,7 @@ _REGISTRY = {
 
 
 def builtin_problems() -> list[ProblemSpec]:
-    return [beam(), cahn_hilliard(), allen_cahn(), mkdv(), heat_nd(), bilaplacian_ritz()]
+    return [beam(), cahn_hilliard(), mkdv(), heat_nd(), bilaplacian_ritz()]
 
 
 def get_problem(name: str, **params) -> ProblemSpec:

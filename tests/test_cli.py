@@ -122,6 +122,16 @@ def test_sweep_runs_each_value_and_summarizes(tmp_path):
         assert float(rel) == rep.final_rel_l2
 
 
+def test_sweep_of_runs_that_log_no_rows_reads_nan(tmp_path):
+    cfg_path, _ = write_cfg(tmp_path, stages=0)
+    assert main(["sweep", "--config", str(cfg_path), "--axis", "network.width",
+                 "--values", "4"]) == 0
+    lines = (tmp_path / "runs" / "sweep-network_width.csv").read_text().splitlines()
+    val, rel, secs, status = lines[1].split(",")
+    assert (val, status) == ("4", "ok")
+    assert (rel, secs) == ("nan", "nan")
+
+
 def test_sweep_rejects_non_numeric_axis(tmp_path):
     cfg_path, out = write_cfg(tmp_path)
     assert main(["sweep", "--config", str(cfg_path), "--axis", "problem.name",
@@ -280,6 +290,8 @@ def test_ritz1d_config_draws_its_points_from_the_sampler():
     # elu's alpha is 1, and the variational methods draw their points from sampler.*:
     # any setting of these is refused, as an unknown key
     ("network.elu_alpha", "nan"), ("ritz.interior", "-1"), ("ritz.boundary", "0"),
+    # Allen-Cahn, the one problem with a periodic boundary, is no longer registered
+    ("problem.name", "allen_cahn"),
 ])
 def test_malformed_value_is_rejected_at_load(tmp_path, key, value):
     path = tmp_path / "bad.cfg"

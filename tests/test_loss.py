@@ -11,7 +11,7 @@ from ldgm.network import (AnalyticNetwork, BoundAnalytic, BoundNetwork, Network,
                           init_xavier)
 from ldgm.ritz import RitzConfig
 from ldgm.sampling import SamplerConfig, draw_batch
-from ldgm.system import get_problem, ldgm_system, rewrite_first_order, strong_form
+from ldgm.system import get_problem, ldgm_system, rewrite_first_order
 from ldgm.trainer import METHODS, default_network_config
 
 from oracles import central_gradient, relative
@@ -73,16 +73,14 @@ def test_dgm_with_low_jet_cap_errors():
 
 
 _WALK_PROBLEMS = [
-    ("beam", {}), ("allen_cahn", {}), ("cahn_hilliard", {}), ("mkdv", {}),
-    ("heat_nd", {"d": 3}), ("bilaplacian_ritz", {"d": 1}), ("bilaplacian_ritz", {"d": 2}),
+    ("beam", {}), ("cahn_hilliard", {}), ("mkdv", {}), ("heat_nd", {"d": 3}), ("bilaplacian_ritz", {"d": 1}), ("bilaplacian_ritz", {"d": 2}),
 ]
 
 
 # the batch's point sets that each walk stacks, in walk order
-_I, _B, _M = "initial_x", "boundary_x", "boundary_mirror_x"
+_I, _B = "initial_x", "boundary_x"
 _STACKED = {
     "beam": {"ldgm": [(_I, _B)], "dgm": [(_I,), (_B,)]},  # dgm reads u_xx at the boundary
-    "allen_cahn": {"ldgm": [(_I, _B, _M)], "dgm": [(_I,), (_B, _M)]},
     "cahn_hilliard": {"ldgm": [(_I, _B)], "dgm": [(_I,), (_B,)]},
     "mkdv": {"ldgm": [(_I, _B)], "dgm": [(_I, _B)]},
     "heat_nd": {"ldgm": [(_I, _B)], "dgm": [(_I, _B)]},
@@ -166,7 +164,7 @@ def _loss_for_vector(spec, method, vec, template, batch):
 
 
 @pytest.mark.parametrize("name,kwargs", [
-    ("beam", {}), ("cahn_hilliard", {}), ("allen_cahn", {}), ("mkdv", {}),
+    ("beam", {}), ("cahn_hilliard", {}), ("heat_nd", {"d": 1}), ("mkdv", {}),
     ("heat_nd", {"d": 5}),
 ])
 @pytest.mark.parametrize("method", ["ldgm", "dgm"])
@@ -198,26 +196,6 @@ def test_nonnegative_components_and_weighted_additivity():
         je, ji, jb, jt = (float(v.value) for v in (lb.J_e, lb.J_i, lb.J_b, lb.J_total))
         assert je >= 0 and ji >= 0 and jb >= 0
         assert jt == je + ji + jb
-
-
-@pytest.mark.parametrize("method,periodic,broken", [
-    pytest.param("ldgm", ["sin(x0)*exp(-t)", "cos(x0)*exp(-t)"], ["x0*exp(-t)", "exp(-t)"],
-                 id="ldgm"),
-    # values match across faces, u_x does not: only the mirror jets see it
-    pytest.param("dgm", ["sin(x0)*exp(-t)"], ["x0*(x0 - 2*pi)*exp(-t)"], id="dgm"),
-])
-def test_periodic_boundary_pairs_opposite_faces(method, periodic, broken):
-    spec = get_problem("allen_cahn")
-    form = ldgm_system(spec) if method == "ldgm" else strong_form(spec)
-    # a field that is 2pi-periodic in x: residuals vanish across faces
-    mock = AnalyticNetwork(periodic, 1)
-    batch = draw_batch(SamplerConfig(seed=13), spec, stage=0)
-    lb = ldgm_loss(form, mock.bind(Tape()), batch)
-    assert float(lb.J_b.value) < 1e-25
-    # a non-periodic field does not
-    mock2 = AnalyticNetwork(broken, 1)
-    lb2 = ldgm_loss(form, mock2.bind(Tape()), batch)
-    assert float(lb2.J_b.value) > 1e-3
 
 
 def test_equation_loss_converges_to_integral_residual():

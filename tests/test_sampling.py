@@ -21,8 +21,6 @@ def test_one_dimensional_boundary_sits_on_the_faces():
     lo, hi = spec.domain[0]
     vals = batch.boundary_x[:, 0]
     assert np.all((vals == lo) | (vals == hi))
-    mirrors = batch.boundary_mirror_x[:, 0]
-    assert np.all(mirrors == np.where(vals == lo, hi, lo))
     assert set(np.unique(vals)) == {lo, hi}
 
 
@@ -69,11 +67,11 @@ def test_stationary_problem_gets_no_time_and_no_initial_points():
 
 
 def test_non_cubic_boxes_weight_faces_by_area():
-    from ldgm.system import BoundaryCond, ProblemSpec
+    from ldgm.system import ProblemSpec
     spec = ProblemSpec(name="slab", spatial_dim=2, domain=((0.0, 10.0), (0.0, 1.0)),
                        horizon=1.0, pde_order=1, rhs=None,
                        initial=lambda x: np.zeros(len(x)),
-                       boundary=BoundaryCond("dirichlet", ((0, 0.0),)))
+                       boundary=((0, 0.0),))
     batch = draw_batch(SamplerConfig(boundary=4000, seed=3), spec, stage=0)
     # faces normal to axis 1 have 10x the measure of faces normal to axis 0
     frac_axis1 = np.mean(batch.boundary_axis == 1)
