@@ -262,15 +262,23 @@ OPS["affine"] = (_affine, lambda node, g, xs: (*_matmul_vjp(xs[0], xs[1], g),
 # -- activations --------------------------------------------------------------
 
 
-def _value(kind: str, z: np.ndarray) -> np.ndarray:
-    """The activation (tanh, or else elu) at z; both network walks take their values from here."""
+def _value(kind: str, z: np.ndarray, out=None, low=None) -> np.ndarray:
+    """The activation (tanh, or else elu) at z, into `out` if given.
+
+    Both network walks take their values from here.  elu's value is
+    max(expm1(min(z, 0)), z): z where z > 0 and expm1(z) elsewhere, bit for
+    bit the select `where(z > 0, z, expm1(z))` (expm1(z) >= z for z <= 0,
+    and numpy's maximum(0.0, -0.0) is -0.0), in passes with no
+    data-dependent branch.
+    `low`, if given, is min(z, 0), which `_slope` reads too.
+    """
     if kind == "tanh":
-        return np.tanh(z)
-    return np.where(z > 0, z, np.expm1(z))
+        return np.tanh(z, out=out)
+    return np.maximum(np.expm1(np.minimum(z, 0.0) if low is None else low), z, out=out)
 
 
-def _slope(kind: str, z: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The derivative at z, from z and y = the value there.
+def _slope(kind: str, z: np.ndarray, y: np.ndarray, low=None) -> np.ndarray:
+    """The derivative at z, from z and y = the value there (`low` as in `_value`).
 
     It is also the first term g_0 of the derivative series that the jet
     recurrence runs on.
@@ -278,7 +286,7 @@ def _slope(kind: str, z: np.ndarray, y: np.ndarray) -> np.ndarray:
     if kind == "tanh":
         return 1.0 - y * y
     # exp(min(z, 0)) is 1 where z > 0, so it is elu's slope on both sides
-    return np.exp(np.minimum(z, 0.0))
+    return np.exp(np.minimum(z, 0.0) if low is None else low)
 
 
 def tanh(x: Var) -> Var:
@@ -315,9 +323,14 @@ def _taylor(node, xs):
         return _value(kind, xv)
     z0 = xv[0]
     y = np.empty_like(xv)
-    y[0] = _value(kind, z0)
-    g0 = _slope(kind, z0, y[0])
-    saved = _series(xv, y, g0, blocks, kind)
+    low = np.minimum(z0, 0.0) if kind == "elu" else None  # elu's value and slope share it
+    g0 = _slope(kind, z0, _value(kind, z0, y[0], low), low)
+    if len(blocks) == 1:
+        # block 1 is all an order-1 stack has: y_1 = x_1 * g0, as `_series` computes it
+        np.multiply(xv[1:], g0, out=y[1:])
+        saved = [g0]
+    else:
+        saved = _series(xv, y, g0, blocks, kind)
     if kind == "elu":
         # where z0 > 0, slot 0 and block 1 already hold the identity's jet (g0
         # is exactly 1 there); blocks 2.. take it from x.  The series keeps
@@ -327,7 +340,7 @@ def _taylor(node, xs):
         if len(blocks) > 1:
             saved[2:] = [g.copy() for g in saved[2:]]
             np.copyto(y[1 + blocks[0]:], xv[1 + blocks[0]:], where=pos)
-        saved = (saved, (~pos).astype(np.float64))
+        saved = (saved, np.logical_not(pos, out=np.empty_like(z0)))
     node.saved = saved
     return y
 
@@ -443,6 +456,40 @@ def _taylor_vjp(node, g, xs):
     xv = xs[0]
     if not blocks:
         return (g * _slope(kind, xv, node.value),)
+    if len(blocks) == 1:
+        return (_block1_vjp(node, g, xv),)
+    return (_recurrence_vjp(node, g, xv),)
+
+
+def _block1_vjp(node, g, xv):
+    """The reverse of an order-1 stack, in the arithmetic of `_recurrence_vjp`.
+
+    x_1's adjoint is y_1's times g0, g0's is summed over the directions
+    (the same einsum), and slot 0's is (y_0's + g0's * dg0/dy0) * g0, with
+    dg0/dy0 = -2 y0 for tanh and elu's exp-side mask.  Each lands in one
+    fresh array; only the signs of zero adjoints may differ from the general
+    path's, which starts its sums from zero arrays.
+    """
+    kind = node.aux[0]
+    gs, neg = node.saved if kind == "elu" else (node.saved, None)
+    g0, g1 = gs[0], g[1:]
+    xb = np.empty_like(g)
+    np.multiply(g1, g0, out=xb[1:])
+    g0b = np.einsum("d...,d...->...", g1, xv[1:])
+    xb0 = xb[0]
+    if neg is None:
+        np.multiply(node.value[0], -2.0, out=xb0)
+        xb0 *= g0b
+    else:
+        np.multiply(g0b, neg, out=xb0)
+    xb0 += g[0]
+    xb0 *= g0
+    return xb
+
+
+def _recurrence_vjp(node, g, xv):
+    """The reverse of a stack of any order through `_series_vjp`."""
+    kind, blocks = node.aux
     xb = g.copy()
     xb0 = xb[0]
     if kind == "elu":
@@ -466,7 +513,7 @@ def _taylor_vjp(node, g, xs):
     # slot 0: (adjoint of y0 + y0b + g0b * dg0/dy0) * f'(z0), with f'(z0) = g0
     xb0 += g0b
     xb0 *= gs[0]
-    return (xb,)
+    return xb
 
 
 OPS["taylor"] = OPS["tanh"] = (_taylor, _taylor_vjp)

@@ -97,16 +97,15 @@ def relative_l2(candidate, truth) -> float:
     return float(np.linalg.norm(c - u) / denom)
 
 
+# The chunking fixes the bits: a product's rounding depends on its row count.
 # A grid of up to WHOLE_GRID points (a 1-d grid has 2816) is walked whole, as
-# the recorded walk did: its products keep that walk's row counts, and so its
-# bits, and its layer arrays (ch_dgm's 1.1 MB) still raise glibc's heap
-# thresholds above a training step's churn; in 1024-point chunks ch_dgm's
-# steps faulted about 320 pages each and ran 10% slower.  A larger grid
-# (heat5d's 110000 points at width 100) goes in EVAL_CHUNK-point chunks, whose
-# 800 KB arrays stay on the heap where 4096-point ones are mapped and faulted
-# in on every call; heat5d's values keep the bits of its 8192-point chunks.
-# A chunk's inputs are built as it is walked and only its column 0 is kept, so
-# neither its rows nor its head (1024 x 6 on heat5d's ldgm net) outlive it.
+# the recorded walk did, so its products keep that walk's row counts.  A larger
+# grid (heat5d's 110000 points at width 100) goes in EVAL_CHUNK-point chunks,
+# whose values keep the bits of its earlier 8192-point chunks.  Within a
+# training run the layer arrays (ch_dgm's 1.1 MB, heat5d's 800 KB) stay on the
+# heap, whose thresholds `trainer.train` pins.  A chunk's inputs are built as
+# it is walked and only its column 0 is kept, so neither its rows nor its head
+# (1024 x 6 on heat5d's ldgm net) outlive it.
 WHOLE_GRID = 8192
 EVAL_CHUNK = 1024
 

@@ -224,6 +224,30 @@ def default_network_config(spec: ProblemSpec, method: str,
         hidden_activation=activation)
 
 
+def _pin_heap() -> None:
+    """Fix glibc's mmap threshold at 32 MiB and its trim threshold at 64 MiB.
+
+    By default glibc maps each block above a threshold that moves with what
+    the process has freed so far, and gives the top of the heap back to the
+    kernel; a step's jet stacks and adjoints (0.1-1.1 MB) are then mapped or
+    trimmed and faulted in again on every step, and the step's speed
+    depends on what earlier code allocated.  Pinned, they stay on the heap.
+    Elsewhere than glibc this does nothing.
+    """
+    import ctypes
+    import os
+
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return
+    except (AttributeError, ValueError, OSError):
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
 def train(spec: ProblemSpec, method: str, net_cfg: NetworkConfig,
           sampler_cfg: SamplerConfig, train_cfg: TrainConfig, seed: int = 0,
           truth: Optional[Callable] = None,
@@ -235,6 +259,7 @@ def train(spec: ProblemSpec, method: str, net_cfg: NetworkConfig,
     its points from `sampler_cfg`; only the variational losses read
     `ritz_cfg`, and only its penalty.
     """
+    _pin_heap()
     loss_fn = method_entry(method, spec).loss(spec, ritz_cfg)
     net = Network(net_cfg, init_xavier(net_cfg, seed))
 

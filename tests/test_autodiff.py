@@ -379,3 +379,85 @@ def test_sin_cos_jets():
     want = [np.sin(x0), np.cos(x0), -np.sin(x0) / 2, -np.cos(x0) / 6, np.sin(x0) / 24]
     got = [float(c.value) for c in s.coeffs]
     assert np.allclose(got, want, rtol=1e-13, atol=1e-13)
+
+
+# -- elu's value form and the order-1 block ------------------------------------
+
+
+def _elu_by_select(z):
+    return np.where(z > 0, z, np.expm1(z))
+
+
+def test_elu_value_is_the_select_bit_for_bit():
+    edges = np.array([-np.inf, -1.0, -1e-300, -0.0, 0.0, 1e-300, 1.0, np.inf])
+    draws = np.random.default_rng(23).normal(size=10_000)
+    for z in (edges, draws, draws.reshape(100, 100)):
+        assert ad._value("elu", z).tobytes() == _elu_by_select(z).tobytes()
+    for z in edges:  # 0-d input, as the scalar gradient checks pass it
+        got = ad._value("elu", np.array(z))
+        assert np.shape(got) == () and np.asarray(got).tobytes() == _elu_by_select(z).tobytes()
+    assert np.isnan(ad._value("elu", np.array([np.nan, -np.nan]))).all()
+    assert np.isnan(ad._value("elu", np.array(np.nan)))
+
+
+def _order1_stack(kind, d):
+    """An order-1 stack (1 + d, 4, 3): z0 in slot 0, x_1 of d directions after it.
+
+    elu's preactivations include -1e-12, 0 and 1e-12, on both sides of its kink.
+    """
+    xv = np.random.default_rng(d).normal(size=(1 + d, 4, 3))
+    if kind == "elu":
+        xv[0, 0] = [-1e-12, 0.0, 1e-12]
+    return xv
+
+
+def _taylor_node(kind, xv):
+    tape = Tape()
+    y = ad.taylor(tape.input(xv), kind, (xv.shape[0] - 1,))
+    return tape.nodes[y.idx]
+
+
+def _difference(f, h, side):
+    """f'(0) by central differences, or one-sided (second order) on a kink's side."""
+    if side == 0:
+        return (f(h) - f(-h)) / (2 * h)
+    return side * (-3 * f(0.0) + 4 * f(side * h) - f(2 * side * h)) / (2 * h)
+
+
+ORDER1_CASES = [(kind, d) for kind in ad.ACTIVATION_KINDS for d in (1, 2, 6)]
+
+
+@pytest.mark.parametrize("kind,d", ORDER1_CASES)
+def test_order1_block_is_the_general_recurrence_bit_for_bit(kind, d):
+    xv = _order1_stack(kind, d)
+    node = _taylor_node(kind, xv)
+    want = np.empty_like(xv)
+    want[0] = ad._value(kind, xv[0])
+    ad._series(xv, want, ad._slope(kind, xv[0], want[0]), (d,), kind)
+    assert node.value.tobytes() == want.tobytes()
+    g = np.random.default_rng(d).normal(size=xv.shape)
+    got = ad.OPS["taylor"][1](node, g, [xv])[0]
+    assert got.tobytes() == ad._recurrence_vjp(node, g, xv).tobytes()
+
+
+@pytest.mark.parametrize("kind,d", ORDER1_CASES)
+def test_order1_block_matches_finite_differences(kind, d):
+    xv = _order1_stack(kind, d)
+    z0 = xv[0]
+    node = _taylor_node(kind, xv)
+    h = 1e-6
+    # the jet takes elu's exp side at z0 <= 0 and the identity's at z0 > 0; next
+    # to the kink the differences stay on that side
+    near = (np.abs(z0) < 3 * h) & (kind == "elu")
+    side = np.where(near, np.where(z0 > 0, 1, -1), 0)
+    slope = np.array([_difference(lambda e: ad._value(kind, np.array(z + e)), h, s)
+                      for z, s in zip(z0.ravel(), side.ravel())]).reshape(z0.shape)
+    assert np.allclose(node.value[1:], xv[1:] * slope, rtol=1e-8, atol=1e-9)
+    g = np.random.default_rng(d).normal(size=xv.shape)
+    got = ad.OPS["taylor"][1](node, g, [xv])[0]
+    for i in np.ndindex(xv.shape):
+        e = np.zeros_like(xv)
+        e[i] = 1.0
+        fd = _difference(lambda t: np.sum(g * _taylor_node(kind, xv + t * e).value), h,
+                         side[i[1:]] if i[0] == 0 else 0)
+        assert abs(got[i] - fd) <= 1e-7 * max(1.0, abs(fd)), (i, got[i], fd)

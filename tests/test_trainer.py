@@ -1,4 +1,9 @@
 import math
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -243,3 +248,39 @@ def test_method_must_fit_the_kind_of_problem(monkeypatch, method, name, kwargs):
         assert e.value.bad_keys == ["method", "problem.name"]
         assert repr(method) in str(e.value) and repr(name) in str(e.value)
     assert walks == []
+
+
+# In a fresh process, so no earlier test's frees have raised glibc's thresholds.
+_FAULTS_SCRIPT = """
+import resource, sys
+from ldgm import trainer
+from ldgm.config import ExperimentConfig
+cfg = ExperimentConfig.from_file(sys.argv[1])
+spec, faults, adam = cfg.problem(), [], trainer.adam_step
+
+def counted(*args):
+    out = adam(*args)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+    return out
+
+trainer.adam_step = counted
+trainer.train(spec, cfg.method, cfg.network(spec), cfg.sampler(),
+              trainer.TrainConfig(stages=3, steps_per_stage=11, log_every=10),
+              ritz_cfg=cfg.ritz())
+print(len(faults), faults[-1] - faults[-11])
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="pins glibc's heap thresholds")
+def test_replayed_steps_fault_no_pages():
+    # ritz1d's loss: two warm-up stages of 11 steps, then a third stage, whose
+    # ten replayed steps (the end of its recorded step to the end of its last)
+    # are counted
+    root = Path(__file__).resolve().parents[1]
+    cfg = str(root / "configs" / "ritz1d.cfg")
+    out = subprocess.run([sys.executable, "-c", _FAULTS_SCRIPT, cfg], capture_output=True, text=True,
+                         check=True,
+                         env=dict(os.environ, PYTHONPATH=str(root / "src"))).stdout.split()
+    steps, faults = int(out[0]), int(out[1])
+    assert steps == 33
+    assert faults <= 20
