@@ -229,8 +229,6 @@ OPS["take"] = (lambda node, xs: xs[0][node.aux], _take_vjp)
 
 def _matmul_vjp(a: np.ndarray, b: np.ndarray, g: np.ndarray):
     """Adjoints of a @ b; a 3-d a is a stack of row blocks sharing b."""
-    if a.ndim == 2:
-        return g @ b.T, a.T @ g
     g2 = g.reshape(-1, g.shape[-1])
     return (g2 @ b.T).reshape(a.shape), a.reshape(-1, a.shape[-1]).T @ g2
 
@@ -316,7 +314,11 @@ def taylor(x: Var, kind: str, blocks: tuple) -> Var:
 
 
 def _taylor(node, xs):
-    """The forward of `taylor`; keeps the derivative series (elu: and its side masks)."""
+    """The forward of `taylor`; keeps the derivative series (elu: and its side masks).
+
+    Block 1 is y_1 = x_1 * g0 at every order; `_series` fills the blocks
+    above it.
+    """
     kind, blocks = node.aux
     xv = xs[0]
     if not blocks:
@@ -325,12 +327,9 @@ def _taylor(node, xs):
     y = np.empty_like(xv)
     low = np.minimum(z0, 0.0) if kind == "elu" else None  # elu's value and slope share it
     g0 = _slope(kind, z0, _value(kind, z0, y[0], low), low)
-    if len(blocks) == 1:
-        # block 1 is all an order-1 stack has: y_1 = x_1 * g0, as `_series` computes it
-        np.multiply(xv[1:], g0, out=y[1:])
-        saved = [g0]
-    else:
-        saved = _series(xv, y, g0, blocks, kind)
+    b1 = slice(1, 1 + blocks[0])
+    np.multiply(xv[b1], g0, out=y[b1])
+    saved = [g0] if len(blocks) == 1 else _series(xv, y, g0, blocks, kind)
     if kind == "elu":
         # where z0 > 0, slot 0 and block 1 already hold the identity's jet (g0
         # is exactly 1 there); blocks 2.. take it from x.  The series keeps
@@ -359,42 +358,42 @@ def _coef(a, starts, j, d):
 
 
 def _series(x, y, g0, blocks, kind) -> list:
-    """Fill coefficient blocks 1.. of y (y[0] set) from x; returns the series g.
+    """Fill coefficient blocks 2.. of y (slot 0 and block 1 set) from x; returns the series g.
 
     g[m] for m >= 1 covers the blocks[m] directions that need it.  elu's
     exp side has elu' = y + 1: its series after g0 is y itself.
     """
     starts = block_starts(blocks)
     gs = [g0]
-    tmp = np.empty_like(x[1:starts[1]]) if len(blocks) > 1 else None
-    for j in range(1, len(blocks) + 1):
+    tmp = np.empty_like(x[1:starts[1]])
+    for j in range(2, len(blocks) + 1):
         d = blocks[j - 1]
-        if j >= 2:
-            t = tmp[:d]
-            m = j - 1
-            ym = _coef(y, starts, m, d)
-            if kind == "elu":
-                g = ym
-            else:
-                g = y[0] * ym
-                for a in range(1, m + 1):
-                    g += np.multiply(_coef(y, starts, a, d), _coef(y, starts, m - a, d), out=t)
-                np.negative(g, out=g)
-            gs.append(g)
+        t = tmp[:d]
+        m = j - 1
+        ym = _coef(y, starts, m, d)
+        if kind == "elu":
+            g = ym
+        else:
+            g = y[0] * ym
+            for a in range(1, m + 1):
+                g += np.multiply(_coef(y, starts, a, d), _coef(y, starts, m - a, d), out=t)
+            np.negative(g, out=g)
+        gs.append(g)
         out = _coef(y, starts, j, d)
-        np.multiply(_coef(x, starts, 1, d), g0 if j == 1 else gs[j - 1][:d], out=out)
+        np.multiply(_coef(x, starts, 1, d), g, out=out)
         for i in range(2, j + 1):
             np.multiply(_coef(x, starts, i, d), float(i), out=t)
             t *= g0 if i == j else gs[j - i][:d]
             out += t
-        if j >= 2:
-            out *= 1.0 / j
+        out *= 1.0 / j
     return gs
 
 
 def _series_vjp(x, y, gs, yb, blocks, kind):
-    """Reverse of `_series`, in place: yb's coefficient slots go in holding the
-    adjoints of y's and come out holding those of x's (slot 0 is untouched).
+    """Reverse of coefficient blocks 1.. of a stack above order 1 (block 1 from
+    `_taylor`, the rest from `_series`), in place: yb's coefficient slots go
+    in holding the adjoints of y's and come out holding those of x's (slot 0
+    is untouched).
 
     The first sweep walks j from high to low: y_j hands its adjoint to
     g_{j-1}..g_0, then g_{j-1} hands its own to y_0..y_{j-1} through
@@ -405,7 +404,7 @@ def _series_vjp(x, y, gs, yb, blocks, kind):
     """
     starts = block_starts(blocks)
     order = len(blocks)
-    tmp = np.empty_like(x[1:starts[1]]) if order > 1 else None
+    tmp = np.empty_like(x[1:starts[1]])
     is_tanh = kind == "tanh"
     y0b = np.zeros_like(x[0]) if is_tanh else None
     g0b, sum_d = np.zeros_like(x[0]), np.empty_like(x[0])
@@ -413,7 +412,7 @@ def _series_vjp(x, y, gs, yb, blocks, kind):
     gb = [None] + ([np.zeros_like(g) for g in gs[1:]] if is_tanh else [])
     for j in range(order, 0, -1):
         d = blocks[j - 1]
-        t = None if tmp is None else tmp[:d]
+        t = tmp[:d]
         sb = _coef(yb, starts, j, d)
         if j >= 2:
             sb *= 1.0 / j
@@ -456,64 +455,34 @@ def _taylor_vjp(node, g, xs):
     xv = xs[0]
     if not blocks:
         return (g * _slope(kind, xv, node.value),)
-    if len(blocks) == 1:
-        return (_block1_vjp(node, g, xv),)
-    return (_recurrence_vjp(node, g, xv),)
-
-
-def _block1_vjp(node, g, xv):
-    """The reverse of an order-1 stack, in the arithmetic of `_recurrence_vjp`.
-
-    x_1's adjoint is y_1's times g0, g0's is summed over the directions
-    (the same einsum), and slot 0's is (y_0's + g0's * dg0/dy0) * g0, with
-    dg0/dy0 = -2 y0 for tanh and elu's exp-side mask.  Each lands in one
-    fresh array; only the signs of zero adjoints may differ from the general
-    path's, which starts its sums from zero arrays.
-    """
-    kind = node.aux[0]
     gs, neg = node.saved if kind == "elu" else (node.saved, None)
-    g0, g1 = gs[0], g[1:]
-    xb = np.empty_like(g)
-    np.multiply(g1, g0, out=xb[1:])
-    g0b = np.einsum("d...,d...->...", g1, xv[1:])
-    xb0 = xb[0]
-    if neg is None:
-        np.multiply(node.value[0], -2.0, out=xb0)
-        xb0 *= g0b
+    if len(blocks) == 1:
+        # block 1 alone, y_1 = x_1 * g0: x_1's adjoint and g0's (summed over
+        # the directions) straight into a fresh array; slot 0 is scratch
+        xb = np.empty_like(g)
+        np.multiply(g[1:], gs[0], out=xb[1:])
+        g0b = np.einsum("d...,d...->...", g[1:], xv[1:])
+        y0b, scratch = g[0], xb[0]
     else:
-        np.multiply(g0b, neg, out=xb0)
-    xb0 += g[0]
-    xb0 *= g0
-    return xb
-
-
-def _recurrence_vjp(node, g, xv):
-    """The reverse of a stack of any order through `_series_vjp`."""
-    kind, blocks = node.aux
-    xb = g.copy()
-    xb0 = xb[0]
-    if kind == "elu":
-        # y = x where z0 > 0: blocks 2.. hand their adjoints straight to x's
-        # there, and g0 (1 there) takes none; block 1 is x_1 * g0 on both
-        # sides.  Elsewhere the exp side, where g0 = y0 + 1 (so dg0/dy0 = 1)
-        # and y0 feeds no other term.
-        gs, neg = node.saved
+        xb = g.copy()
+        # elu: y = x where z0 > 0, so blocks 2.. hand their adjoints straight
+        # to x's there; block 1 is x_1 * g0 on both sides
         high = slice(1 + blocks[0], None)
-        if len(blocks) > 1:
+        if neg is not None:
             xb[high] *= neg
-        _, g0b = _series_vjp(xv, node.value, gs, xb, blocks, kind)
-        if len(blocks) > 1:
+        series_y0b, g0b = _series_vjp(xv, node.value, gs, xb, blocks, kind)
+        if neg is None:
+            xb[0] += series_y0b
+        else:
             xb[high] += g[high] * (1.0 - neg)
-        g0b *= neg
-    else:
-        gs = node.saved
-        y0b, g0b = _series_vjp(xv, node.value, gs, xb, blocks, kind)
-        xb0 += y0b
-        g0b *= np.multiply(node.value[0], -2.0, out=y0b)  # dg0/dy0
-    # slot 0: (adjoint of y0 + y0b + g0b * dg0/dy0) * f'(z0), with f'(z0) = g0
-    xb0 += g0b
+        y0b, scratch = xb[0], series_y0b
+    # slot 0: (adjoint of y0 [+ the series'] + g0b * dg0/dy0) * f'(z0), with
+    # f'(z0) = g0 and dg0/dy0 = -2 y0 for tanh; elu's g0 is 1 where z0 > 0
+    # and y0 + 1 elsewhere, so its dg0/dy0 is the exp-side mask
+    g0b *= np.multiply(node.value[0], -2.0, out=scratch) if neg is None else neg
+    xb0 = np.add(g0b, y0b, out=xb[0])
     xb0 *= gs[0]
-    return xb
+    return (xb,)
 
 
 OPS["taylor"] = OPS["tanh"] = (_taylor, _taylor_vjp)

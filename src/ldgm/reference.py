@@ -76,13 +76,13 @@ class ReferenceField:
                 + wt * ((1 - wx) * v[j0 + 1, i0] + wx * v[j0 + 1, i1]))
 
     def save_csv(self, path) -> None:
-        """One `t,x,u` row per grid value, as `csv.writer` would write it (CRLF ends)."""
+        """One `t,x,u` row per grid value, as `csv.writer` would write it (CRLF ends), one time
+        level at a time: joined whole, a ch reference's rows are 584 kB of strings at once."""
         xs = [repr(x) for x in self.xs.tolist()]
-        lines = ["t,x,u"] + [f"{t},{x},{u!r}"
-                             for t, row in zip(map(repr, self.ts.tolist()), self.values.tolist())
-                             for x, u in zip(xs, row)]
         with open(path, "w", newline="") as f:
-            f.write("\r\n".join(lines) + "\r\n")
+            f.write("t,x,u\r\n")
+            for t, row in zip(map(repr, self.ts.tolist()), self.values):
+                f.write("".join([f"{t},{x},{u!r}\r\n" for x, u in zip(xs, row.tolist())]))
 
 
 def solve_ch_spectral(cfg: SpectralCHConfig, u0: Optional[np.ndarray] = None) -> ReferenceField:

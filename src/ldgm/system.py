@@ -323,8 +323,7 @@ def heat_nd(d: int = 5) -> ProblemSpec:
         rhs=lambda v: v.lap() + source(v.x, v.t),
         initial=lambda x: np.sum(x * (1.0 - x), axis=1),
         boundary=((0, g),),
-        exact_expr=f"({expr})*(t + 1)", solution=u,
-        params={"d": d})
+        exact_expr=f"({expr})*(t + 1)", solution=u)
 
 
 def bilaplacian_ritz(d: int = 1) -> ProblemSpec:

@@ -376,6 +376,10 @@ def test_evaluate_has_the_recorded_walks_bits(name, timed):
     pytest.param("elu", {0: 2, TIME: 1}, id="elu-orders2"),
     pytest.param("sigmoid_head", {0: 2, TIME: 1}, id="sigmoid_head-orders5"),
     pytest.param("elu", {0: 1, TIME: 1}, id="elu-orders6"),
+    # the layouts of the strong-form runs: blocks (2, 1, 1, 1) and (2, 1, 1)
+    pytest.param("tanh", {0: 4, TIME: 1}, id="tanh-orders7"),
+    pytest.param("elu", {0: 4, TIME: 1}, id="elu-orders8"),
+    pytest.param("elu", {0: 3, TIME: 1}, id="elu-orders9"),
     # an order-0 direction is the value alone: the walk with no coefficient slots
     *[pytest.param(name, {0: 0}, id=f"{name}-plain") for name in NETS],
 ])
@@ -413,7 +417,7 @@ def test_fused_vjp_matches_central_differences(name, orders):
 
 
 @pytest.mark.parametrize("scale", [1.0, 0.7])
-@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 6])
 def test_elu_taylor_reverse_matches_the_oracle_tape(order, scale):
     # z0 on the kink and just either side of it; two directions, both to
     # `order`; `scale` sizes the whole input jet
