@@ -17,16 +17,19 @@ functions that record an op compute its value through that forward,
 values, and `backward` runs the reverses from the output down.  The tests
 register a few ops of their own in the same table.
 
-The network computes jets on jet stacks: one array whose slot 0 is a value
-and whose further slots are the Taylor coefficients of every direction.
-`affine` maps a whole stack with one product and `taylor` applies an
-activation to it through the Taylor recurrence, each as one node with a
-hand-written reverse, so the layers' part of the tape grows with the
-number of layers and not with the jet orders.  With no coefficient slots
-`taylor` is the plain activation.
+The network computes jets on one 2-d array per layer: every point's value
+in its first rows, then one block of rows per Taylor coefficient slot for
+the points that carry jets (see `network`).  `affine` maps the whole array
+with one product and shifts the value rows by the bias, and `taylor` applies
+an activation to it through the Taylor recurrence, each as one node with a
+hand-written reverse, so the layers' part of the tape grows with the number
+of layers and not with the jet orders or the point sets.  With no
+coefficient slots `taylor` is the plain activation.
 """
 
 from __future__ import annotations
+
+from itertools import accumulate
 
 import numpy as np
 
@@ -227,34 +230,24 @@ def _take_vjp(node, g, xs):
 OPS["take"] = (lambda node, xs: xs[0][node.aux], _take_vjp)
 
 
-def _matmul_vjp(a: np.ndarray, b: np.ndarray, g: np.ndarray):
-    """Adjoints of a @ b; a 3-d a is a stack of row blocks sharing b."""
-    g2 = g.reshape(-1, g.shape[-1])
-    return (g2 @ b.T).reshape(a.shape), a.reshape(-1, a.shape[-1]).T @ g2
+def affine(x: Var, w: Var, b: Var, rows=None) -> Var:
+    """x @ w, b added to its first `rows` rows (all by default): the network's layer, one node.
 
-
-def affine(x: Var, w: Var, b: Var) -> Var:
-    """x @ w + b as one node (the network's layer primitive).
-
-    A 3-d x is a jet stack: slot 0 holds the value and slots 1.. its Taylor
-    coefficients.  The product runs slice by slice (each slice gives the
-    bits of the 2-d product) and only the value slot is shifted by b.
+    A walk's array holds the values in its first rows and Taylor
+    coefficients below them, so only the values are shifted by b.
     """
-    return tape_of(x, w, b).record("affine", (x.idx, w.idx, b.idx))
+    return tape_of(x, w, b).record("affine", (x.idx, w.idx, b.idx), rows)
 
 
 def _affine(node, xs):
-    x, w, b = xs
-    if x.ndim == 2:
-        return x @ w + b
-    v = np.matmul(x, w)
-    v[0] += b
+    v = xs[0] @ xs[1]
+    v[:node.aux] += xs[2]
     return v
 
 
-# a jet stack's bias shifts its value slot only; its adjoint leaves summed over the rows
-OPS["affine"] = (_affine, lambda node, g, xs: (*_matmul_vjp(xs[0], xs[1], g),
-                                               np.add.reduce(g if g.ndim == 2 else g[0], axis=0)))
+# the bias adjoint sums the value rows, as one BLAS product
+OPS["affine"] = (_affine, lambda node, g, xs: (g @ xs[1].T, xs[0].T @ g,
+                                               np.ones(len(g))[:node.aux] @ g[:node.aux]))
 
 
 # -- activations --------------------------------------------------------------
@@ -289,83 +282,82 @@ def _slope(kind: str, z: np.ndarray, y: np.ndarray, low=None) -> np.ndarray:
 
 def tanh(x: Var) -> Var:
     """A plain tanh node (the network records `taylor` instead)."""
-    return x.tape.record("tanh", (x.idx,), ("tanh", ()))
+    return x.tape.record("tanh", (x.idx,), ("tanh", (), None, 0))
 
 
-def taylor(x: Var, kind: str, blocks: tuple) -> Var:
-    """An activation applied to a value or to a jet stack, recorded as one node.
+def taylor(x: Var, kind: str, blocks: tuple = (), rows=None, jet_rows: int = 0) -> Var:
+    """An activation applied to a walk's array (see `network`), recorded as one node.
 
-    With no blocks x is the preactivation itself and the node is the plain
-    activation.  Otherwise slot 0 of x holds the preactivation z0, and
-    coefficient j >= 1 of the first blocks[j-1] directions fills the next
-    blocks[j-1] slots; the directions are ordered by decreasing jet order,
-    so each block is a prefix of the one before it.  The output coefficients
-    follow
+    With no blocks every entry of x is a preactivation.  Otherwise its first
+    `rows` rows are, the jet points' first `jet_rows`, and below them come
+    the coefficient slots, `jet_rows` rows each: coefficient j >= 1 of the
+    first blocks[j-1] directions (by decreasing jet order) fills the next
+    blocks[j-1] slots.  The output coefficients follow
         j * y_j = sum_{i=1..j} i * x_i * g_{j-i},
     with the derivative series g built from y itself (tanh: 1 - y^2, elu
     where z0 <= 0: exp(z0), then g_m = y_m).  Every step runs on a whole
     block in the operation order of the scalar recurrence, so each slot
-    gets the bits of the per-direction computation.  elu's jet is
-    one-sided: the identity's where z0 > 0 and expm1's elsewhere, z0 == 0
-    included, as its value and slope are.  Off z0 == 0 that is the exact
-    jet (elu is analytic there) at any order.
+    gets the bits of the per-direction computation.  elu's jet is the
+    identity's where z0 > 0 and expm1's elsewhere, z0 == 0 included, as its
+    value and slope are; off z0 == 0 that is the exact jet at any order.
     """
-    return x.tape.record("taylor", (x.idx,), (kind, tuple(blocks)))
+    return x.tape.record("taylor", (x.idx,), (kind, tuple(blocks), rows, jet_rows))
+
+
+def _stack(a, rows, n):
+    """A walk's array a as (the jet points' value rows, the stack (slots, n, width))."""
+    return a[:n], a[rows:].reshape(-1, n, a.shape[-1])
 
 
 def _taylor(node, xs):
-    """The forward of `taylor`; keeps the derivative series (elu: and its side masks).
+    """The forward of `taylor`; keeps every value row's slope g0, and the jet
+    rows' derivative series and (elu) exp side as a float mask.
 
-    Block 1 is y_1 = x_1 * g0 at every order; `_series` fills the blocks
-    above it.
+    Block 1 is y_1 = x_1 * g0 at every order; `_series` fills the blocks above.
     """
-    kind, blocks = node.aux
+    kind, blocks, rows, n = node.aux
     xv = xs[0]
-    if not blocks:
-        return _value(kind, xv)
-    z0 = xv[0]
+    z0 = xv[:rows] if blocks else xv
     y = np.empty_like(xv)
     low = np.minimum(z0, 0.0) if kind == "elu" else None  # elu's value and slope share it
-    g0 = _slope(kind, z0, _value(kind, z0, y[0], low), low)
-    b1 = slice(1, 1 + blocks[0])
-    np.multiply(xv[b1], g0, out=y[b1])
-    saved = [g0] if len(blocks) == 1 else _series(xv, y, g0, blocks, kind)
-    if kind == "elu":
-        # where z0 > 0, slot 0 and block 1 already hold the identity's jet (g0
-        # is exactly 1 there); blocks 2.. take it from x.  The series keeps
-        # views of the exp side's blocks 1..order-1, so those from 2 are copied
-        # first.  The reverse takes the exp side as a float mask.
-        pos = z0 > 0
+    g0 = _slope(kind, z0, _value(kind, z0, y[:rows] if blocks else y, low), low)
+    gs, neg = [], None
+    if blocks:
+        gs = [g0[:n]]
+        x, yc = _stack(xv, rows, n), _stack(y, rows, n)
+        np.multiply(x[1][:blocks[0]], gs[0], out=yc[1][:blocks[0]])
         if len(blocks) > 1:
-            saved[2:] = [g.copy() for g in saved[2:]]
-            np.copyto(y[1 + blocks[0]:], xv[1 + blocks[0]:], where=pos)
-        saved = (saved, np.logical_not(pos, out=np.empty_like(z0)))
-    node.saved = saved
+            gs = _series(x, yc, gs[0], blocks, kind)
+    if kind == "elu" and blocks:
+        # where z0 > 0, the values and block 1 already hold the identity's jet
+        # (g0 is exactly 1 there); blocks 2.. take it from x.  The series keeps
+        # views of the exp side's blocks 1..order-1, so those from 2 are copied
+        # first.  The reverse takes the jet points' exp side as a float mask.
+        pos = z0[:n] > 0
+        if len(blocks) > 1:
+            gs[2:] = [g.copy() for g in gs[2:]]
+            np.copyto(yc[1][blocks[0]:], x[1][blocks[0]:], where=pos)
+        neg = np.logical_not(pos, out=np.empty_like(gs[0]))
+    node.saved = (g0, gs, neg)
     return y
 
 
-def block_starts(blocks) -> list[int]:
-    """starts[j-1] is the first slot of coefficient block j (starts[-1] = 1 + slots)."""
-    starts = [1]
-    for d in blocks:
-        starts.append(starts[-1] + d)
-    return starts
-
-
 def _coef(a, starts, j, d):
-    """Coefficient j of the first d directions of stack a (j = 0: the shared value)."""
-    return a[0] if j == 0 else a[starts[j - 1]:starts[j - 1] + d]
+    """Coefficient j of the first d directions of a = (value rows, coefficient stack);
+    block j starts at slot starts[j-1]."""
+    return a[0] if j == 0 else a[1][starts[j - 1]:starts[j - 1] + d]
 
 
 def _series(x, y, g0, blocks, kind) -> list:
-    """Fill coefficient blocks 2.. of y (slot 0 and block 1 set) from x; returns the series g.
+    """Fill coefficient blocks 2.. of y (its values and block 1 set) from x; returns the series g.
 
-    g[m] for m >= 1 covers the blocks[m] directions that need it.  elu's
-    exp side has elu' = y + 1: its series after g0 is y itself.
+    x and y are (value rows, coefficient stack) pairs.  g[m] for m >= 1
+    covers the blocks[m] directions that need it.  elu's exp side has
+    elu' = y + 1: its series after g0 is y itself.
     """
-    starts = block_starts(blocks)
+    starts = list(accumulate(blocks, initial=0))
     gs = [g0]
-    tmp = np.empty_like(x[1:starts[1]])
+    tmp = np.empty_like(x[1][:blocks[0]])
     for j in range(2, len(blocks) + 1):
         d = blocks[j - 1]
         t = tmp[:d]
@@ -392,8 +384,8 @@ def _series(x, y, g0, blocks, kind) -> list:
 def _series_vjp(x, y, gs, yb, blocks, kind):
     """Reverse of coefficient blocks 1.. of a stack above order 1 (block 1 from
     `_taylor`, the rest from `_series`), in place: yb's coefficient slots go
-    in holding the adjoints of y's and come out holding those of x's (slot 0
-    is untouched).
+    in holding the adjoints of y's and come out holding those of x's (x, y
+    and yb are (value rows, coefficient stack) pairs; yb's values are untouched).
 
     The first sweep walks j from high to low: y_j hands its adjoint to
     g_{j-1}..g_0, then g_{j-1} hands its own to y_0..y_{j-1} through
@@ -402,9 +394,9 @@ def _series_vjp(x, y, gs, yb, blocks, kind):
     place.  Returns the adjoints that the coefficients pass to y_0 (tanh
     only; elu's series does not read y_0) and g_0.
     """
-    starts = block_starts(blocks)
+    starts = list(accumulate(blocks, initial=0))
     order = len(blocks)
-    tmp = np.empty_like(x[1:starts[1]])
+    tmp = np.empty_like(x[1][:blocks[0]])
     is_tanh = kind == "tanh"
     y0b = np.zeros_like(x[0]) if is_tanh else None
     g0b, sum_d = np.zeros_like(x[0]), np.empty_like(x[0])
@@ -451,37 +443,38 @@ def _series_vjp(x, y, gs, yb, blocks, kind):
 
 
 def _taylor_vjp(node, g, xs):
-    kind, blocks = node.aux
-    xv = xs[0]
+    kind, blocks, rows, n = node.aux
+    g0, gs, neg = node.saved
     if not blocks:
-        return (g * _slope(kind, xv, node.value),)
-    gs, neg = node.saved if kind == "elu" else (node.saved, None)
+        return (g * g0,)
+    xb = np.empty_like(g) if len(blocks) == 1 else g.copy()
+    x, gc, xc = _stack(xs[0], rows, n), _stack(g, rows, n), _stack(xb, rows, n)
     if len(blocks) == 1:
         # block 1 alone, y_1 = x_1 * g0: x_1's adjoint and g0's (summed over
-        # the directions) straight into a fresh array; slot 0 is scratch
-        xb = np.empty_like(g)
-        np.multiply(g[1:], gs[0], out=xb[1:])
-        g0b = np.einsum("d...,d...->...", g[1:], xv[1:])
-        y0b, scratch = g[0], xb[0]
+        # the directions) straight into a fresh array; its value rows are scratch
+        np.multiply(gc[1], gs[0], out=xc[1])
+        g0b = np.einsum("d...,d...->...", gc[1], x[1])
+        y0b, scratch = gc[0], xc[0]
     else:
-        xb = g.copy()
         # elu: y = x where z0 > 0, so blocks 2.. hand their adjoints straight
         # to x's there; block 1 is x_1 * g0 on both sides
-        high = slice(1 + blocks[0], None)
+        high = slice(blocks[0], None)
         if neg is not None:
-            xb[high] *= neg
-        series_y0b, g0b = _series_vjp(xv, node.value, gs, xb, blocks, kind)
+            xc[1][high] *= neg
+        series_y0b, g0b = _series_vjp(x, _stack(node.value, rows, n), gs, xc, blocks, kind)
         if neg is None:
-            xb[0] += series_y0b
+            xc[0][...] += series_y0b
         else:
-            xb[high] += g[high] * (1.0 - neg)
-        y0b, scratch = xb[0], series_y0b
-    # slot 0: (adjoint of y0 [+ the series'] + g0b * dg0/dy0) * f'(z0), with
-    # f'(z0) = g0 and dg0/dy0 = -2 y0 for tanh; elu's g0 is 1 where z0 > 0
-    # and y0 + 1 elsewhere, so its dg0/dy0 is the exp-side mask
-    g0b *= np.multiply(node.value[0], -2.0, out=scratch) if neg is None else neg
-    xb0 = np.add(g0b, y0b, out=xb[0])
+            xc[1][high] += gc[1][high] * (1.0 - neg)
+        y0b, scratch = xc[0], series_y0b
+    # the jet points' values: (adjoint of y0 [+ the series'] + g0b * dg0/dy0)
+    # * f'(z0), with f'(z0) = g0 and dg0/dy0 = -2 y0 for tanh; elu's g0 is 1
+    # where z0 > 0 and y0 + 1 elsewhere, so its dg0/dy0 is the exp-side mask
+    g0b *= np.multiply(node.value[:n], -2.0, out=scratch) if neg is None else neg
+    xb0 = np.add(g0b, y0b, out=xc[0])
     xb0 *= gs[0]
+    # the other values: the plain activation's reverse
+    np.multiply(g[n:rows], g0[n:], out=xb[n:rows])
     return (xb,)
 
 

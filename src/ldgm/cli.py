@@ -38,6 +38,27 @@ def _ch_truth(cfg: ExperimentConfig, run_dir: Path):
     return lambda x, t: field.interp(x[:, 0], t)
 
 
+@functools.lru_cache(maxsize=None)
+def _build() -> tuple:
+    """(numpy's and its BLAS's build lines, the loaded OpenBLAS's thread-count call or None)."""
+    import ctypes
+
+    import numpy as np
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    lines = [f"numpy: {np.__version__}", f"blas: {blas.get('name')} {blas.get('version')}"]
+    for path in sorted(Path(np.__file__).resolve().parents[1].glob("numpy.libs/*openblas*")):
+        lib = ctypes.CDLL(str(path))  # the library numpy loaded, not a second copy
+        for pre, post in (("scipy_openblas_", "64_"), ("openblas_", ""), ("openblas_", "64_")):
+            calls = [getattr(lib, f"{pre}get_{name}{post}", None)
+                     for name in ("num_threads", "config", "corename")]
+            if calls[0] is not None:
+                for name, call in zip(("config", "corename"), calls[1:]):
+                    call.restype = ctypes.c_char_p
+                    lines.append(f"openblas_{name}: {call().decode()}")
+                return lines, calls[0]
+    return lines, None
+
+
 def run_single(cfg: ExperimentConfig, seed: int, out=None) -> tuple[Path, str]:
     """One training run; returns (directory, status string)."""
     out = out or cfg.out_dir
@@ -57,6 +78,9 @@ def run_single(cfg: ExperimentConfig, seed: int, out=None) -> tuple[Path, str]:
         report, params = train(spec, cfg.method, net_cfg, cfg.sampler(), cfg.train(),
                                seed=seed, truth=truth, ritz_cfg=cfg.ritz())
         report.to_csv(run_dir / "report.csv")
+        lines, threads = _build()  # what the run's bits depend on beyond config and seed
+        (run_dir / "env.txt").write_text("\n".join(lines + [f"openblas_threads: {threads()}"]
+                                                   * (threads is not None)) + "\n")
         save_checkpoint(run_dir / "params.ckpt", net_cfg, params)
         write_table(run_dir / "summary.csv",
                     ("final_rel_l2", "final_J_total", "steps", "wall_seconds",

@@ -5,14 +5,16 @@ layer and L-1 hidden affine layers, each followed by the hidden activation
 (tanh or elu), then a linear head.  Every output shares every layer;
 `_layer_plan` is the chain's one table.
 
-Evaluation is one walk down that chain.  With input directions each
-layer carries one jet stack, the shared primal plus every direction's
-truncated Taylor coefficients, through one affine node and one Taylor-mode
-activation node.  A plain forward pass is the walk with no directions: each
-layer then carries the values alone, and its activation is the same
-`taylor` node with no coefficient blocks.  `Network.evaluate` runs that
-plain walk's functions on arrays, with no tape, for values no gradient
-will be taken of.
+Evaluation is one walk down that chain over every point set a loss reads,
+each to its own jet orders.  Each layer carries one 2-d array, a column per
+unit: rows [0, nv) hold every point's value, the sets that carry jets first,
+then the value-only sets, each group in call order; then come nj rows per
+coefficient slot for the nj points of the jet sets, the slots as `_layout`
+orders the union of their orders (a set gets rows for every slot of the
+union, read or not).  So each hidden layer is one affine node and one
+Taylor-mode activation node, whatever the sets and orders.  A plain forward
+pass is the walk with no coefficient slots; `Network.evaluate` runs its
+arithmetic on arrays, with no tape, for values no gradient is taken of.
 """
 
 from __future__ import annotations
@@ -108,13 +110,13 @@ def init_xavier(cfg: NetworkConfig, seed: int) -> ParameterSet:
 
 
 def _layout(orders: dict):
-    """The jet stack's layout for `orders`: (blocks, slots).
+    """The coefficient slots for `orders`: (blocks, slots).
 
     A positive-order direction takes one slot per coefficient; the
     directions go by decreasing order, and blocks[j-1] counts those that
     reach order j (see `ad.taylor`).  slots maps (direction, k) to the
-    stack slot of coefficient k; slot 0 holds the values.  No blocks means
-    no stack: the walk carries the values alone.
+    slot of coefficient k, counted from 0.  No blocks means no slots: the
+    walk carries the values alone.
     """
     for od in orders.values():
         if od < 0:
@@ -124,7 +126,7 @@ def _layout(orders: dict):
     ranked = sorted((dd for dd in orders if orders[dd] > 0), key=lambda dd: -orders[dd])
     blocks = tuple(sum(orders[dd] >= j for dd in ranked)
                    for j in range(1, max(orders.values(), default=0) + 1))
-    starts = ad.block_starts(blocks)
+    starts = list(accumulate(blocks, initial=0))
     slots = {(dd, k): starts[k - 1] + r for r, dd in enumerate(ranked)
              for k in range(1, orders[dd] + 1)}
     return blocks, slots
@@ -134,19 +136,18 @@ def _layout(orders: dict):
 class NetworkOutput:
     """One point set of a walk: its points, and the walk's head read on demand.
 
-    `head` is the walk's last node: the outputs' values, or the jet stack
-    whose slot `slots[direction, k]` holds every output's coefficient k
-    along a direction (slot 0 the values).  `rows` are this set's rows of
-    a walk that stacked several sets.  A coefficient is one `take` of the
-    head, recorded the first time it is read.
+    `head` is the walk's last node (rows as in the module docstring): this
+    set's values are the len(x) rows from `start`, and its coefficient k along
+    a direction the len(x) rows from `rows[direction, k]`.  A coefficient is
+    one `take` of the head, recorded the first time it is read.
     """
 
     x: np.ndarray                   # (P, d) spatial points
     t: np.ndarray | None            # (P,) times, or None for a stationary network
     head: Var
-    rows: slice
-    slots: dict                     # (direction, k) -> the head's slot of coefficient k
-    _reads: dict = field(default_factory=dict, repr=False)  # (output, slot) -> its take
+    start: int                      # the head's row of this set's first value
+    rows: dict                      # (direction, k) -> the head's first row of coefficient k
+    _reads: dict = field(default_factory=dict, repr=False)  # (output, row) -> its take
 
     @property
     def spatial_dim(self) -> int:
@@ -154,15 +155,14 @@ class NetworkOutput:
 
     def coef(self, i, direction=None, k=0) -> Var:
         """Output i's Taylor coefficient k along `direction` (k = 0: its value)."""
-        if k and (direction, k) not in self.slots:
-            walked = max((j for dd, j in self.slots if dd == direction), default=0)
+        if k and (direction, k) not in self.rows:
+            walked = max((j for dd, j in self.rows if dd == direction), default=0)
             raise UnsupportedOrderError(f"direction {direction!r} was expanded to order "
                                         f"{walked}, need {k}")
-        slot = self.slots[direction, k] if k else 0
-        node = self._reads.get((i, slot))
+        r = self.rows[direction, k] if k else self.start
+        node = self._reads.get((i, r))
         if node is None:
-            index = (slot, self.rows, i) if self.slots else (self.rows, i)
-            node = self._reads[i, slot] = ad.take(self.head, index)
+            node = self._reads[i, r] = ad.take(self.head, (slice(r, r + len(self.x)), i))
         return node
 
     def out(self, i) -> Var:
@@ -177,11 +177,23 @@ class NetworkOutput:
         return c * float(math.factorial(order)) if order > 1 else c
 
 
-def _split(points, head: Var, slots: dict) -> list[NetworkOutput]:
-    """One NetworkOutput per (x, t) set of a walk that stacked their rows in order."""
-    ends = list(accumulate((len(x) for x, _ in points), initial=0))
-    spans = [slice(None)] if len(points) == 1 else list(map(slice, ends[:-1], ends[1:]))
-    return [NetworkOutput(x, t, head, rows, slots) for (x, t), rows in zip(points, spans)]
+class _Sets:
+    """The rows one walk gives each set: (x, t), walked to `orders`, or (x, t, its orders)."""
+
+    def __init__(self, sets, orders):
+        sets = [(_points(s[0]), s[1], s[2] if len(s) > 2 else orders or {}) for s in sets]
+        own = [_layout(od)[1] for *_, od in sets]  # checks each set's orders
+        self.blocks, self.slots = _layout({dd: max(od.get(dd, 0) for *_, od in sets)
+                                           for *_, od in sets for dd in od})
+        walk = sorted(range(len(sets)), key=lambda i: not own[i])  # the jet sets first
+        self.walked = [sets[i] for i in walk]
+        *starts, self.nv = accumulate((len(x) for x, _, _ in self.walked), initial=0)
+        self.nj = sum(len(x) for (x, _, _), o in zip(sets, own) if o)
+        self._outs = [(*sets[i][:2], r, {key: self.nv + self.slots[key] * self.nj + r
+                                         for key in own[i]}) for i, r in sorted(zip(walk, starts))]
+
+    def outputs(self, head: Var) -> list[NetworkOutput]:
+        return [NetworkOutput(x, t, head, start, rows) for x, t, start, rows in self._outs]
 
 
 def _points(x) -> np.ndarray:
@@ -218,18 +230,18 @@ class Network:
     def evaluate(self, x, t=None) -> np.ndarray:
         """The head's values, (P, output_dim), by a walk over plain arrays.
 
-        Each layer runs the functions its recorded nodes run (`affine`, then
-        the hidden activation's value), so the values have the bits of
-        `bind(tape).forward(x, t)`.  Nothing is recorded, and each layer's
-        array is dropped once the next layer has read it.
+        Each layer runs the arithmetic of its recorded nodes (the product and
+        the bias, then the hidden activation's value), so the values have the
+        bits of `bind(tape).forward(x, t)`.  Nothing is recorded, and each
+        layer's array is dropped once the next layer has read it.
         """
         cfg = self.config
         arrays = dict(zip(self.params.names, self.params.arrays))
         *hidden, (w, b, _) = _layer_plan(cfg)
         h = _stack_inputs(cfg, _points(x), t)
         for hw, hb, _ in hidden:
-            h = ad._value(cfg.hidden_activation, ad._affine(None, (h, arrays[hw], arrays[hb])))
-        return ad._affine(None, (h, arrays[w], arrays[b]))
+            h = ad._value(cfg.hidden_activation, h @ arrays[hw] + arrays[hb])
+        return h @ arrays[w] + arrays[b]
 
 
 class BoundNetwork:
@@ -252,51 +264,36 @@ class BoundNetwork:
         return self.forward_jets(x, t)
 
     def forward_jets(self, x, t=None, orders: dict | None = None) -> NetworkOutput:
-        """Jets for several directions in one pass over a shared primal chain.
-
-        orders maps direction (spatial axis index or TIME) to the jet order
-        wanted along it; an order-0 direction is the value alone.  The walk
-        carries one jet stack per layer, laid out by `_layout`: slot 0 the
-        value, then coefficient j of every direction whose order reaches j.
-        Each hidden layer is then one affine node and one activation node,
-        whatever the orders, and the head one affine node.  Nothing is read
-        out of the head until a caller asks (see `NetworkOutput.coef`).
-        """
+        """`forward_sets` on one set: orders maps a direction (a spatial axis or
+        TIME) to its jet order, and an order-0 direction is the value alone."""
         return self.forward_sets([(x, t)], orders)[0]
 
     def forward_sets(self, sets, orders: dict | None = None) -> list[NetworkOutput]:
-        """One walk to `orders` (see `forward_jets`) over several point sets.
+        """One walk, laid out as the module docstring says, over several point sets.
 
-        sets is a sequence of (x, t) pairs.  Their points are stacked into
-        one walk, and each set gets a NetworkOutput of its own that reads
-        its rows of the head.
+        Each set is (x, t), walked to `orders`, or (x, t, its orders), and gets
+        a NetworkOutput of its own; nothing is read out of the head until a
+        caller asks (`NetworkOutput.coef`).
         """
-        orders = orders or {}
-        blocks, slots = _layout(orders)
-        points = [(_points(x), t) for x, t in sets]
-        inputs = [_stack_inputs(self.config, x, t) for x, t in points]
-        if TIME in orders and any(t is None for _, t in points):
-            raise ShapeError("time direction requested for a stationary network")
-        X = inputs[0] if len(inputs) == 1 else np.concatenate(inputs)
-        d_space = X.shape[1] - (0 if points[0][1] is None else 1)
-        for dd in orders:
-            if dd != TIME and not (0 <= int(dd) < d_space):
-                raise ShapeError(f"direction {dd!r} outside the spatial axes")
-        if blocks:
-            n_pts, dim = X.shape
-            stack = np.zeros((1 + len(slots), n_pts, dim))
-            stack[0] = X
-            for dd, od in orders.items():
-                if od:
-                    stack[slots[dd, 1], :, dim - 1 if dd == TIME else int(dd)] = 1.0
-            X = stack
-
+        lay = _Sets(sets, orders)
+        for x, t, od in lay.walked:
+            for dd in od:  # a spatial axis of x, or TIME where the set has times
+                if t is None if dd == TIME else not 0 <= int(dd) < x.shape[1]:
+                    raise ShapeError(f"direction {dd!r} is not an axis of the set's inputs")
+        inputs = [_stack_inputs(self.config, x, t) for x, t, _ in lay.walked]
+        nv, nj, dim = lay.nv, lay.nj, inputs[0].shape[1]
+        X = np.zeros((nv + len(lay.slots) * nj, dim))
+        np.concatenate(inputs, out=X[:nv])
+        for (dd, k), s in lay.slots.items():
+            if k == 1:  # a direction's seed: coefficient 1 of its input column is 1
+                X[nv + s * nj:nv + (s + 1) * nj, dim - 1 if dd == TIME else int(dd)] = 1.0
         cfg = self.config
         *hidden, (w, b, _) = _layer_plan(cfg)
         h = self.tape.input(X)
         for hw, hb, _ in hidden:
-            h = ad.taylor(ad.affine(h, self.vars[hw], self.vars[hb]), cfg.hidden_activation, blocks)
-        return _split(points, ad.affine(h, self.vars[w], self.vars[b]), slots)
+            h = ad.taylor(ad.affine(h, self.vars[hw], self.vars[hb], nv), cfg.hidden_activation,
+                          lay.blocks, nv, nj)
+        return lay.outputs(ad.affine(h, self.vars[w], self.vars[b], nv))
 
     def forward_with_derivatives(self, x, t=None, directions=(), order: int = 1) -> NetworkOutput:
         """Jets along each listed direction, all expanded to the same order."""
@@ -308,9 +305,8 @@ class AnalyticNetwork:
 
     Presents a trained network's `evaluate` and `bind`, and its bound walk's
     `forward_jets` and `forward_sets`, so losses can be evaluated on exact
-    fields.  A walk's head is one constant in the network's stack layout
-    (`_layout`), so the losses read the closed forms' coefficients through
-    the same `NetworkOutput.coef` as the network's.
+    fields.  A walk's head is one constant in the network's layout, read
+    through the same `NetworkOutput.coef`.
     """
 
     def __init__(self, exprs, spatial_dim: int, with_time: bool = True):
@@ -359,23 +355,22 @@ class BoundAnalytic:
     def output_dim(self) -> int:
         return self.net.output_dim
 
-    def forward_jets(self, x, t=None, orders: dict | None = None) -> NetworkOutput:
-        return self.forward_sets([(x, t)], orders)[0]
+    forward_jets = BoundNetwork.forward_jets
 
     def forward_sets(self, sets, orders: dict | None = None) -> list[NetworkOutput]:
         """`BoundNetwork.forward_sets` on the closed forms: one constant head, in its layout."""
-        orders = orders or {}
-        _, slots = _layout(orders)
-        points = [(_points(x), t) for x, t in sets]
-        x = np.concatenate([x for x, _ in points])
-        t = None if points[0][1] is None else np.concatenate(
-            [np.asarray(t, dtype=np.float64).reshape(-1) for _, t in points])
-        head = np.empty((1 + len(slots), len(x), self.net.output_dim))
+        lay = _Sets(sets, orders)
+        x = np.concatenate([x for x, _, _ in lay.walked])
+        t = None if lay.walked[0][1] is None else np.concatenate(
+            [np.asarray(t, dtype=np.float64).reshape(-1) for _, t, _ in lay.walked])
+        nv, nj = lay.nv, lay.nj
+        head = np.empty((nv + len(lay.slots) * nj, self.net.output_dim))
         for i in range(self.net.output_dim):
-            head[0, :, i] = self.net._eval(i, 0, 0, x, t)
-            for (dd, k), slot in slots.items():
-                head[slot, :, i] = self.net._eval(i, dd, k, x, t) / math.factorial(k)
-        return _split(points, self.tape.const(head if slots else head[0]), slots)
+            head[:nv, i] = self.net._eval(i, 0, 0, x, t)
+            for (dd, k), s in lay.slots.items():
+                head[nv + s * nj:nv + (s + 1) * nj, i] = self.net._eval(
+                    i, dd, k, x[:nj], None if t is None else t[:nj]) / math.factorial(k)
+        return lay.outputs(self.tape.const(head))
 
 
 # -- checkpoint io ----------------------------------------------------------

@@ -38,13 +38,9 @@ class RitzConfig:
 
 def _measures(spec: ProblemSpec) -> tuple[float, float]:
     sides = np.array([b - a for a, b in spec.domain])
-    volume = float(np.prod(sides))
-    if spec.spatial_dim == 1:
-        surface = 2.0
-    else:
-        surface = float(sum(2.0 * np.prod(np.delete(sides, ax))
-                            for ax in range(spec.spatial_dim)))
-    return volume, surface
+    # in 1-d, np.prod of no sides is 1: the surface is the two end points
+    surface = sum(2.0 * np.prod(np.delete(sides, ax)) for ax in range(spec.spatial_dim))
+    return float(np.prod(sides)), float(surface)
 
 
 def _energy(spec: ProblemSpec, bound, batch: SampleBatch, cfg: RitzConfig,
@@ -56,8 +52,9 @@ def _energy(spec: ProblemSpec, bound, batch: SampleBatch, cfg: RitzConfig,
     f = spec.params["source"](batch.interior_x)
     volume, surface = _measures(spec)
 
-    walk = bound.forward_jets(batch.interior_x, None,
-                              slot_jet_orders(slots, [(2, i) for i in range(d)]))
+    walk, bwalk = bound.forward_sets([
+        (batch.interior_x, None, slot_jet_orders(slots, [(2, i) for i in range(d)])),
+        (batch.boundary_x, None, slot_jet_orders(slots, [(1, i) for i in range(d)]))])
     lap = DerivativeView(walk, slots).lap()
     integrand = 0.5 * lap * lap - walk.out(0) * f
     for i in range(1, len(slots)):
@@ -65,8 +62,6 @@ def _energy(spec: ProblemSpec, bound, batch: SampleBatch, cfg: RitzConfig,
         integrand = integrand + g * g
     J_e = ad.mean(integrand) * volume
 
-    bwalk = bound.forward_jets(batch.boundary_x, None,
-                               slot_jet_orders(slots, [(1, i) for i in range(d)]))
     view = DerivativeView(bwalk, slots)
     dn = view.d(1, 0)
     if d > 1:

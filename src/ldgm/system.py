@@ -206,8 +206,8 @@ def rewrite_first_order(spec: ProblemSpec) -> SystemForm:
 def strong_form(spec: ProblemSpec) -> SystemForm:
     """The trivial rewrite: roster (u,), the PDE residual from order-k jets of u.
 
-    Boundary points are walked once, to the largest order the residuals
-    read; a problem's `dgm_boundary` replaces the residuals, not the walk.
+    The boundary points carry jets to the largest order the residuals read;
+    a problem's `dgm_boundary` replaces the residuals, not those orders.
     """
     return _form(spec, ("u",), ((0, 0),), boundary=spec.dgm_boundary)
 

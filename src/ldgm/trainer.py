@@ -4,9 +4,9 @@ Each stage draws a fresh batch and runs a fixed number of Adam steps on
 it.  At a fixed BLAS thread count every run is a pure function of
 (seed, configs): the sampler stream, the initialization and the update
 rule are all deterministic, and the report's numeric columns (everything
-but wall-clock) reproduce exactly.  The thread count is not part of a
-run's inputs, and a change of it changes the bits (beam's criterion 3 run
-ends at rel_l2 0.0011 with one OpenBLAS thread and 0.0065 with two).
+but wall-clock) reproduce exactly.  A change of the thread count changes
+the bits (beam's criterion 3 run ends at rel_l2 0.0011 with one OpenBLAS
+thread and 0.0065 with two); a run directory's env.txt records it.
 """
 
 from __future__ import annotations

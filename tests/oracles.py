@@ -150,6 +150,11 @@ def matmul(a, b):
     return ad.tape_of(a, b).record("matmul", (a.idx, b.idx))
 
 
+def _matmul_vjp(a, b, g):
+    """Adjoints of the 2-d product a @ b."""
+    return g @ b.T, a.T @ g
+
+
 ad.OPS.update({
     "div": (lambda node, xs: xs[0] / xs[1],
             lambda node, g, xs: (g / xs[1], -g * xs[0] / (xs[1] * xs[1]))),
@@ -160,7 +165,7 @@ ad.OPS.update({
     "where": (lambda node, xs: np.where(node.aux, xs[0], xs[1]),
               lambda node, g, xs: (g * node.aux, g * ~node.aux)),
     "matmul": (lambda node, xs: xs[0] @ xs[1],
-               lambda node, g, xs: ad._matmul_vjp(xs[0], xs[1], g)),
+               lambda node, g, xs: _matmul_vjp(xs[0], xs[1], g)),
 })
 
 
@@ -399,29 +404,38 @@ def sigmoid_net(net, head: bool = False):
     return Network(cfg, ParameterSet(names, [p[n] for n in names]))
 
 
-def _taylor_values(xv, kind, blocks):
-    """The value of a `taylor` node, one direction at a time through `_compose`.
-
-    With no blocks xv is the preactivation; otherwise direction r holds
-    coefficient j in slot 1 + sum(blocks[:j-1]) + r while r < blocks[j-1].
-    """
-    z0 = xv[0] if blocks else xv
+def _activation_series(kind, z0):
+    """The activation's value at z0 and the derivative series `_compose` reads."""
     if kind == "elu":
         with np.errstate(over="ignore"):  # its exp side is masked out where z0 > 0
-            y0 = np.expm1(z0)
             slope = np.exp(z0)
-        series = lambda m, ys: slope if m == 0 else ys[m]  # noqa: E731
-    else:
-        y0, series = np.tanh(z0), _tanh_series
-    if not blocks:
-        return np.where(z0 > 0, z0, y0) if kind == "elu" else y0
-    starts = np.cumsum((1,) + tuple(blocks))
+            return np.expm1(z0), lambda m, ys: slope if m == 0 else ys[m]
+    return np.tanh(z0), _tanh_series
+
+
+def _taylor_values(xv, kind, blocks, rows, jet_rows):
+    """The value of a `taylor` node, one direction at a time through `_compose`.
+
+    With no blocks xv is the preactivations.  Otherwise its first `rows`
+    rows are, and direction r holds coefficient j of the first `jet_rows`
+    points in slot sum(blocks[:j-1]) + r, the jet_rows rows from
+    rows + slot * jet_rows.
+    """
+    z0 = xv[:rows] if blocks else xv
+    y0, _ = _activation_series(kind, z0)
     out = np.empty_like(xv)
-    out[0] = y0
+    out[:rows] = np.where(z0 > 0, z0, y0) if kind == "elu" else y0
+    if not blocks:
+        return out
+    n = jet_rows
+    jz, (jy, series) = z0[:n], _activation_series(kind, z0[:n])
+    starts = np.cumsum((0,) + tuple(blocks))
     for r in range(blocks[0]):
-        slots = [starts[j] + r for j in range(len(blocks)) if r < blocks[j]]
-        out[slots] = _compose(Jet([z0] + [xv[s] for s in slots]), y0, series).coeffs[1:]
-    return np.where(z0 > 0, xv, out) if kind == "elu" else out
+        slots = [rows + (starts[j] + r) * n for j in range(len(blocks)) if r < blocks[j]]
+        coeffs = _compose(Jet([jz] + [xv[s:s + n] for s in slots]), jy, series).coeffs[1:]
+        for s, c in zip(slots, coeffs):
+            out[s:s + n] = np.where(jz > 0, xv[s:s + n], c) if kind == "elu" else c
+    return out
 
 
 def replay(tape) -> bool:
@@ -459,13 +473,10 @@ def replay(tape) -> bool:
             v = np.where(aux, vals[ins[0]], vals[ins[1]])
         elif op == "matmul":
             v = vals[ins[0]] @ vals[ins[1]]
-        elif op == "affine":
+        elif op == "affine":  # the bias on the first aux rows (the values) only
             x, w, b = (vals[i] for i in ins)
-            if x.ndim == 2:
-                v = x @ w + b
-            else:  # a jet stack: slice by slice, the bias on the value slot only
-                v = np.stack([x[s] @ w for s in range(x.shape[0])])
-                v[0] = v[0] + b
+            v = x @ w
+            v[:aux] = v[:aux] + b
         elif op == "taylor":
             v = _taylor_values(vals[ins[0]], *aux)
         elif op == "take":

@@ -295,7 +295,7 @@ def test_tanh_jet_at_zero_matches_known_coefficients():
 def test_identity_activation_leaves_jet_unchanged():
     # elu is the identity where z0 > 0: its taylor node passes every coefficient through
     stack = np.array([[1.3, 0.2], [0.4, -1.1], [-2.0, 0.5], [0.7, 3.0]])  # z0, three coefficients
-    out = ad.taylor(Tape().input(stack), "elu", (1, 1, 1))
+    out = ad.taylor(Tape().input(stack), "elu", (1, 1, 1), 1, 1)
     assert out.value.tobytes() == stack.tobytes()
 
 
@@ -401,19 +401,19 @@ def test_elu_value_is_the_select_bit_for_bit():
 
 
 def _order1_stack(kind, d):
-    """An order-1 stack (1 + d, 4, 3): z0 in slot 0, x_1 of d directions after it.
+    """An order-1 walk array ((1 + d) * 4, 3): z0 of 4 points, then x_1 of d directions.
 
     elu's preactivations include -1e-12, 0 and 1e-12, on both sides of its kink.
     """
     xv = np.random.default_rng(d).normal(size=(1 + d, 4, 3))
     if kind == "elu":
         xv[0, 0] = [-1e-12, 0.0, 1e-12]
-    return xv
+    return xv.reshape(-1, 3)
 
 
 def _taylor_node(kind, xv):
     tape = Tape()
-    y = ad.taylor(tape.input(xv), kind, (xv.shape[0] - 1,))
+    y = ad.taylor(tape.input(xv), kind, (len(xv) // 4 - 1,), 4, 4)
     return tape.nodes[y.idx]
 
 
@@ -427,7 +427,7 @@ def _difference(f, h, side):
 @pytest.mark.parametrize("kind,d", [(kind, d) for kind in ad.ACTIVATION_KINDS for d in (1, 2, 6)])
 def test_order1_block_matches_finite_differences(kind, d):
     xv = _order1_stack(kind, d)
-    z0 = xv[0]
+    z0 = xv[:4]
     node = _taylor_node(kind, xv)
     h = 1e-6
     # the jet takes elu's exp side at z0 <= 0 and the identity's at z0 > 0; next
@@ -436,12 +436,13 @@ def test_order1_block_matches_finite_differences(kind, d):
     side = np.where(near, np.where(z0 > 0, 1, -1), 0)
     slope = np.array([_difference(lambda e: ad._value(kind, np.array(z + e)), h, s)
                       for z, s in zip(z0.ravel(), side.ravel())]).reshape(z0.shape)
-    assert np.allclose(node.value[1:], xv[1:] * slope, rtol=1e-8, atol=1e-9)
+    assert np.allclose(node.value[4:].reshape(d, 4, 3), xv[4:].reshape(d, 4, 3) * slope,
+                       rtol=1e-8, atol=1e-9)
     g = np.random.default_rng(d).normal(size=xv.shape)
     got = ad.OPS["taylor"][1](node, g, [xv])[0]
     for i in np.ndindex(xv.shape):
         e = np.zeros_like(xv)
         e[i] = 1.0
         fd = _difference(lambda t: np.sum(g * _taylor_node(kind, xv + t * e).value), h,
-                         side[i[1:]] if i[0] == 0 else 0)
+                         side[i] if i[0] < 4 else 0)
         assert abs(got[i] - fd) <= 1e-7 * max(1.0, abs(fd)), (i, got[i], fd)

@@ -46,8 +46,15 @@ def test_run_writes_expected_artifacts(tmp_path):
     assert len(run_dirs) == 1
     d = run_dirs[0]
     for name in ("report.csv", "params.ckpt", "config.resolved", "status.txt",
-                 "summary.csv"):
+                 "summary.csv", "env.txt"):
         assert (d / name).exists(), name
+    # what the run's bits depend on beyond its config: numpy, its BLAS and the thread count
+    env = dict(line.split(": ", 1) for line in (d / "env.txt").read_text().splitlines())
+    assert env["numpy"] == np.__version__
+    assert env["blas"] == " ".join(str(np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+                                       .get(k)) for k in ("name", "version"))
+    if "openblas_config" in env:
+        assert int(env["openblas_threads"]) >= 1
     report = TrainReport.from_csv(d / "report.csv")
     assert len(report.rows) == 4  # one row per stage at the default cadence
     assert (d / "status.txt").read_text().strip() == "ok"
@@ -343,8 +350,15 @@ def test_variational_run_writes_expected_artifacts(tmp_path, capsys, method, out
     assert main(["run", "--config", str(path)]) == 0
     d = next((tmp_path / "runs").iterdir())
     for name in ("report.csv", "params.ckpt", "config.resolved", "status.txt",
-                 "summary.csv"):
+                 "summary.csv", "env.txt"):
         assert (d / name).exists(), name
+    # what the run's bits depend on beyond its config: numpy, its BLAS and the thread count
+    env = dict(line.split(": ", 1) for line in (d / "env.txt").read_text().splitlines())
+    assert env["numpy"] == np.__version__
+    assert env["blas"] == " ".join(str(np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+                                       .get(k)) for k in ("name", "version"))
+    if "openblas_config" in env:
+        assert int(env["openblas_threads"]) >= 1
     assert (d / "status.txt").read_text().strip() == "ok"
     report = TrainReport.from_csv(d / "report.csv")
     assert len(report.rows) == 3

@@ -11,7 +11,7 @@ from ldgm.network import (AnalyticNetwork, BoundAnalytic, BoundNetwork, Network,
                           init_xavier)
 from ldgm.ritz import RitzConfig
 from ldgm.sampling import SamplerConfig, draw_batch
-from ldgm.system import get_problem, ldgm_system, rewrite_first_order
+from ldgm.system import _REGISTRY, get_problem, ldgm_system, rewrite_first_order
 from ldgm.trainer import METHODS, default_network_config
 
 from oracles import central_gradient, relative
@@ -77,38 +77,59 @@ _WALK_PROBLEMS = [
 ]
 
 
-# the batch's point sets that each walk stacks, in walk order
-_I, _B = "initial_x", "boundary_x"
-_STACKED = {
-    "beam": {"ldgm": [(_I, _B)], "dgm": [(_I,), (_B,)]},  # dgm reads u_xx at the boundary
-    "cahn_hilliard": {"ldgm": [(_I, _B)], "dgm": [(_I,), (_B,)]},
-    "mkdv": {"ldgm": [(_I, _B)], "dgm": [(_I, _B)]},
-    "heat_nd": {"ldgm": [(_I, _B)], "dgm": [(_I, _B)]},
-    "bilaplacian_ritz": {"ldrm": [(_B,)], "drm": [(_B,)]},
+# the boundary points carry jets where the boundary residuals read a
+# derivative that no roster output holds
+_BOUNDARY_JETS = {
+    "beam": {"ldgm": False, "dgm": True},  # dgm reads u_xx at the boundary
+    "cahn_hilliard": {"ldgm": False, "dgm": True},
+    "mkdv": {"ldgm": False, "dgm": False},
+    "heat_nd": {"ldgm": False, "dgm": False},
+    "bilaplacian_ritz": {"ldrm": False, "drm": True},  # drm reads the normal derivative
 }
 
 
-@pytest.mark.parametrize("name,kwargs,method", [
-    pytest.param(name, kwargs, method, id=f"{method}-{name}{kwargs.get('d', '')}")
-    for name, kwargs in _WALK_PROBLEMS for method, entry in METHODS.items()
-    if entry.variational == get_problem(name, **kwargs).stationary])
-def test_each_point_set_is_walked_once(monkeypatch, name, kwargs, method):
-    """Every loss walks the interior once, and the other point sets once per set of jet orders."""
+def _loss_cases():
+    return [pytest.param(name, kwargs, method, id=f"{method}-{name}{kwargs.get('d', '')}")
+            for name, kwargs in _WALK_PROBLEMS for method, entry in METHODS.items()
+            if entry.variational == get_problem(name, **kwargs).stationary]
+
+
+def _small_loss(name, kwargs, method, layers=1):
     spec = get_problem(name, **kwargs)
+    net_cfg = default_network_config(spec, method, hidden_layers=layers, width=4)
+    net = Network(net_cfg, init_xavier(net_cfg, 0))
+    batch = draw_batch(SamplerConfig(interior=6, initial=4, boundary=4, seed=1), spec, 0)
+    tape = Tape()
+    METHODS[method].loss(spec, RitzConfig())(net.bind(tape), batch)
+    return batch, tape
+
+
+@pytest.mark.parametrize("name,kwargs,method", _loss_cases())
+def test_each_point_set_is_walked_once(monkeypatch, name, kwargs, method):
+    """Every loss makes one forward_sets call: all its point sets, each with its own orders."""
     walked = []
     sets_walk = BoundNetwork.forward_sets
 
-    def counting(self, sets, orders=None):
-        walked.append([id(x) for x, _ in sets])
+    def recording(self, sets, orders=None):
+        walked.append([(id(x), orders_) for x, _, orders_ in sets])
         return sets_walk(self, sets, orders)
 
-    monkeypatch.setattr(BoundNetwork, "forward_sets", counting)
-    net_cfg = default_network_config(spec, method, hidden_layers=1, width=4)
-    net = Network(net_cfg, init_xavier(net_cfg, 0))
-    batch = draw_batch(SamplerConfig(interior=6, initial=4, boundary=4, seed=1), spec, 0)
-    METHODS[method].loss(spec, RitzConfig())(net.bind(Tape()), batch)
-    expected = [("interior_x",)] + _STACKED[name][method]
-    assert walked == [[id(getattr(batch, a)) for a in walk] for walk in expected]
+    monkeypatch.setattr(BoundNetwork, "forward_sets", recording)
+    batch, _ = _small_loss(name, kwargs, method)
+    [call] = walked
+    names = ["interior_x", "boundary_x"] if METHODS[method].variational else [
+        "interior_x", "initial_x", "boundary_x"]
+    assert [x for x, _ in call] == [id(getattr(batch, a)) for a in names]
+    jets = [any(orders.values()) for _, orders in call]
+    assert jets == [True] + [False] * (len(names) - 2) + [_BOUNDARY_JETS[name][method]]
+
+
+@pytest.mark.parametrize("name,kwargs,method", _loss_cases())
+def test_each_layer_records_one_affine_node_per_loss(name, kwargs, method):
+    # every builtin problem under every method that fits it
+    assert {n for n, _ in _WALK_PROBLEMS} == set(_REGISTRY)
+    _, tape = _small_loss(name, kwargs, method, layers=3)
+    assert sum(node.op == "affine" for node in tape.nodes) == 3 + 1  # the head's is the last
 
 
 @pytest.mark.parametrize("name,kwargs", [("beam", {}), ("mkdv", {}), ("heat_nd", {"d": 3})])

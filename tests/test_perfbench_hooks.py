@@ -165,5 +165,5 @@ def test_every_node_of_the_recorded_heat5d_step_reaches_the_loss(monkeypatch):
     tape = Tape()
     lb = method_entry("ldgm", spec).loss(spec, cfg.ritz())(net.bind(tape),
                                                             draw_batch(cfg.sampler(), spec, 0))
-    assert len(tape.nodes) == 84
+    assert len(tape.nodes) == 74
     assert all(measure.live_mask(tape.nodes, lb.J_total.idx))

@@ -93,8 +93,8 @@ def test_replay_recomputes_elu_masks_where_a_preactivation_changes_sign():
         if node.op == "taylor" and node.aux[0] == "elu":
             z = node.inputs[0]
             before, after = recorded[z], tape.nodes[z].value
-            if node.aux[1]:  # a jet stack: the side follows the value slot
-                before, after = before[0], after[0]
+            if node.aux[1]:  # with jets the side follows the value rows
+                before, after = before[:node.aux[2]], after[:node.aux[2]]
             flipped += int(np.sum((before > 0) != (after > 0)))
     assert flipped > 0, "no elu preactivation changed sign; the case checks nothing"
     _assert_matches_a_fresh_recording(net, loss_of, tape, out)

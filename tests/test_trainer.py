@@ -235,7 +235,7 @@ def test_unknown_method_is_a_config_error():
 ])
 def test_method_must_fit_the_kind_of_problem(monkeypatch, method, name, kwargs):
     walks = []
-    monkeypatch.setattr(BoundNetwork, "forward_jets", lambda *a, **k: walks.append(a))
+    monkeypatch.setattr(BoundNetwork, "forward_sets", lambda *a, **k: walks.append(a))
     spec = get_problem(name, **kwargs)
     net_cfg = NetworkConfig(input_dim=spec.spatial_dim + (not spec.stationary),
                             hidden_layers=1, width=4, output_dim=1)
