@@ -289,10 +289,10 @@ def taylor(x: Var, kind: str, blocks: tuple = (), rows=None, jet_rows: int = 0) 
     """An activation applied to a walk's array (see `network`), recorded as one node.
 
     With no blocks every entry of x is a preactivation.  Otherwise its first
-    `rows` rows are, the jet points' first `jet_rows`, and below them come
-    the coefficient slots, `jet_rows` rows each: coefficient j >= 1 of the
-    first blocks[j-1] directions (by decreasing jet order) fills the next
-    blocks[j-1] slots.  The output coefficients follow
+    `rows` rows are (the jet points' first, `jet_rows` of them), and below
+    them come the coefficient slots, `jet_rows` rows each: coefficient j >= 1
+    of the first blocks[j-1] directions (by decreasing jet order) fills the
+    next blocks[j-1] slots.  The output coefficients follow
         j * y_j = sum_{i=1..j} i * x_i * g_{j-i},
     with the derivative series g built from y itself (tanh: 1 - y^2, elu
     where z0 <= 0: exp(z0), then g_m = y_m).  Every step runs on a whole
