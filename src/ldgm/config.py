@@ -45,7 +45,6 @@ def _at_least(lo):
 # every comparison with nan is false, so these refuse it
 _POSITIVE = _checked(float, lambda v: 0 < v < math.inf, "a finite number > 0")
 _NONNEGATIVE = _checked(float, lambda v: 0 <= v < math.inf, "a finite number >= 0")
-_DECAY = _checked(float, lambda v: 0 <= v < 1, "a number in [0, 1)")
 
 
 # key -> (default, parser); the defaults are the strings a resolved config echoes
@@ -64,9 +63,6 @@ _KEYS = {
     "train.learning_rate": ("0.001", _POSITIVE),
     "train.stages": ("1000", _at_least(0)),
     "train.steps_per_stage": ("5", _at_least(1)),
-    "train.beta1": ("0.9", _DECAY),
-    "train.beta2": ("0.999", _DECAY),
-    "train.epsilon": ("1e-8", _POSITIVE),
     "train.schedule": ("", _one_of("", "piecewise_log")),
     "train.log_every": ("1", _at_least(1)),
     "ritz.penalty": ("500.0", _NONNEGATIVE),
@@ -167,8 +163,7 @@ class ExperimentConfig:
         v = self.values
         return TrainConfig(
             learning_rate=v["train.learning_rate"], stages=v["train.stages"],
-            steps_per_stage=v["train.steps_per_stage"], beta1=v["train.beta1"],
-            beta2=v["train.beta2"], epsilon=v["train.epsilon"],
+            steps_per_stage=v["train.steps_per_stage"],
             schedule=v["train.schedule"] or None, log_every=v["train.log_every"])
 
     def ritz(self) -> RitzConfig:

@@ -45,7 +45,7 @@ def _measures(spec: ProblemSpec) -> tuple[float, float]:
 
 def _energy(spec: ProblemSpec, bound, batch: SampleBatch, cfg: RitzConfig,
             slots: tuple) -> LossBreakdown:
-    """J = J_e + lambda * J_b on the roster `slots` names; there is no initial term."""
+    """J = J_e + lambda * J_b on the roster `slots` names: the terms `energy` and `boundary`."""
     d = spec.spatial_dim
     if bound.output_dim != len(slots):
         raise ShapeError(f"roster needs {len(slots)} outputs, got {bound.output_dim}")
@@ -73,8 +73,8 @@ def _energy(spec: ProblemSpec, bound, batch: SampleBatch, cfg: RitzConfig,
     p = bwalk.out(0)
     J_b = ad.mean(p * p + dn * dn) * surface
 
-    lam = cfg.penalty
-    return LossBreakdown(J_e, bound.tape.const(0.0), J_b, J_e + lam * J_b, {})
+    return LossBreakdown([("energy", "e", J_e), ("boundary", "b", J_b)],
+                         J_total=J_e + cfg.penalty * J_b)
 
 
 def ldrm_loss(spec: ProblemSpec, bound, batch: SampleBatch,

@@ -35,9 +35,6 @@ class TrainConfig:
     learning_rate: float = 1e-3
     stages: int = 1000            # s_1
     steps_per_stage: int = 5      # s_2
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     schedule: Optional[str] = None  # None | "piecewise_log"
     log_every: int = 1
 
@@ -57,14 +54,15 @@ class AdamState:
         self.step = 0
 
 
-def adam_step(params: ParameterSet, grads, state: AdamState, lr: float,
-              beta1=0.9, beta2=0.999, eps=1e-8) -> tuple[ParameterSet, AdamState]:
+def adam_step(params: ParameterSet, grads, state: AdamState,
+              lr: float) -> tuple[ParameterSet, AdamState]:
     """Standard bias-corrected update over one flat vector; params and state advance.
 
     Elementwise it is the per-array update, bit for bit.  The parameter
     arrays are replaced by fresh ones, so arrays taken out of `params`
     before the step keep their values.
     """
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
     state.step += 1
     t = state.step
     g = np.concatenate([np.ravel(a) for a in grads])
@@ -128,7 +126,7 @@ def _run_stage(net: Network, batch, loss_fn, cfg: TrainConfig, state: AdamState)
     `backward`.  The tape is freed on return, before the next stage records
     its own.  numpy's overflow and invalid-value warnings are off: a step
     that diverges is caught by the loss and gradient checks, which raise
-    NonFiniteLossError.
+    NonFiniteLossError; a non-finite loss names its first non-finite term.
     """
     tape = Tape()
     bound = net.bind(tape)
@@ -138,12 +136,11 @@ def _run_stage(net: Network, batch, loss_fn, cfg: TrainConfig, state: AdamState)
             if k:
                 tape.replay(net.params.arrays)
             if not math.isfinite(float(lb.J_total.value)):
-                raise NonFiniteLossError(state.step + 1, "loss")
+                raise NonFiniteLossError(state.step + 1, f"loss term {lb.first_nonfinite()}")
             grads_by_id = backward(tape, lb.J_total)
             grads = [grads_by_id[v.idx] for v in bound.param_vars]
-            adam_step(net.params, grads, state, cfg.rate_at(state.step + 1),
-                      cfg.beta1, cfg.beta2, cfg.epsilon)
-    return tuple(float(v.value) for v in (lb.J_total, lb.J_e, lb.J_i, lb.J_b))
+            adam_step(net.params, grads, state, cfg.rate_at(state.step + 1))
+    return tuple(float(getattr(v, "value", v)) for v in (lb.J_total, lb.J_e, lb.J_i, lb.J_b))
 
 
 def train_loop(net: Network, draw, loss_fn, cfg: TrainConfig,

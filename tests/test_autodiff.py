@@ -10,10 +10,11 @@ import pytest
 from ldgm import autodiff as ad
 from ldgm.autodiff import Tape, backward
 from ldgm.errors import InvalidNodeError
-from ldgm.network import Network, init_xavier
+from ldgm.loss import ldgm_loss
+from ldgm.network import AnalyticNetwork, Network, init_xavier
 from ldgm.ritz import RitzConfig
 from ldgm.sampling import SamplerConfig, draw_batch
-from ldgm.system import builtin_problems, get_problem
+from ldgm.system import builtin_problems, get_problem, ldgm_system, strong_form
 from ldgm.trainer import METHODS, default_network_config
 
 from oracles import (Jet, apply_activation, apply_sin, central_gradient, cos, div, exp,
@@ -187,9 +188,10 @@ _TEST_OPS = {"exp", "expm1", "log", "sqrt", "sin", "cos", "relu", "sum", "div", 
 
 
 def test_op_table_holds_what_the_package_records():
-    """Every builtin loss records only ops of the package's own table, and that
-    table holds nothing else but the plain tanh node; with the oracles imported
-    the table also covers the ops only the tests record."""
+    """Every builtin loss, on a trained network or on the analytic mock (whose
+    head is a `const` leaf), records only ops of the package's own table, and
+    that table holds nothing else but the plain tanh node; with the oracles
+    imported the table also covers the ops only the tests record."""
     src = Path(ad.__file__).resolve().parents[1]
     own = subprocess.run(
         [sys.executable, "-c", "from ldgm import autodiff; print(*autodiff.OPS)"],
@@ -209,6 +211,14 @@ def test_op_table_holds_what_the_package_records():
                     Network(cfg, init_xavier(cfg, 0)).bind(tape), batch)
                 backward(tape, loss.J_total)
                 recorded |= {n.op for n in tape.nodes}
+    for spec in (s for s in builtin_problems() if not s.stationary):
+        forms = [f for f in (ldgm_system(spec), strong_form(spec)) if f.exact_outputs]
+        batch = draw_batch(SamplerConfig(interior=4, initial=4, boundary=4, seed=1), spec, 0)
+        for form in forms:
+            tape = Tape()
+            mock = AnalyticNetwork([str(e) for e in form.exact_outputs], spec.spatial_dim)
+            backward(tape, ldgm_loss(form, mock.bind(tape), batch).J_total)
+            recorded |= {n.op for n in tape.nodes}
     assert recorded <= set(own)
     assert set(own) - recorded == {"tanh"}
     assert set(own) | _TEST_OPS <= set(ad.OPS)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import ldgm
+from ldgm import system
 from ldgm.cli import main
 from ldgm.config import ExperimentConfig
 from ldgm.errors import ConfigError
@@ -240,11 +242,27 @@ def test_every_abort_records_its_cause(tmp_path):
     assert main(["run", "--config", str(path)]) == 1
     d = next((tmp_path / "runs").iterdir())
     status = (d / "status.txt").read_text().strip()
-    assert status == "abort: NonFiniteLossError: non-finite value at Adam step 2: loss"
+    assert status == ("abort: NonFiniteLossError: non-finite value at Adam step 2: "
+                      "loss term evolution")
     # a rerun reports the recorded abort instead of training again
     (d / "config.resolved").unlink()
     assert main(["run", "--config", str(path)]) == 1
     assert not (d / "config.resolved").exists()
+
+
+def test_a_non_finite_boundary_residual_is_named_in_the_status(tmp_path, monkeypatch):
+    # beam with the data of its second boundary target (u_xx = g) not finite
+    monkeypatch.setitem(system._REGISTRY, "beam", lambda: dataclasses.replace(
+        system.beam(), boundary=((0, 0.0), (2, math.nan))))
+    path = tmp_path / "nan.cfg"
+    path.write_text(
+        "problem.name=beam\nnetwork.hidden_layers=1\nnetwork.width=4\n"
+        "sampler.interior=6\nsampler.initial=4\nsampler.boundary=4\n"
+        f"train.stages=1\nseeds=0\nout={tmp_path / 'runs'}\n")
+    assert main(["run", "--config", str(path)]) == 1
+    status = (next((tmp_path / "runs").iterdir()) / "status.txt").read_text().strip()
+    assert status == ("abort: NonFiniteLossError: non-finite value at Adam step 1: "
+                      "loss term boundary[1]")
 
 
 def test_unknown_activation_is_rejected_at_load(tmp_path):
@@ -292,11 +310,12 @@ def test_ritz1d_config_draws_its_points_from_the_sampler():
     ("problem.dimension", "0"),
     ("network.hidden_layers", "0"), ("network.width", "0"),
     # floats that would abort, warn or train on a meaningless setting
-    ("train.learning_rate", "nan"), ("train.beta1", "1.0"),
+    ("train.learning_rate", "nan"),
     ("ritz.penalty", "-5"), ("problem.epsilon", "-1"),
-    # elu's alpha is 1, and the variational methods draw their points from sampler.*:
-    # any setting of these is refused, as an unknown key
-    ("network.elu_alpha", "nan"), ("ritz.interior", "-1"), ("ritz.boundary", "0"),
+    # elu's alpha is 1, Adam's constants are fixed, and the variational methods draw
+    # their points from sampler.*: any setting of these is refused, as an unknown key
+    ("network.elu_alpha", "nan"), ("train.beta1", "1.0"),
+    ("ritz.interior", "-1"), ("ritz.boundary", "0"),
     # Allen-Cahn, the one problem with a periodic boundary, is no longer registered
     ("problem.name", "allen_cahn"),
 ])

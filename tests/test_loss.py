@@ -11,7 +11,8 @@ from ldgm.network import (AnalyticNetwork, BoundAnalytic, BoundNetwork, Network,
                           init_xavier)
 from ldgm.ritz import RitzConfig
 from ldgm.sampling import SamplerConfig, draw_batch
-from ldgm.system import _REGISTRY, get_problem, ldgm_system, rewrite_first_order
+from ldgm.system import (_REGISTRY, builtin_problems, get_problem, ldgm_system,
+                         rewrite_first_order)
 from ldgm.trainer import METHODS, default_network_config
 
 from oracles import central_gradient, relative
@@ -50,7 +51,43 @@ def test_ch_equation_loss_has_four_summands():
     net = small_net(spec, form.size)
     batch = draw_batch(SamplerConfig(seed=0), spec, stage=0)
     lb = ldgm_loss(form, net.bind(Tape()), batch)
-    assert len(lb.constraint_terms) == 3  # the 3 constraints; J_e adds the evolution residual
+    # the evolution residual and the 3 constraints
+    assert [name for name, group, _ in lb.terms if group == "e"] == [
+        "evolution", *(name for name, _ in form.constraints)]
+    assert len(form.constraints) == 3
+
+
+def _fold(values):
+    total = values[0]
+    for v in values[1:]:
+        total = total + v
+    return total
+
+
+def test_every_loss_folds_its_term_table_into_its_totals():
+    """For every method on every builtin problem, each group's terms fold left to
+    right to its total bit for bit (0.0 for a group with no terms), and J_total
+    is J_e + J_i + J_b, or J_e + penalty * J_b for the variational methods."""
+    rc = RitzConfig(penalty=7.5)
+    for spec in builtin_problems() + [get_problem("bilaplacian_ritz", d=2)]:
+        batch = draw_batch(SamplerConfig(interior=6, initial=4, boundary=5, seed=3), spec, 0)
+        for method, entry in METHODS.items():
+            if entry.variational != spec.stationary:
+                continue
+            cfg = default_network_config(spec, method, hidden_layers=2, width=5)
+            lb = entry.loss(spec, rc)(Network(cfg, init_xavier(cfg, 1)).bind(Tape()), batch)
+            groups = {}
+            for name, group, term in lb.terms:
+                groups.setdefault(group, []).append(np.float64(term.value))
+            je, ji, jb = (_fold(groups[g]) if g in groups else 0.0 for g in "eib")
+            assert float(lb.J_e.value) == je and float(lb.J_b.value) == jb, (spec.name, method)
+            if entry.variational:
+                assert [name for name, _, _ in lb.terms] == ["energy", "boundary"]
+                assert lb.J_i == 0.0
+                assert float(lb.J_total.value) == je + rc.penalty * jb
+            else:
+                assert float(lb.J_i.value) == ji
+                assert float(lb.J_total.value) == (je + ji) + jb, (spec.name, method)
 
 
 def test_roster_size_mismatch_raises():

@@ -153,4 +153,5 @@ def test_non_finite_loss_on_a_replayed_step_is_recorded_in_the_status(monkeypatc
         f"train.stages=1\ntrain.steps_per_stage=3\nseeds=0\nout={tmp_path / 'runs'}\n")
     assert main(["run", "--config", str(path)]) == 1
     status = (next((tmp_path / "runs").iterdir()) / "status.txt").read_text().strip()
-    assert status == "abort: NonFiniteLossError: non-finite value at Adam step 2: loss"
+    assert status == ("abort: NonFiniteLossError: non-finite value at Adam step 2: "
+                      "loss term evolution")
