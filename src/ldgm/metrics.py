@@ -1,10 +1,12 @@
 """Error measurement and the derivative-scale diagnostic.
 
 Evaluation grids are fixed per experiment and independent of training
-samples: a tensor-product (x, t) grid in one dimension, Monte-Carlo
-spatial points (own fixed seed) in higher dimensions.  A higher-dimensional
-evolution grid is stored as its factors, points x times, and its rows are
-time-major: every point at the first time, then every point at the next.
+samples.  Every grid is its spatial points x its times, held as those two
+factors: evenly spaced points in one dimension, Monte-Carlo points (own
+fixed seed) in higher dimensions, and 11 evenly spaced times for an
+evolution problem.  Its rows are time-major: every point at the first
+time, then every point at the next.  A stationary grid has no times, and
+its rows are its points alone.
 """
 
 from __future__ import annotations
@@ -26,65 +28,46 @@ METRIC_SEED = 90210  # separate from every training stream
 
 @dataclass
 class EvaluationGrid:
-    x: np.ndarray                 # (P, d)
-    t: Optional[np.ndarray]       # (P,) or None for stationary problems
-
-    def __len__(self) -> int:
-        return self.x.shape[0]
-
-    def rows(self, s: int, e: int):
-        """Rows s..e-1 (up to the last) as (x, t)."""
-        return self.x[s:e], None if self.t is None else self.t[s:e]
-
-
-@dataclass
-class ProductGrid:
-    """Every spatial point at every time, held as those two factors.
+    """Every spatial point at every time, or the points alone when there are no times.
 
     Row j*n + i is (points[i], times[j]) for n points, so `x` and `t`
     (built on each read, never stored) are `np.tile(points, (nt, 1))` and
     `np.repeat(times, n)`: n*d + nt numbers where the rows take n*nt*(d+1).
     """
     points: np.ndarray            # (n, d)
-    times: np.ndarray             # (nt,)
+    times: Optional[np.ndarray]   # (nt,), or None for a stationary problem
 
     def __len__(self) -> int:
-        return len(self.points) * len(self.times)
+        return len(self.points) * (1 if self.times is None else len(self.times))
 
     @property
     def x(self) -> np.ndarray:
-        return np.tile(self.points, (len(self.times), 1))
+        return self.points if self.times is None else np.tile(self.points, (len(self.times), 1))
 
     @property
-    def t(self) -> np.ndarray:
-        return np.repeat(self.times, len(self.points))
+    def t(self) -> Optional[np.ndarray]:
+        return None if self.times is None else np.repeat(self.times, len(self.points))
 
     def rows(self, s: int, e: int):
         """Rows s..e-1 (up to the last) as (x, t): the same values as those rows of `x` and `t`."""
+        if self.times is None:
+            return self.points[s:e], None
         r = np.arange(s, min(e, len(self)))
         n = len(self.points)
         return self.points[r % n], self.times[r // n]
 
 
-def evaluation_grid(spec: ProblemSpec, nx: int = 256,
-                    n_mc: int = 10_000) -> EvaluationGrid | ProductGrid:
+def evaluation_grid(spec: ProblemSpec, nx: int = 256, n_mc: int = 10_000) -> EvaluationGrid:
+    """nx evenly spaced points in one dimension, n_mc Monte-Carlo points (METRIC_SEED)
+    in more; for an evolution problem, 11 evenly spaced times from 0 to its horizon."""
     d = spec.spatial_dim
-    nt = 11
+    lo, hi = np.array(spec.domain).T
     if d == 1:
-        lo, hi = spec.domain[0]
-        xs = np.linspace(lo, hi, nx)
-        if spec.stationary:
-            return EvaluationGrid(xs.reshape(-1, 1), None)
-        ts = np.linspace(0.0, spec.horizon, nt)
-        X, T = np.meshgrid(xs, ts, indexing="ij")
-        return EvaluationGrid(X.reshape(-1, 1), T.ravel())
-    rng = np.random.default_rng(METRIC_SEED)
-    lo = np.array([a for a, _ in spec.domain])
-    hi = np.array([b for _, b in spec.domain])
-    pts = lo + (hi - lo) * rng.uniform(size=(n_mc, d))
-    if spec.stationary:
-        return EvaluationGrid(pts, None)
-    return ProductGrid(pts, np.linspace(0.0, spec.horizon, nt))
+        points = np.linspace(lo[0], hi[0], nx).reshape(-1, 1)
+    else:
+        points = lo + (hi - lo) * np.random.default_rng(METRIC_SEED).uniform(size=(n_mc, d))
+    times = None if spec.stationary else np.linspace(0.0, spec.horizon, 11)
+    return EvaluationGrid(points, times)
 
 
 def relative_l2(candidate, truth) -> float:
@@ -110,7 +93,7 @@ WHOLE_GRID = 8192
 EVAL_CHUNK = 1024
 
 
-def network_values(net: Network, grid: EvaluationGrid | ProductGrid) -> np.ndarray:
+def network_values(net: Network, grid: EvaluationGrid) -> np.ndarray:
     """Output 0 (u) over the grid, by the tape-free walk `net.evaluate`, chunk by chunk."""
     n = len(grid)
     chunk = n if n <= WHOLE_GRID else EVAL_CHUNK
@@ -120,7 +103,7 @@ def network_values(net: Network, grid: EvaluationGrid | ProductGrid) -> np.ndarr
     return values
 
 
-def network_relative_l2(net: Network, grid: EvaluationGrid | ProductGrid, truth_vals) -> float:
+def network_relative_l2(net: Network, grid: EvaluationGrid, truth_vals) -> float:
     return relative_l2(network_values(net, grid), truth_vals)
 
 

@@ -178,10 +178,10 @@ class NetworkOutput:
 
 
 class _Sets:
-    """The rows one walk gives each set: (x, t), walked to `orders`, or (x, t, its orders)."""
+    """The rows one walk gives each (x, t, orders) set."""
 
-    def __init__(self, sets, orders):
-        sets = [(_points(s[0]), s[1], s[2] if len(s) > 2 else orders or {}) for s in sets]
+    def __init__(self, sets):
+        sets = [(_points(x), t, od) for x, t, od in sets]
         own = [_layout(od)[1] for *_, od in sets]  # checks each set's orders
         self.blocks, self.slots = _layout({dd: max(od.get(dd, 0) for *_, od in sets)
                                            for *_, od in sets for dd in od})
@@ -266,16 +266,16 @@ class BoundNetwork:
     def forward_jets(self, x, t=None, orders: dict | None = None) -> NetworkOutput:
         """`forward_sets` on one set: orders maps a direction (a spatial axis or
         TIME) to its jet order, and an order-0 direction is the value alone."""
-        return self.forward_sets([(x, t)], orders)[0]
+        return self.forward_sets([(x, t, orders or {})])[0]
 
-    def forward_sets(self, sets, orders: dict | None = None) -> list[NetworkOutput]:
+    def forward_sets(self, sets) -> list[NetworkOutput]:
         """One walk, laid out as the module docstring says, over several point sets.
 
-        Each set is (x, t), walked to `orders`, or (x, t, its orders), and gets
-        a NetworkOutput of its own; nothing is read out of the head until a
+        Each set is (x, t, orders), walked to its own orders, and gets a
+        NetworkOutput of its own; nothing is read out of the head until a
         caller asks (`NetworkOutput.coef`).
         """
-        lay = _Sets(sets, orders)
+        lay = _Sets(sets)
         for x, t, od in lay.walked:
             for dd in od:  # a spatial axis of x, or TIME where the set has times
                 if t is None if dd == TIME else not 0 <= int(dd) < x.shape[1]:
@@ -357,9 +357,9 @@ class BoundAnalytic:
 
     forward_jets = BoundNetwork.forward_jets
 
-    def forward_sets(self, sets, orders: dict | None = None) -> list[NetworkOutput]:
+    def forward_sets(self, sets) -> list[NetworkOutput]:
         """`BoundNetwork.forward_sets` on the closed forms: one constant head, in its layout."""
-        lay = _Sets(sets, orders)
+        lay = _Sets(sets)
         x = np.concatenate([x for x, _, _ in lay.walked])
         t = None if lay.walked[0][1] is None else np.concatenate(
             [np.asarray(t, dtype=np.float64).reshape(-1) for _, t, _ in lay.walked])

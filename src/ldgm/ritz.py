@@ -49,7 +49,7 @@ def _energy(spec: ProblemSpec, bound, batch: SampleBatch, cfg: RitzConfig,
     d = spec.spatial_dim
     if bound.output_dim != len(slots):
         raise ShapeError(f"roster needs {len(slots)} outputs, got {bound.output_dim}")
-    f = spec.params["source"](batch.interior_x)
+    f = spec.source(batch.interior_x)
     volume, surface = _measures(spec)
 
     walk, bwalk = bound.forward_sets([

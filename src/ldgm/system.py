@@ -42,7 +42,7 @@ class ProblemSpec:
     boundary: tuple = ()   # (derivative order, data) targets: data a constant or g(x, t)
     exact_expr: Optional[object] = None   # symbolic source of `solution` (sympy syntax)
     solution: Optional[Callable] = None   # numpy closed form u(x, t) of exact_expr
-    params: dict = field(default_factory=dict)
+    source: Optional[Callable] = None     # f(x) of a stationary variational problem
     ldgm_form: Optional[Callable] = None      # override for the trained first-order system
     dgm_boundary: Optional[Callable] = None   # override for strong-form boundary residuals
 
@@ -238,9 +238,7 @@ def beam() -> ProblemSpec:
         solution=lambda x, t: np.exp(-t) * np.sin(x[:, 0]))
 
 
-def _ch_ldgm_form(spec: ProblemSpec) -> SystemForm:
-    eps = spec.params["epsilon"]
-
+def _ch_ldgm_form(spec: ProblemSpec, eps: float) -> SystemForm:
     def evolution(walk):
         return walk.dt(0) - walk.dx(3, 0)
 
@@ -260,9 +258,7 @@ def _ch_ldgm_form(spec: ProblemSpec) -> SystemForm:
                       evolution=evolution, constraints=constraints, boundary=boundary)
 
 
-def _ch_dgm_boundary(spec: ProblemSpec):
-    eps = spec.params["epsilon"]
-
+def _ch_dgm_boundary(eps: float):
     def boundary(bwalk):
         u = bwalk.out(0)
         d1 = bwalk.dx(0, 0, order=1)
@@ -279,15 +275,13 @@ def cahn_hilliard(epsilon: float = 0.1) -> ProblemSpec:
         u = v.u
         return -epsilon * v.d(4) + 6.0 * u * v.d(1) * v.d(1) - (1.0 - 3.0 * u * u) * v.d(2)
 
-    spec = ProblemSpec(
+    return ProblemSpec(
         name="cahn_hilliard", spatial_dim=1, domain=((0.0, 2 * math.pi),), horizon=1.0,
         pde_order=4, rhs=rhs,
         initial=lambda x: np.cos(x[:, 0]),
         boundary=((1, 0.0), (3, 0.0)),  # Neumann: flux-free walls
-        params={"epsilon": epsilon},
-        ldgm_form=_ch_ldgm_form)
-    spec.dgm_boundary = _ch_dgm_boundary(spec)
-    return spec
+        ldgm_form=lambda spec: _ch_ldgm_form(spec, epsilon),
+        dgm_boundary=_ch_dgm_boundary(epsilon))
 
 
 def mkdv() -> ProblemSpec:
@@ -356,7 +350,7 @@ def bilaplacian_ritz(d: int = 1) -> ProblemSpec:
         initial=None,
         exact_expr="*".join(f"sin(pi*x{i})**2" for i in range(d)),
         solution=lambda x, t=None: math.prod(sines(x)),
-        params={"source": source})
+        source=source)
 
 
 _REGISTRY = {

@@ -147,9 +147,9 @@ def test_each_point_set_is_walked_once(monkeypatch, name, kwargs, method):
     walked = []
     sets_walk = BoundNetwork.forward_sets
 
-    def recording(self, sets, orders=None):
-        walked.append([(id(x), orders_) for x, _, orders_ in sets])
-        return sets_walk(self, sets, orders)
+    def recording(self, sets):
+        walked.append([(id(x), orders) for x, _, orders in sets])
+        return sets_walk(self, sets)
 
     monkeypatch.setattr(BoundNetwork, "forward_sets", recording)
     batch, _ = _small_loss(name, kwargs, method)
@@ -185,7 +185,7 @@ def test_stacked_walks_match_separate_walks(monkeypatch, name, kwargs):
         return lb, grad, ldgm_loss(form, mock.bind(Tape()), batch)
 
     def one_set_at_a_time(walk):
-        return lambda self, sets, orders=None: [walk(self, [s], orders)[0] for s in sets]
+        return lambda self, sets: [walk(self, [s])[0] for s in sets]
 
     stacked = losses()
     for cls in (BoundNetwork, BoundAnalytic):

@@ -6,9 +6,8 @@ import pytest
 
 from ldgm.autodiff import Tape
 from ldgm.errors import UndefinedMetricError
-from ldgm.metrics import (EVAL_CHUNK, WHOLE_GRID, EvaluationGrid, ProductGrid,
-                          derivative_scale_diagnostic, evaluation_grid, network_values,
-                          relative_l2, write_table)
+from ldgm.metrics import (EVAL_CHUNK, WHOLE_GRID, EvaluationGrid, derivative_scale_diagnostic,
+                          evaluation_grid, network_values, relative_l2, write_table)
 from ldgm.network import AnalyticNetwork, Network, NetworkConfig, init_xavier
 from ldgm.system import get_problem
 
@@ -52,13 +51,33 @@ def test_grid_shapes_and_determinism():
     g5b = evaluation_grid(spec5, n_mc=2000)
     assert g5a.x.shape == (2000 * 11, 5)
     assert np.array_equal(g5a.x, g5b.x)
-    # a product grid's rows, built on demand: every point at the first time, then the next
+    # the rows, built on demand: every point at the first time, then the next
     assert g5a.points.shape == (2000, 5)
     assert g5a.x.tobytes() == np.tile(g5a.points, (11, 1)).tobytes()
     assert g5a.t.tobytes() == np.repeat(np.linspace(0.0, spec5.horizon, 11), 2000).tobytes()
     for s, e in [(0, 1024), (1024, 3000), (21000, 22528)]:
         x, t = g5a.rows(s, e)
         assert x.tobytes() == g5a.x[s:e].tobytes() and t.tobytes() == g5a.t[s:e].tobytes()
+
+
+def test_one_dimensional_grid_is_time_major():
+    spec = get_problem("mkdv")
+    grid = evaluation_grid(spec)
+    xs, ts = np.linspace(-2.0, 2.0, 256).reshape(-1, 1), np.linspace(0.0, 1.0, 11)
+    assert grid.points.tobytes() == xs.tobytes() and grid.times.tobytes() == ts.tobytes()
+    x, t = grid.rows(0, 256)
+    assert x.tobytes() == xs.tobytes() and not t.any()
+    assert grid.x.tobytes() == np.tile(xs, (11, 1)).tobytes()
+    assert grid.t.tobytes() == np.repeat(ts, 256).tobytes()
+
+
+@pytest.mark.parametrize("d,n", [(1, 256), (2, 10_000)])
+def test_stationary_grid_is_its_points(d, n):
+    grid = evaluation_grid(get_problem("bilaplacian_ritz", d=d))
+    assert grid.times is None and grid.t is None
+    assert len(grid) == n and grid.x is grid.points and grid.points.shape == (n, d)
+    x, t = grid.rows(100, n + 5)
+    assert t is None and x.tobytes() == grid.points[100:].tobytes()
 
 
 def test_grid_refinement_stability():
@@ -72,26 +91,23 @@ def test_grid_refinement_stability():
     assert abs(errs[0] - errs[1]) / errs[1] < 0.01
 
 
-@pytest.mark.parametrize("n,chunk,product", [
-    pytest.param(2500, 2500, False, id="2500-2500"),
-    pytest.param(10500, EVAL_CHUNK, False, id="10500-1024"),
-    pytest.param(10500, EVAL_CHUNK, True, id="10500-1024-product")])
-def test_chunked_values_equal_the_tape_walk(n, chunk, product):
-    # 2500 points are walked whole; 10500 in ten full chunks and a tail, also as
-    # 1500 points at 7 times, whose chunks cross from one time to the next.  The
-    # recorded walk runs over the same chunks of the tiled rows: BLAS may round a
-    # product of another row count differently.
+@pytest.mark.parametrize("n,chunk,nt", [
+    pytest.param(2500, 2500, 5, id="2500-2500"),
+    pytest.param(10500, EVAL_CHUNK, 1, id="10500-1024"),
+    pytest.param(10500, EVAL_CHUNK, 7, id="10500-1024-product")])
+def test_chunked_values_equal_the_tape_walk(n, chunk, nt):
+    # 2500 rows (500 points at 5 times) are walked whole; 10500 in ten full chunks
+    # and a tail, as 10500 points at one time and as 1500 points at 7 times, whose
+    # chunks cross from one time to the next.  The recorded walk runs over the same
+    # chunks of the tiled rows: BLAS may round a product of another row count
+    # differently.
     assert (n <= WHOLE_GRID) == (chunk == n)
     cfg = NetworkConfig(input_dim=2, hidden_layers=3, width=50, output_dim=4)
     net = Network(cfg, init_xavier(cfg, 2))
     rng = np.random.default_rng(2)
-    if product:
-        points, times = rng.uniform(0, 3, size=(1500, 1)), rng.uniform(0, 1, size=7)
-        grid = ProductGrid(points, times)
-        x, t = np.tile(points, (7, 1)), np.repeat(times, 1500)
-    else:
-        x, t = rng.uniform(0, 3, size=(n, 1)), rng.uniform(0, 1, size=n)
-        grid = EvaluationGrid(x, t)
+    points, times = rng.uniform(0, 3, size=(n // nt, 1)), rng.uniform(0, 1, size=nt)
+    grid = EvaluationGrid(points, times)
+    x, t = np.tile(points, (nt, 1)), np.repeat(times, n // nt)
     want = np.concatenate([net.bind(Tape()).forward(x[s:s + chunk], t[s:s + chunk]).out(0).value
                            for s in range(0, n, chunk)])
     assert network_values(net, grid).tobytes() == want.tobytes()

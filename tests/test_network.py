@@ -286,11 +286,11 @@ def test_analytic_network_values_and_jets():
         assert np.allclose(out.dx(0, 0, 2).value, -np.exp(-t) * np.sin(x[:, 0]), rtol=1e-13)
 
     # two point sets: one head, each set's rows where the network's walk puts them
-    sets = [(x, t), (np.array([[0.7]]), np.array([0.9]))]
-    outs = mock.bind(Tape()).forward_sets(sets, {0: 1})
-    walks = net.bind(Tape()).forward_sets(sets, {0: 1})
+    sets = [(x, t, {0: 1}), (np.array([[0.7]]), np.array([0.9]), {0: 1})]
+    outs = mock.bind(Tape()).forward_sets(sets)
+    walks = net.bind(Tape()).forward_sets(sets)
     assert outs[0].head is outs[1].head
-    for out, walk, (xs, ts) in zip(outs, walks, sets):
+    for out, walk, (xs, ts, _) in zip(outs, walks, sets):
         assert (out.start, out.rows) == (walk.start, walk.rows)
         want = coefficients(xs, ts)
         for i in range(2):
@@ -549,7 +549,7 @@ def test_a_walk_over_three_sets_gives_each_set_its_own_walks_jets(name, width):
 def test_a_slot_only_another_set_carries_cannot_be_read():
     net, x, t = fused_case("tanh")
     boundary, initial = net.bind(Tape()).forward_sets(
-        [(x, t, {0: 4, TIME: 1}), (x[:3], t[:3], {0: 3}), (x[:2], t[:2])])[1:]
+        [(x, t, {0: 4, TIME: 1}), (x[:3], t[:3], {0: 3}), (x[:2], t[:2], {})])[1:]
     assert boundary.coef(0, 0, 3) is not None
     with pytest.raises(UnsupportedOrderError, match="order 3, need 4"):
         boundary.coef(0, 0, 4)

@@ -183,7 +183,7 @@ def test_bilaplacian_source_against_expanded_symbolic_bilaplacian(d):
     lap = lambda e: sum(sp.diff(e, s, 2) for s in xs)  # noqa: E731
     want = _lambdified(spec, sp.expand(lap(lap(sp.sympify(spec.exact_expr)))))
     for x, _ in _point_sets(spec):
-        got, ref = spec.params["source"](x), want(x, None)
+        got, ref = spec.source(x), want(x, None)
         if d == 1:
             assert got.tobytes() == ref.tobytes()
         else:
